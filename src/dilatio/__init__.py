@@ -62,9 +62,9 @@ from .linalg import (
     trace_distance,
     trace_norm,
 )
+from .register import RegisterDilation, VerificationReport
 from .semigroup import (
     DilationBundle,
-    VerificationReport,
     build_semigroup_dilation,
     evolve,
     heisenberg_evolve,

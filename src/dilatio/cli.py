@@ -60,12 +60,11 @@ def _guard_limit(args, default: int) -> int:
     if getattr(args, "force", False):
         return sys.maxsize
     env = os.environ.get("DILATIO_MAX_DIM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ChannelFormatError(f"DILATIO_MAX_DIM must be an integer, got {env!r}") from exc
-    return default
+    if env is None:
+        return default
+    if not env.isdecimal() or int(env) <= 0:
+        raise ChannelFormatError(f"DILATIO_MAX_DIM must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def cmd_check(args) -> int:
@@ -122,18 +121,18 @@ def cmd_verify(args) -> int:
         "inputs": inputs,
         "tolerance": args.tol,
     }
-    if isinstance(bundle, semigroup.DilationBundle):
-        report = semigroup.verify_dilation(bundle, ch, args.tol)
-        report_doc["horizon"] = bundle.horizon
-    elif isinstance(bundle, cyclic.CyclicDilationBundle):
+    if bundle.mode == "cyclic":
         report = cyclic.verify_cyclic_dilation(bundle, ch, n_max=args.n_max, tol=args.tol)
         report_doc["period"] = bundle.period
-    else:
+    elif bundle.mode == "control":
         if not args.second:
             raise ChannelFormatError("a control bundle requires a second channel file")
         second = _load_checked(args.second, not args.no_verify)
         inputs["second"] = file_digest(args.second)
         report = control.verify_control_dilation(bundle, ch, second, args.tol)
+        report_doc["horizon"] = bundle.horizon
+    else:
+        report = semigroup.verify_dilation(bundle, ch, args.tol)
         report_doc["horizon"] = bundle.horizon
     report_doc["pass"] = report.passed
     report_doc["residuals"] = list(report.residuals)
@@ -147,16 +146,14 @@ def cmd_evolve(args) -> int:
     rho = load_state(args.state)
     if (args.steps is None) == (args.sequence is None):
         raise ChannelFormatError("provide exactly one of --steps or --sequence")
-    if args.sequence is not None:
-        if not isinstance(bundle, control.ControlDilation):
-            raise ChannelFormatError("--sequence applies to control bundles only")
+    if (args.sequence is not None) != (bundle.mode == "control"):
+        raise ChannelFormatError("--sequence applies to control bundles, --steps to the others")
+    if bundle.mode == "control":
         out = control.evolve_control(bundle, rho, args.sequence)
-    elif isinstance(bundle, semigroup.DilationBundle):
+    elif bundle.mode == "semigroup":
         out = semigroup.evolve(bundle, rho, args.steps)
-    elif isinstance(bundle, cyclic.CyclicDilationBundle):
-        out = cyclic.evolve_cyclic(bundle, rho, args.steps)
     else:
-        raise ChannelFormatError("a control bundle requires --sequence")
+        out = cyclic.evolve_cyclic(bundle, rho, args.steps)
     sys.stdout.write(dump_document(state_to_dict(out)))
     return EXIT_PASS
 
@@ -250,7 +247,7 @@ def main(argv=None) -> int:
     except MemoryGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ChannelFormatError, ValueError) as exc:
+    except (ChannelFormatError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,7 +13,6 @@ words are claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,25 +26,27 @@ from .channels import (
     power,
     require_accepted,
     superoperator_matrix,
-    unvec,
-    vec,
 )
-from .errors import HorizonError, MemoryGuardError, NotCommutingError
+from .errors import HorizonError, NotCommutingError
 from .linalg import (
     basis_state,
     check_density_matrix,
     cyclic_shift,
-    frozen_matrix,
     hermitize,
-    is_pure_state,
-    is_unitary,
     kron,
-    matrix_units,
-    partial_trace,
     trace_distance,
-    trace_norm,
 )
-from .semigroup import DILATION_ATOL, VerificationReport
+from .register import (
+    DILATION_ATOL,
+    RegisterDilation,
+    VerificationReport,
+    assemble,
+    check_horizon,
+    check_system_state,
+    guard_total_dim,
+    reconstruct,
+    verify_words,
+)
 from .stinespring import stinespring_unitary
 
 # Control dilations live on L^2 shift cells; guard the total dimension.
@@ -102,39 +103,15 @@ def reachable_set(
     return states
 
 
-@dataclass(frozen=True)
-class ControlDilation:
+def ControlDilation(
+    dim: int, ancilla_dim: int, shift_dim: int, unitary_t, unitary_s, omega, horizon: int
+) -> RegisterDilation:
     """Unitaries U (for T) and V (for S) over two shift registers."""
-
-    dim: int
-    ancilla_dim: int
-    shift_dim: int
-    unitary_t: np.ndarray
-    unitary_s: np.ndarray
-    omega: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon != self.shift_dim - 1:
-            raise ValueError("horizon must equal shift_dim - 1")
-        n = self.dim * self.ancilla_dim * self.shift_dim * self.shift_dim
-        u = frozen_matrix(self.unitary_t)
-        v = frozen_matrix(self.unitary_s)
-        w = frozen_matrix(self.omega)
-        if u.shape != (n, n) or v.shape != (n, n):
-            raise ValueError("control unitaries have inconsistent shape")
-        if not (is_unitary(u) and is_unitary(v)):
-            raise ValueError("control operators are not unitary within 1e-10")
-        anc = self.ancilla_dim * self.shift_dim * self.shift_dim
-        if w.shape != (anc, anc) or not is_pure_state(w):
-            raise ValueError("ancilla state must be pure on K~ (x) Z_L (x) Z_L")
-        object.__setattr__(self, "unitary_t", u)
-        object.__setattr__(self, "unitary_s", v)
-        object.__setattr__(self, "omega", w)
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return (self.dim, self.ancilla_dim, self.shift_dim, self.shift_dim)
+    if horizon != shift_dim - 1:
+        raise ValueError("horizon must equal shift_dim - 1")
+    return RegisterDilation(
+        "control", dim, ancilla_dim, (shift_dim, shift_dim), (unitary_t, unitary_s), omega
+    )
 
 
 def _word_unitaries(t: KrausChannel, s: KrausChannel, n_steps: int, tol: float):
@@ -163,7 +140,7 @@ def build_control_dilation(
     tol: float = CPTP_ATOL,
     commute_tol: float = COMMUTATION_ATOL,
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
-) -> ControlDilation:
+) -> RegisterDilation:
     """Assemble U and V over Z_L (x) Z_L, L = N + 1.
 
     U shifts both registers and applies the diagonal blocks
@@ -180,41 +157,27 @@ def build_control_dilation(
 
     d = t.dim_in
     shift_dim = n_steps + 1
-    total_dim = d * d * d * shift_dim * shift_dim
-    if total_dim > max_total_dim:
-        raise MemoryGuardError(
-            f"total dimension {total_dim} exceeds the guard {max_total_dim}; "
-            f"raise the limit to proceed"
-        )
+    guard_total_dim(d * d * d * shift_dim * shift_dim, max_total_dim)
 
     u_word = _word_unitaries(t, s, n_steps, tol)
-    block_dim = d * d * d
-    eye_block = np.eye(block_dim, dtype=np.complex128)
+    step = cyclic_shift(shift_dim)
     eye_shift = np.eye(shift_dim, dtype=np.complex128)
-
-    blocks_t = np.zeros((total_dim, total_dim), dtype=np.complex128)
-    for m in range(shift_dim):
-        for n in range(shift_dim):
-            cell = kron(basis_state(m, shift_dim), basis_state(n, shift_dim))
-            blocks_t += kron(u_word(m, n) @ u_word(m - 1, n - 1).conj().T, cell)
-    shift_both = kron(eye_block, kron(cyclic_shift(shift_dim), cyclic_shift(shift_dim)))
-
-    blocks_s = np.zeros((total_dim, total_dim), dtype=np.complex128)
-    for n in range(shift_dim):
-        cell = kron(basis_state(n, shift_dim), eye_shift)
-        blocks_s += kron(u_word(n, 0) @ u_word(n - 1, 0).conj().T, cell)
-    shift_first = kron(eye_block, kron(cyclic_shift(shift_dim), eye_shift))
-
-    omega = kron(basis_state(0, d * d), kron(basis_state(0, shift_dim), basis_state(0, shift_dim)))
-    return ControlDilation(
-        dim=d,
-        ancilla_dim=d * d,
-        shift_dim=shift_dim,
-        unitary_t=blocks_t @ shift_both,
-        unitary_s=blocks_s @ shift_first,
-        omega=omega,
-        horizon=n_steps,
+    cells_t = (
+        (
+            u_word(m, n) @ u_word(m - 1, n - 1).conj().T,
+            kron(basis_state(m, shift_dim), basis_state(n, shift_dim)),
+        )
+        for m in range(shift_dim)
+        for n in range(shift_dim)
     )
+    cells_s = (
+        (u_word(n, 0) @ u_word(n - 1, 0).conj().T, kron(basis_state(n, shift_dim), eye_shift))
+        for n in range(shift_dim)
+    )
+    u = assemble(cells_t, kron(step, step), d * d * d)
+    v = assemble(cells_s, kron(step, eye_shift), d * d * d)
+    omega = kron(basis_state(0, d * d), kron(basis_state(0, shift_dim), basis_state(0, shift_dim)))
+    return RegisterDilation("control", d, d * d, (shift_dim, shift_dim), (u, v), omega)
 
 
 def _normalize_sequence(sequence: str | Iterable[str]) -> list[str]:
@@ -224,14 +187,7 @@ def _normalize_sequence(sequence: str | Iterable[str]) -> list[str]:
     return steps
 
 
-def _word_state(bundle: ControlDilation, rho: np.ndarray, k: int, n_total: int) -> np.ndarray:
-    uk = np.linalg.matrix_power(bundle.unitary_t, k)
-    vr = np.linalg.matrix_power(bundle.unitary_s, n_total - k)
-    word = uk @ vr
-    return word @ kron(rho, bundle.omega) @ word.conj().T
-
-
-def evolve_control(bundle: ControlDilation, rho0, sequence: str | Iterable[str]) -> np.ndarray:
+def evolve_control(bundle: RegisterDilation, rho0, sequence: str | Iterable[str]) -> np.ndarray:
     """Run a control word through the dilation.
 
     Only the number of T steps matters (the generators commute), so the
@@ -239,67 +195,45 @@ def evolve_control(bundle: ControlDilation, rho0, sequence: str | Iterable[str])
     """
     steps = _normalize_sequence(sequence)
     n_total = len(steps)
-    if n_total > bundle.horizon:
-        raise HorizonError(
-            f"sequence of length {n_total} exceeds the bundle horizon {bundle.horizon}"
-        )
-    rho = check_density_matrix(rho0)
-    if rho.shape != (bundle.dim, bundle.dim):
-        raise ValueError(f"state of shape {rho.shape} does not match system dim {bundle.dim}")
+    check_horizon(bundle, n_total)
+    rho = check_system_state(bundle, rho0)
     k = steps.count("T")
-    big = _word_state(bundle, rho, k, n_total)
-    return hermitize(partial_trace(big, list(bundle.shape), keep=0))
+    return hermitize(reconstruct(bundle, (k, n_total - k), rho))
+
+
+def _word_oracles(t: KrausChannel, s: KrausChannel, totals: Iterable[int]):
+    """(label, exponents, oracle) triples for T^k S^(N-k), k = 0..N, for
+    each N in ``totals``; the word U^k V^(N-k) reproduces the oracle."""
+    mt = superoperator_matrix(t)
+    ms = superoperator_matrix(s)
+    for n_total in totals:
+        for k in range(n_total + 1):
+            oracle = np.linalg.matrix_power(mt, k) @ np.linalg.matrix_power(ms, n_total - k)
+            yield f"N={n_total},k={k}", (k, n_total - k), oracle
 
 
 def verify_control_dilation(
-    bundle: ControlDilation,
+    bundle: RegisterDilation,
     t: KrausChannel,
     s: KrausChannel,
     tol: float = DILATION_ATOL,
 ) -> VerificationReport:
     """Residuals of the word reconstruction for every (N, k) with
     N <= horizon, k <= N, over a full operator basis."""
-    for ch in (t, s):
-        if ch.picture != SCHROEDINGER or not ch.is_square:
-            raise ValueError("verification needs square schroedinger channels")
-        if ch.dim_in != bundle.dim:
-            raise ValueError(
-                f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"
-            )
-    units = matrix_units(bundle.dim)
-    mt = superoperator_matrix(t)
-    ms = superoperator_matrix(s)
-    residuals = []
-    labels = []
-    for n_total in range(bundle.horizon + 1):
-        for k in range(n_total + 1):
-            oracle = np.linalg.matrix_power(mt, k) @ np.linalg.matrix_power(ms, n_total - k)
-            uk = np.linalg.matrix_power(bundle.unitary_t, k)
-            vr = np.linalg.matrix_power(bundle.unitary_s, n_total - k)
-            word = uk @ vr
-            worst = 0.0
-            for e in units:
-                expected = unvec(oracle @ vec(e))
-                big = word @ kron(e, bundle.omega) @ word.conj().T
-                actual = partial_trace(big, list(bundle.shape), keep=0)
-                worst = max(worst, trace_norm(actual - expected))
-            residuals.append(worst)
-            labels.append(f"N={n_total},k={k}")
-    return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))
+    return verify_words(bundle, (t, s), _word_oracles(t, s, range(bundle.horizon + 1)), tol)
 
 
-def word_shift_marginal(bundle: ControlDilation, rho0, k: int, n_total: int) -> np.ndarray:
+def word_shift_marginal(bundle: RegisterDilation, rho0, k: int, n_total: int) -> np.ndarray:
     """Marginal of the dilated word state on the two shift registers;
     the construction pins it to |e_N><e_N| (x) |e_k><e_k|."""
     if not 0 <= k <= n_total <= bundle.horizon:
         raise HorizonError(f"word (N={n_total}, k={k}) outside the horizon {bundle.horizon}")
-    rho = check_density_matrix(rho0)
-    big = _word_state(bundle, rho, k, n_total)
-    return partial_trace(big, list(bundle.shape), keep=(2, 3))
+    rho = check_system_state(bundle, rho0)
+    return reconstruct(bundle, (k, n_total - k), rho, keep=(2, 3))
 
 
 def verify_reachable_inclusion(
-    bundle: ControlDilation,
+    bundle: RegisterDilation,
     t: KrausChannel,
     s: KrausChannel,
     rho0,
@@ -312,22 +246,9 @@ def verify_reachable_inclusion(
     U^k V^(N-k) applied to rho0 (x) omega.  Only this inclusion direction
     holds; the closed system reaches strictly more for N > 1.
     """
-    if not 0 <= n_steps <= bundle.horizon:
-        raise HorizonError(f"N={n_steps} outside the bundle horizon {bundle.horizon}")
-    rho = check_density_matrix(rho0)
-    residuals = []
-    labels = []
-    for k in range(n_steps + 1):
-        expected = rho
-        for _ in range(n_steps - k):
-            expected = apply_channel(s, expected)
-        for _ in range(k):
-            expected = apply_channel(t, expected)
-        big = _word_state(bundle, rho, k, n_steps)
-        actual = partial_trace(big, list(bundle.shape), keep=0)
-        residuals.append(trace_norm(actual - expected))
-        labels.append(f"N={n_steps},k={k}")
-    return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))
+    check_horizon(bundle, n_steps)
+    rho = check_system_state(bundle, rho0)
+    return verify_words(bundle, (t, s), _word_oracles(t, s, [n_steps]), tol, operators=[rho])
 
 
 def apply_word(t: KrausChannel, s: KrausChannel, rho0, sequence: Sequence[str]) -> np.ndarray:

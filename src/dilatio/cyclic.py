@@ -26,24 +26,21 @@ from .channels import (
     KrausChannel,
     require_accepted,
     superoperator_matrix,
-    unvec,
-    vec,
 )
-from .errors import MemoryGuardError, NotCyclicError
-from .linalg import (
-    basis_state,
-    check_density_matrix,
-    cyclic_shift,
-    frozen_matrix,
-    hermitize,
-    is_pure_state,
-    is_unitary,
-    kron,
-    matrix_units,
-    partial_trace,
-    trace_norm,
+from .errors import NotCyclicError
+from .linalg import hermitize
+from .register import (
+    DILATION_ATOL,
+    RegisterDilation,
+    VerificationReport,
+    check_system_state,
+    guard_total_dim,
+    power_words,
+    reconstruct,
+    verify_words,
+    walk_dilation,
 )
-from .semigroup import DEFAULT_MAX_TOTAL_DIM, DILATION_ATOL, VerificationReport, _step_unitaries
+from .semigroup import DEFAULT_MAX_TOTAL_DIM, _step_unitaries
 
 # Frobenius tolerance for detecting T^m == T on superoperators.
 CYCLE_DETECTION_ATOL = 1e-8
@@ -94,35 +91,11 @@ def reduce_power(period: CyclePeriod, n: int) -> int:
     return reduced_exponent(period.m, n)
 
 
-@dataclass(frozen=True)
-class CyclicDilationBundle:
+def CyclicDilationBundle(
+    dim: int, ancilla_dim: int, period: int, unitary, omega
+) -> RegisterDilation:
     """V and omega on H (x) K~ (x) C^m; valid for unbounded n."""
-
-    dim: int
-    ancilla_dim: int
-    period: int
-    unitary: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        if self.period < 2:
-            raise ValueError("period must be at least 2")
-        n = self.dim * self.ancilla_dim * self.period
-        u = frozen_matrix(self.unitary)
-        w = frozen_matrix(self.omega)
-        if u.shape != (n, n):
-            raise ValueError(f"unitary of shape {u.shape}, expected {(n, n)}")
-        if not is_unitary(u):
-            raise ValueError("bundle operator is not unitary within 1e-10")
-        anc = self.ancilla_dim * self.period
-        if w.shape != (anc, anc) or not is_pure_state(w):
-            raise ValueError("bundle ancilla state must be pure on K~ (x) C^m")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "omega", w)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.dim, self.ancilla_dim, self.period)
+    return RegisterDilation("cyclic", dim, ancilla_dim, (period,), (unitary,), omega)
 
 
 def build_cyclic_dilation(
@@ -131,7 +104,7 @@ def build_cyclic_dilation(
     tol: float = CPTP_ATOL,
     cycle_tol: float = CYCLE_DETECTION_ATOL,
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
-) -> CyclicDilationBundle:
+) -> RegisterDilation:
     """Assemble the finite dilation of a cyclic channel.
 
     The cycle basis e_1..e_m of the underlying construction maps to
@@ -152,30 +125,12 @@ def build_cyclic_dilation(
         )
 
     d = ch.dim_in
-    total = d * d * d * m
-    if total > max_total_dim:
-        raise MemoryGuardError(
-            f"total dimension {total} exceeds the guard {max_total_dim}; "
-            f"raise the limit to proceed"
-        )
-
+    guard_total_dim(d * d * d * m, max_total_dim)
     steps = _step_unitaries(ch, m - 1, tol)
-    steps.append(steps[0])  # U_m := id
-    blocks = np.zeros((d * d * d * m,) * 2, dtype=np.complex128)
-    for i in range(1, m + 1):
-        blocks += kron(steps[i] @ steps[i - 1].conj().T, basis_state(i - 1, m))
-    shift = kron(np.eye(d * d * d, dtype=np.complex128), cyclic_shift(m))
-    omega = kron(basis_state(0, d * d), basis_state(m - 1, m))
-    return CyclicDilationBundle(
-        dim=d,
-        ancilla_dim=d * d,
-        period=m,
-        unitary=blocks @ shift,
-        omega=omega,
-    )
+    return walk_dilation("cyclic", d, steps + steps[:1], m - 1)  # U_m := id
 
 
-def evolve_cyclic(bundle: CyclicDilationBundle, rho0, n: int) -> np.ndarray:
+def evolve_cyclic(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
     """T^n(rho0) through the dilation with exponent n + wrap_count; any n >= 0.
 
     n == 0 returns the state unchanged (the dilation axiom E o J == id),
@@ -183,48 +138,21 @@ def evolve_cyclic(bundle: CyclicDilationBundle, rho0, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rho = check_density_matrix(rho0)
-    if rho.shape != (bundle.dim, bundle.dim):
-        raise ValueError(f"state of shape {rho.shape} does not match system dim {bundle.dim}")
+    rho = check_system_state(bundle, rho0)
     if n == 0:
         return rho
     exponent = n + wrap_count(bundle.period, n)
-    vn = np.linalg.matrix_power(bundle.unitary, exponent)
-    big = vn @ kron(rho, bundle.omega) @ vn.conj().T
-    return hermitize(partial_trace(big, list(bundle.shape), keep=0))
+    return hermitize(reconstruct(bundle, (exponent,), rho))
 
 
 def verify_cyclic_dilation(
-    bundle: CyclicDilationBundle,
+    bundle: RegisterDilation,
     ch: KrausChannel,
     n_max: int = 50,
     tol: float = DILATION_ATOL,
 ) -> VerificationReport:
     """Residuals of the unbounded reconstruction for n = 0..n_max over a
     full operator basis, against superoperator matrix powers."""
-    if ch.picture != SCHROEDINGER or not ch.is_square:
-        raise ValueError("verification needs a square schroedinger channel")
-    if ch.dim_in != bundle.dim:
-        raise ValueError(
-            f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"
-        )
-    units = matrix_units(bundle.dim)
-    m = superoperator_matrix(ch)
-    m_power = np.eye(m.shape[0], dtype=np.complex128)
-    residuals = []
-    labels = []
-    for n in range(n_max + 1):
-        if n == 0:
-            vn = np.eye(bundle.unitary.shape[0], dtype=np.complex128)
-        else:
-            vn = np.linalg.matrix_power(bundle.unitary, n + wrap_count(bundle.period, n))
-        worst = 0.0
-        for e in units:
-            expected = unvec(m_power @ vec(e))
-            big = vn @ kron(e, bundle.omega) @ vn.conj().T
-            actual = partial_trace(big, list(bundle.shape), keep=0)
-            worst = max(worst, trace_norm(actual - expected))
-        residuals.append(worst)
-        labels.append(f"n={n}")
-        m_power = m_power @ m
-    return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))
+    m = bundle.period
+    words = power_words(ch, n_max, lambda n: n + wrap_count(m, n) if n else 0)
+    return verify_words(bundle, [ch], words, tol)

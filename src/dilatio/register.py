@@ -1,0 +1,240 @@
+"""The shift-register dilation behind the semigroup, cyclic and control modes.
+
+Unitary blocks B_c sit on the cells c of a shift register, the register
+shifts cyclically, V = (sum_c B_c (x) P_c)(id (x) shift), and a pure
+omega is pinned to one cell.  Control bundles run the same construction
+on two registers, with one generator per channel of the commuting pair.
+Every reconstruction is tr_K(w (A (x) omega) w^dag) for a word
+w = G_1^e_1 G_2^e_2 ... in the generators.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .channels import SCHROEDINGER, KrausChannel, superoperator_matrix, unvec, vec
+from .errors import HorizonError, MemoryGuardError
+from .linalg import (
+    basis_state,
+    check_density_matrix,
+    cyclic_shift,
+    frozen_matrix,
+    is_pure_state,
+    is_unitary,
+    kron,
+    matrix_units,
+    partial_trace,
+    trace_norm,
+)
+
+# Default tolerance for dilation-identity verification.
+DILATION_ATOL = 1e-9
+# Shift registers per mode; a bundle carries one generator per register.
+REGISTER_COUNT = {"semigroup": 1, "cyclic": 1, "control": 2}
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Labelled residual table from a dilation verification sweep."""
+
+    tolerance: float
+    residuals: tuple[float, ...]
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.residuals) != len(self.labels):
+            raise ValueError("residuals and labels differ in length")
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals) if self.residuals else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
+
+
+@dataclass(frozen=True)
+class RegisterDilation:
+    """Generators (V,), or (U, V) for a control pair (T, S), and a pure
+    omega on K~ (x) registers.  ``registers`` is (N + 1,) for horizon N,
+    (m,) for period m, or (N + 1, N + 1) for a control bundle."""
+
+    mode: str
+    dim: int
+    ancilla_dim: int
+    registers: tuple[int, ...]
+    generators: tuple[np.ndarray, ...]
+    omega: np.ndarray
+
+    def __post_init__(self):
+        if self.mode not in REGISTER_COUNT:
+            raise ValueError(f"unknown dilation mode {self.mode!r}")
+        count = REGISTER_COUNT[self.mode]
+        registers = tuple(int(r) for r in self.registers)
+        if len(registers) != count or len(set(registers)) != 1 or len(self.generators) != count:
+            raise ValueError(f"{self.mode} bundles need {count} equal registers and generators")
+        if self.mode == "cyclic" and registers[0] < 2:
+            raise ValueError("period must be at least 2")
+        anc = self.ancilla_dim * int(np.prod(registers))
+        n = self.dim * anc
+        generators = tuple(frozen_matrix(g) for g in self.generators)
+        for g in generators:
+            if g.shape != (n, n):
+                raise ValueError(f"unitary of shape {g.shape}, expected {(n, n)}")
+            if not is_unitary(g):
+                raise ValueError("bundle operator is not unitary within 1e-10")
+        w = frozen_matrix(self.omega)
+        if w.shape != (anc, anc) or not is_pure_state(w):
+            raise ValueError("bundle ancilla state must be pure on K~ (x) the registers")
+        object.__setattr__(self, "registers", registers)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "omega", w)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.dim, self.ancilla_dim) + self.registers
+
+    @property
+    def shift_dim(self) -> int:
+        return self.registers[0]
+
+    @property
+    def horizon(self) -> int | None:
+        """The largest step count reproduced; None for cyclic bundles, which have none."""
+        return None if self.mode == "cyclic" else self.registers[0] - 1
+
+    @property
+    def period(self) -> int | None:
+        """The cycle length m of a cyclic bundle; None for the other modes."""
+        return self.registers[0] if self.mode == "cyclic" else None
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """V, the last generator."""
+        return self.generators[-1]
+
+    @property
+    def unitary_t(self) -> np.ndarray:
+        """U, the generator of T in a control pair (V in the other modes)."""
+        return self.generators[0]
+
+    unitary_s = unitary  # the generator of S in a control pair
+
+
+def guard_total_dim(total: int, limit: int) -> None:
+    """Refuse a build whose total dimension exceeds the memory guard."""
+    if total > limit:
+        raise MemoryGuardError(
+            f"total dimension {total} exceeds the guard {limit}; "
+            f"raise the limit to proceed"
+        )
+
+
+def assemble(
+    cells: Iterable[tuple[np.ndarray, np.ndarray]], shift: np.ndarray, block_dim: int
+) -> np.ndarray:
+    """(sum_c B_c (x) P_c)(id (x) shift) over (block, register projector)
+    pairs; a generator of cells keeps one cell's term alive at a time."""
+    total = block_dim * shift.shape[0]
+    blocks = np.zeros((total, total), dtype=np.complex128)
+    for block, projector in cells:
+        blocks += kron(block, projector)
+    return blocks @ kron(np.eye(block_dim, dtype=np.complex128), shift)
+
+
+def walk_dilation(
+    mode: str, d: int, path: list[np.ndarray], omega_cell: int
+) -> RegisterDilation:
+    """V on a register of len(path) - 1 cells whose walker, on entering
+    cell c, carries the dilation from path[c] on to path[c + 1]."""
+    length = len(path) - 1
+    cells = ((path[c + 1] @ path[c].conj().T, basis_state(c, length)) for c in range(length))
+    v = assemble(cells, cyclic_shift(length), d * d * d)
+    omega = kron(basis_state(0, d * d), basis_state(omega_cell, length))
+    return RegisterDilation(mode, d, d * d, (length,), (v,), omega)
+
+
+def check_horizon(bundle: RegisterDilation, n: int) -> None:
+    """Refuse a step count outside 0..horizon, where the register would wrap."""
+    if not 0 <= n <= bundle.horizon:
+        raise HorizonError(f"step {n} outside the horizon 0..{bundle.horizon}; the register wraps")
+
+
+def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
+    """A density matrix on the bundle's system space H."""
+    rho = check_density_matrix(rho0)
+    if rho.shape != (bundle.dim, bundle.dim):
+        raise ValueError(f"state of shape {rho.shape} does not match system dim {bundle.dim}")
+    return rho
+
+
+def reconstruct(
+    bundle: RegisterDilation, exponents: Sequence[int], a: np.ndarray, keep=0
+) -> np.ndarray:
+    """w (a (x) omega) w^dag for the word with these exponents, traced down
+    to the factors ``keep`` (the system by default)."""
+    powers = (np.linalg.matrix_power(g, e) for g, e in zip(bundle.generators, exponents))
+    word = reduce(np.matmul, powers)
+    big = word @ kron(a, bundle.omega) @ word.conj().T
+    return partial_trace(big, list(bundle.shape), keep=keep)
+
+
+def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
+    """(label, exponents, oracle) triples for T^0 .. T^n_max, the oracle a
+    superoperator matrix power; V^exponent(n) reproduces T^n."""
+    m = superoperator_matrix(ch)
+    m_power = np.eye(m.shape[0], dtype=np.complex128)
+    for n in range(n_max + 1):
+        yield f"n={n}", (exponent(n),), m_power
+        m_power = m_power @ m
+
+
+def verify_words(
+    bundle: RegisterDilation,
+    channels: Sequence[KrausChannel],
+    words: Iterable[tuple[str, Sequence[int], np.ndarray]],
+    tol: float,
+    operators: Sequence[np.ndarray] | None = None,
+) -> VerificationReport:
+    """Residual table over (label, exponents, oracle superoperator) words:
+    the worst trace-norm gap, over ``operators`` (a full operator basis by
+    default), between the reconstruction through the stored generators and
+    the oracle.  A generator's power advances from the previous word's when
+    its exponent grows, and is recomputed when it falls."""
+    for ch in channels:
+        if ch.picture != SCHROEDINGER or not ch.is_square:
+            raise ValueError("verification needs square schroedinger channels")
+        if ch.dim_in != bundle.dim:
+            raise ValueError(
+                f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"
+            )
+    if operators is None:
+        operators = matrix_units(bundle.dim)
+    dims = list(bundle.shape)
+    held = [0] * len(bundle.generators)
+    powers = [np.eye(bundle.unitary.shape[0], dtype=np.complex128)] * len(held)
+    residuals = []
+    labels = []
+    for label, exponents, oracle in words:
+        for i, (g, k) in enumerate(zip(bundle.generators, exponents)):
+            if k != held[i]:
+                if 0 < held[i] < k:
+                    powers[i] = powers[i] @ np.linalg.matrix_power(g, k - held[i])
+                else:
+                    powers[i] = np.linalg.matrix_power(g, k)
+                held[i] = k
+        word = reduce(np.matmul, powers)
+        worst = 0.0
+        for e in operators:
+            expected = unvec(oracle @ vec(e))
+            big = word @ kron(e, bundle.omega) @ word.conj().T
+            actual = partial_trace(big, dims, keep=0)
+            worst = max(worst, trace_norm(actual - expected))
+        residuals.append(worst)
+        labels.append(label)
+    return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))

@@ -13,95 +13,35 @@ the horizon is refused instead of silently wrapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import (
-    CPTP_ATOL,
-    SCHROEDINGER,
-    KrausChannel,
-    power,
-    require_accepted,
-    superoperator_matrix,
-    unvec,
-    vec,
-)
-from .errors import HorizonError, MemoryGuardError
-from .linalg import (
-    as_complex_matrix,
-    basis_state,
-    check_density_matrix,
-    cyclic_shift,
-    frozen_matrix,
-    hermitize,
-    is_pure_state,
-    is_unitary,
-    kron,
-    matrix_units,
-    partial_trace,
-    partial_trace_state,
-    trace_norm,
+from .channels import CPTP_ATOL, SCHROEDINGER, KrausChannel, power, require_accepted
+from .linalg import as_complex_matrix, hermitize, kron, partial_trace_state
+from .register import (
+    DILATION_ATOL,
+    RegisterDilation,
+    VerificationReport,
+    check_horizon,
+    check_system_state,
+    guard_total_dim,
+    power_words,
+    reconstruct,
+    verify_words,
+    walk_dilation,
 )
 from .stinespring import stinespring_unitary
 
 # Builders refuse a total dimension d * d^2 * L beyond this unless overridden.
 DEFAULT_MAX_TOTAL_DIM = 4096
-# Default tolerance for dilation-identity verification.
-DILATION_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Labelled residual table from a dilation verification sweep."""
-
-    tolerance: float
-    residuals: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.residuals) != len(self.labels):
-            raise ValueError("residuals and labels differ in length")
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-
-@dataclass(frozen=True)
-class DilationBundle:
+def DilationBundle(
+    dim: int, ancilla_dim: int, shift_dim: int, unitary, omega, horizon: int
+) -> RegisterDilation:
     """V, omega and the validity horizon of a semigroup dilation."""
-
-    dim: int
-    ancilla_dim: int
-    shift_dim: int
-    unitary: np.ndarray
-    omega: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon != self.shift_dim - 1:
-            raise ValueError("horizon must equal shift_dim - 1")
-        n = self.dim * self.ancilla_dim * self.shift_dim
-        u = frozen_matrix(self.unitary)
-        w = frozen_matrix(self.omega)
-        if u.shape != (n, n):
-            raise ValueError(f"unitary of shape {u.shape}, expected {(n, n)}")
-        if not is_unitary(u):
-            raise ValueError("bundle operator is not unitary within 1e-10")
-        anc = self.ancilla_dim * self.shift_dim
-        if w.shape != (anc, anc) or not is_pure_state(w):
-            raise ValueError("bundle ancilla state must be pure on K~ (x) Z_L")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "omega", w)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.dim, self.ancilla_dim, self.shift_dim)
+    if horizon != shift_dim - 1:
+        raise ValueError("horizon must equal shift_dim - 1")
+    return RegisterDilation("semigroup", dim, ancilla_dim, (shift_dim,), (unitary,), omega)
 
 
 def _step_unitaries(ch: KrausChannel, count: int, tol: float) -> list[np.ndarray]:
@@ -118,7 +58,7 @@ def build_semigroup_dilation(
     n_steps: int,
     tol: float = CPTP_ATOL,
     max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
-) -> DilationBundle:
+) -> RegisterDilation:
     """Assemble V = U W for the first n_steps powers of an accepted channel.
 
     U carries the per-power blocks U_n U_(n-1)^dag on the shift cells
@@ -133,54 +73,21 @@ def build_semigroup_dilation(
     require_accepted(ch, tol)
 
     d = ch.dim_in
-    shift_dim = n_steps + 1
-    total = d * d * d * shift_dim
-    if total > max_total_dim:
-        raise MemoryGuardError(
-            f"total dimension {total} exceeds the guard {max_total_dim}; "
-            f"raise the limit to proceed"
-        )
-
+    guard_total_dim(d * d * d * (n_steps + 1), max_total_dim)
     steps = _step_unitaries(ch, n_steps, tol)
-    block_dim = d * d * d
-    blocks = kron(np.eye(block_dim, dtype=np.complex128), basis_state(0, shift_dim))
-    for n in range(1, shift_dim):
-        blocks += kron(steps[n] @ steps[n - 1].conj().T, basis_state(n, shift_dim))
-    shift = kron(np.eye(block_dim, dtype=np.complex128), cyclic_shift(shift_dim))
-    omega = kron(basis_state(0, d * d), basis_state(0, shift_dim))
-    return DilationBundle(
-        dim=d,
-        ancilla_dim=d * d,
-        shift_dim=shift_dim,
-        unitary=blocks @ shift,
-        omega=omega,
-        horizon=n_steps,
-    )
+    # the walker starts on cell 0, which carries id = U_0 U_0^dag
+    return walk_dilation("semigroup", d, steps[:1] + steps, 0)
 
 
-def _check_step(bundle: DilationBundle, n: int) -> None:
-    if not 0 <= n <= bundle.horizon:
-        raise HorizonError(
-            f"step {n} outside the bundle horizon {bundle.horizon}; "
-            f"wraparound would corrupt the reconstruction"
-        )
-
-
-def evolve(bundle: DilationBundle, rho0, n: int) -> np.ndarray:
+def evolve(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
     """tr_K(V^n (rho0 (x) omega) (V^dag)^n) for 0 <= n <= horizon."""
-    _check_step(bundle, n)
-    rho = check_density_matrix(rho0)
-    if rho.shape != (bundle.dim, bundle.dim):
-        raise ValueError(f"state of shape {rho.shape} does not match system dim {bundle.dim}")
-    vn = np.linalg.matrix_power(bundle.unitary, n)
-    big = vn @ kron(rho, bundle.omega) @ vn.conj().T
-    out = partial_trace(big, list(bundle.shape), keep=0)
-    return hermitize(out)
+    check_horizon(bundle, n)
+    return hermitize(reconstruct(bundle, (n,), check_system_state(bundle, rho0)))
 
 
-def heisenberg_evolve(bundle: DilationBundle, b, n: int) -> np.ndarray:
+def heisenberg_evolve(bundle: RegisterDilation, b, n: int) -> np.ndarray:
     """tr_omega((V^dag)^n (B (x) id) V^n); the dual power S^n(B)."""
-    _check_step(bundle, n)
+    check_horizon(bundle, n)
     m = as_complex_matrix(b)
     if m.shape != (bundle.dim, bundle.dim):
         raise ValueError(f"operator of shape {m.shape} does not match system dim {bundle.dim}")
@@ -191,44 +98,18 @@ def heisenberg_evolve(bundle: DilationBundle, b, n: int) -> np.ndarray:
 
 
 def verify_dilation(
-    bundle: DilationBundle, ch: KrausChannel, tol: float = DILATION_ATOL
+    bundle: RegisterDilation, ch: KrausChannel, tol: float = DILATION_ATOL
 ) -> VerificationReport:
     """Residual table of the reconstruction identity over a full operator
     basis, per power n = 0..horizon, against superoperator matrix powers."""
-    if ch.picture != SCHROEDINGER or not ch.is_square:
-        raise ValueError("verification needs a square schroedinger channel")
-    if ch.dim_in != bundle.dim:
-        raise ValueError(
-            f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"
-        )
-    units = matrix_units(bundle.dim)
-    m = superoperator_matrix(ch)
-    m_power = np.eye(m.shape[0], dtype=np.complex128)
-    v_power = np.eye(bundle.unitary.shape[0], dtype=np.complex128)
-    residuals = []
-    labels = []
-    for n in range(bundle.horizon + 1):
-        worst = 0.0
-        for e in units:
-            expected = unvec(m_power @ vec(e))
-            big = v_power @ kron(e, bundle.omega) @ v_power.conj().T
-            actual = partial_trace(big, list(bundle.shape), keep=0)
-            worst = max(worst, trace_norm(actual - expected))
-        residuals.append(worst)
-        labels.append(f"n={n}")
-        m_power = m_power @ m
-        v_power = v_power @ bundle.unitary
-    return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))
+    return verify_words(bundle, [ch], power_words(ch, bundle.horizon), tol)
 
 
-def shift_marginal(bundle: DilationBundle, rho0, n: int) -> np.ndarray:
+def shift_marginal(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
     """Marginal of V^n (rho0 (x) omega) (V^dag)^n on the shift register.
 
     The construction keeps the walker sharp: the marginal is |e_n><e_n|
     for every n up to the horizon.
     """
-    _check_step(bundle, n)
-    rho = check_density_matrix(rho0)
-    vn = np.linalg.matrix_power(bundle.unitary, n)
-    big = vn @ kron(rho, bundle.omega) @ vn.conj().T
-    return partial_trace(big, list(bundle.shape), keep=2)
+    check_horizon(bundle, n)
+    return reconstruct(bundle, (n,), check_system_state(bundle, rho0), keep=2)

@@ -18,16 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlDilation
-from .cyclic import CyclicDilationBundle
 from .errors import ChannelFormatError
 from .linalg import as_complex_matrix, check_density_matrix
 from .channels import HEISENBERG, SCHROEDINGER, KrausChannel
-from .semigroup import DilationBundle
+from .register import RegisterDilation
 
 FORMAT_CHANNEL = "dilatio/channel-v1"
 FORMAT_STATE = "dilatio/state-v1"
 FORMAT_BUNDLE = "dilatio/bundle-v1"
+
+# Per bundle mode: the scalar field that sizes the registers, and the blob
+# field of each generator, in RegisterDilation.generators order.
+BUNDLE_FIELDS = {
+    "semigroup": ("horizon", ("V",)),
+    "cyclic": ("period", ("V",)),
+    "control": ("horizon", ("U", "V")),
+}
 
 
 def matrix_to_pairs(a) -> list[list[float]]:
@@ -201,39 +207,22 @@ def _entry_matrix(doc: dict, field: str) -> np.ndarray:
     return blob_to_matrix(blob, rows, cols, field)
 
 
-def bundle_to_dict(bundle, inputs: dict | None = None) -> dict:
-    doc = {"format": FORMAT_BUNDLE, "inputs": inputs or {}}
-    if isinstance(bundle, DilationBundle):
-        doc.update(
-            mode="semigroup",
-            shape=list(bundle.shape),
-            horizon=bundle.horizon,
-            V=_matrix_entry(bundle.unitary),
-            omega=_matrix_entry(bundle.omega),
-        )
-    elif isinstance(bundle, CyclicDilationBundle):
-        doc.update(
-            mode="cyclic",
-            shape=list(bundle.shape),
-            period=bundle.period,
-            V=_matrix_entry(bundle.unitary),
-            omega=_matrix_entry(bundle.omega),
-        )
-    elif isinstance(bundle, ControlDilation):
-        doc.update(
-            mode="control",
-            shape=list(bundle.shape),
-            horizon=bundle.horizon,
-            U=_matrix_entry(bundle.unitary_t),
-            V=_matrix_entry(bundle.unitary_s),
-            omega=_matrix_entry(bundle.omega),
-        )
-    else:
-        raise TypeError(f"unknown bundle type {type(bundle).__name__}")
+def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
+    scalar, blobs = BUNDLE_FIELDS[bundle.mode]
+    doc = {
+        "format": FORMAT_BUNDLE,
+        "inputs": inputs or {},
+        "mode": bundle.mode,
+        "shape": list(bundle.shape),
+        scalar: getattr(bundle, scalar),
+        "omega": _matrix_entry(bundle.omega),
+    }
+    for name, generator in zip(blobs, bundle.generators):
+        doc[name] = _matrix_entry(generator)
     return doc
 
 
-def bundle_from_dict(doc: dict):
+def bundle_from_dict(doc: dict) -> RegisterDilation:
     where = "bundle document"
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{where} must be a JSON object")
@@ -241,50 +230,33 @@ def bundle_from_dict(doc: dict):
     shape = _require(doc, "shape", list, where)
     if not all(isinstance(d, int) and d > 0 for d in shape):
         raise ChannelFormatError(f"{where} field 'shape' must list positive integers")
+    if mode not in BUNDLE_FIELDS:
+        raise ChannelFormatError(f"{where} field 'mode' must be semigroup|cyclic|control")
+    scalar, blobs = BUNDLE_FIELDS[mode]
+    value = _require(doc, scalar, int, where)
+    if len(shape) < 3:
+        raise ChannelFormatError(f"{where} field 'shape' must have at least 3 factors")
     try:
-        if mode == "semigroup":
-            if len(shape) != 3:
-                raise ChannelFormatError(f"{where} field 'shape' must have 3 factors")
-            return DilationBundle(
-                dim=shape[0],
-                ancilla_dim=shape[1],
-                shift_dim=shape[2],
-                unitary=_entry_matrix(doc, "V"),
-                omega=_entry_matrix(doc, "omega"),
-                horizon=_require(doc, "horizon", int, where),
-            )
-        if mode == "cyclic":
-            if len(shape) != 3:
-                raise ChannelFormatError(f"{where} field 'shape' must have 3 factors")
-            return CyclicDilationBundle(
-                dim=shape[0],
-                ancilla_dim=shape[1],
-                period=_require(doc, "period", int, where),
-                unitary=_entry_matrix(doc, "V"),
-                omega=_entry_matrix(doc, "omega"),
-            )
-        if mode == "control":
-            if len(shape) != 4:
-                raise ChannelFormatError(f"{where} field 'shape' must have 4 factors")
-            return ControlDilation(
-                dim=shape[0],
-                ancilla_dim=shape[1],
-                shift_dim=shape[2],
-                unitary_t=_entry_matrix(doc, "U"),
-                unitary_s=_entry_matrix(doc, "V"),
-                omega=_entry_matrix(doc, "omega"),
-                horizon=_require(doc, "horizon", int, where),
-            )
+        bundle = RegisterDilation(
+            mode=mode,
+            dim=shape[0],
+            ancilla_dim=shape[1],
+            registers=tuple(shape[2:]),
+            generators=tuple(_entry_matrix(doc, name) for name in blobs),
+            omega=_entry_matrix(doc, "omega"),
+        )
     except ValueError as exc:
         raise ChannelFormatError(f"{where}: {exc}") from exc
-    raise ChannelFormatError(f"{where} field 'mode' must be semigroup|cyclic|control")
+    if getattr(bundle, scalar) != value:
+        raise ChannelFormatError(f"{where} field 'shape' {shape} does not match {scalar} {value}")
+    return bundle
 
 
-def save_bundle(path: str | Path, bundle, inputs: dict | None = None) -> None:
+def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None = None) -> None:
     write_json_atomic(path, bundle_to_dict(bundle, inputs))
 
 
-def load_bundle(path: str | Path):
+def load_bundle(path: str | Path) -> RegisterDilation:
     return bundle_from_dict(_load_json(path))
 
 

@@ -77,6 +77,12 @@ class TestCheck:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["pass"] is True
 
+    def test_unwritable_report_is_input_error(self, corpus, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "check", corpus / "channel_identity.json", "--out", out_path)
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_heisenberg_picture_file(self, tmp_path, capsys):
         from dilatio.channels import dual
         from dilatio.fixtures import amplitude_damping
@@ -174,6 +180,24 @@ class TestDilate:
             "--mode", "semigroup", "--steps", "6", "--out", tmp_path / "ok.bundle",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_guard_is_input_error(self, corpus, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("DILATIO_MAX_DIM", value)
+        code, _, err = run(
+            capsys, "dilate", corpus / "channel_identity.json",
+            "--mode", "semigroup", "--steps", "2", "--out", tmp_path / "x.bundle",
+        )
+        assert code == 1 and "DILATIO_MAX_DIM" in err
+
+    def test_unwritable_bundle_is_input_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.bundle"
+        code, _, err = run(
+            capsys, "dilate", corpus / "channel_identity.json",
+            "--mode", "semigroup", "--steps", "2", "--out", out,
+        )
+        assert code == 1 and not out.exists()
+        assert err.startswith("input error:") and err.count("\n") == 1
 
     def test_rejected_channel_is_precondition_failure(self, corpus, tmp_path, capsys):
         code, _, _ = run(

@@ -164,6 +164,24 @@ class TestBundleFiles:
         with pytest.raises(ChannelFormatError, match="mode"):
             bundle_from_dict(doc)
 
+    def test_cyclic_shape_must_match_period(self):
+        doc = bundle_to_dict(build_cyclic_dilation(rotation_channel(4), CyclePeriod(4)))
+        assert doc["shape"] == [2, 4, 4]
+        doc["shape"] = [2, 4, 99]
+        with pytest.raises(ChannelFormatError):
+            bundle_from_dict(doc)
+        doc["shape"], doc["period"] = [2, 4, 4], 5
+        with pytest.raises(ChannelFormatError, match="period"):
+            bundle_from_dict(doc)
+
+    def test_control_shape_must_match_horizon(self):
+        t, s = random_commuting_pair(2, seed=4)
+        doc = bundle_to_dict(build_control_dilation(t, s, 2))
+        assert doc["shape"] == [2, 4, 3, 3]
+        doc["shape"] = [2, 4, 3, 77]
+        with pytest.raises(ChannelFormatError):
+            bundle_from_dict(doc)
+
     def test_non_unitary_payload_rejected(self):
         bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
         doc = bundle_to_dict(bundle)
