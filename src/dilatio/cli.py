@@ -247,6 +247,9 @@ def main(argv=None) -> int:
     except MemoryGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError:
+        print("resource guard: out of memory", file=sys.stderr)
+        return EXIT_GUARD
     except (ChannelFormatError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

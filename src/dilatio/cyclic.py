@@ -153,6 +153,8 @@ def verify_cyclic_dilation(
 ) -> VerificationReport:
     """Residuals of the unbounded reconstruction for n = 0..n_max over a
     full operator basis, against superoperator matrix powers."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     m = bundle.period
     words = power_words(ch, n_max, lambda n: n + wrap_count(m, n) if n else 0)
     return verify_words(bundle, [ch], words, tol)

@@ -6,12 +6,20 @@ omega is pinned to one cell.  Control bundles run the same construction
 on two registers, with one generator per channel of the commuting pair.
 Every reconstruction is tr_K(w (A (x) omega) w^dag) for a word
 w = G_1^e_1 G_2^e_2 ... in the generators.
+
+omega = |psi><psi| is pure, so the reconstruction depends only on the d
+columns C = w J of the word applied to the embedding J : x -> x (x) psi:
+tr_K(w (A (x) omega) w^dag) = tr_K(C A C^dag).  ``word_columns`` applies
+the generators to J one product G @ C at a time, and ``_reduce`` takes
+the partial trace of C A C^dag in one contraction.  A word one generator
+longer than a kept one costs O(D^2 d) plus O(D d^2) per reduced operator,
+against (2 d^2 + 1) O(D^3) for a dense D x D power, the lifts A (x) omega
+and two D x D sandwiches per basis element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +35,6 @@ from .linalg import (
     is_unitary,
     kron,
     matrix_units,
-    partial_trace,
     trace_norm,
 )
 
@@ -173,15 +180,58 @@ def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
     return rho
 
 
+def _embedding(bundle: RegisterDilation) -> np.ndarray:
+    """J = id (x) psi as a D x d array, with omega = |psi><psi|: psi is
+    omega's column at its largest diagonal entry, normalised (exact up to a
+    phase that every reconstruction cancels, since omega is pure)."""
+    w = bundle.omega
+    j = int(np.argmax(w.diagonal().real))
+    psi = w[:, j:j + 1] / np.sqrt(w[j, j].real)
+    return kron(np.eye(bundle.dim, dtype=np.complex128), psi)
+
+
+def _apply_power(g: np.ndarray, e: int, c: np.ndarray) -> np.ndarray:
+    """g^e @ c: e products g @ c while they cost no more than one dense
+    D x D product (e * columns <= D), else one matrix power."""
+    if e * c.shape[1] > g.shape[0]:
+        return np.linalg.matrix_power(g, e) @ c
+    for _ in range(e):
+        c = g @ c
+    return c
+
+
+def word_columns(bundle: RegisterDilation, exponents: Sequence[int]) -> np.ndarray:
+    """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right to left."""
+    c = _embedding(bundle)
+    for g, e in reversed(list(zip(bundle.generators, exponents))):
+        c = _apply_power(g, e, c)
+    return c
+
+
+def _reduce(bundle: RegisterDilation, c: np.ndarray, a: np.ndarray, keep=0) -> np.ndarray:
+    """tr over the factors not in ``keep`` of c a c^dag, for columns c = w J."""
+    keep = (keep,) if isinstance(keep, int) else tuple(keep)
+    # one letter per factor; a kept factor gets a second, upper-case letter
+    # on the column side, a traced one shares its letter and is summed
+    rows = "abcdefgh"[: len(bundle.shape)]
+    cols = "".join(f.upper() if i in keep else f for i, f in enumerate(rows))
+    out = "".join(f for i, f in enumerate(rows) if i in keep)
+    tensor = bundle.shape + (bundle.dim,)
+    reduced = np.einsum(
+        f"{rows}x,{cols}x->{out}{out.upper()}",
+        (c @ a).reshape(tensor),
+        c.conj().reshape(tensor),
+    )
+    kept = int(np.prod([bundle.shape[i] for i in keep]))
+    return reduced.reshape(kept, kept)
+
+
 def reconstruct(
     bundle: RegisterDilation, exponents: Sequence[int], a: np.ndarray, keep=0
 ) -> np.ndarray:
-    """w (a (x) omega) w^dag for the word with these exponents, traced down
-    to the factors ``keep`` (the system by default)."""
-    powers = (np.linalg.matrix_power(g, e) for g, e in zip(bundle.generators, exponents))
-    word = reduce(np.matmul, powers)
-    big = word @ kron(a, bundle.omega) @ word.conj().T
-    return partial_trace(big, list(bundle.shape), keep=keep)
+    """tr(w (a (x) omega) w^dag) for the word with these exponents, traced
+    down to the factors ``keep`` (the system by default)."""
+    return _reduce(bundle, word_columns(bundle, exponents), a, keep)
 
 
 def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
@@ -194,6 +244,22 @@ def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
         m_power = m_power @ m
 
 
+def _advance(bundle: RegisterDilation, kept: dict, exponents: tuple[int, ...]) -> np.ndarray:
+    """Columns of a word, from the kept columns of a word that differs only
+    by a lower exponent of the word's leftmost generator (its first nonzero
+    exponent), or from J if no such word is kept."""
+    i = next((i for i, e in enumerate(exponents) if e), 0)
+    rest = exponents[:i] + exponents[i + 1:]
+    start = max(
+        (p for p in kept if p[:i] + p[i + 1:] == rest and p[i] <= exponents[i]),
+        key=lambda p: p[i],
+        default=None,
+    )
+    if start is None:
+        return word_columns(bundle, exponents)
+    return _apply_power(bundle.generators[i], exponents[i] - start[i], kept[start])
+
+
 def verify_words(
     bundle: RegisterDilation,
     channels: Sequence[KrausChannel],
@@ -204,8 +270,9 @@ def verify_words(
     """Residual table over (label, exponents, oracle superoperator) words:
     the worst trace-norm gap, over ``operators`` (a full operator basis by
     default), between the reconstruction through the stored generators and
-    the oracle.  A generator's power advances from the previous word's when
-    its exponent grows, and is recomputed when it falls."""
+    omega and the oracle.  A word's columns advance from a word one total
+    degree lower by one generator product; only the words of the current
+    and the previous total degree are kept."""
     for ch in channels:
         if ch.picture != SCHROEDINGER or not ch.is_square:
             raise ValueError("verification needs square schroedinger channels")
@@ -215,25 +282,19 @@ def verify_words(
             )
     if operators is None:
         operators = matrix_units(bundle.dim)
-    dims = list(bundle.shape)
-    held = [0] * len(bundle.generators)
-    powers = [np.eye(bundle.unitary.shape[0], dtype=np.complex128)] * len(held)
+    degree, previous, current = None, {}, {}
     residuals = []
     labels = []
     for label, exponents, oracle in words:
-        for i, (g, k) in enumerate(zip(bundle.generators, exponents)):
-            if k != held[i]:
-                if 0 < held[i] < k:
-                    powers[i] = powers[i] @ np.linalg.matrix_power(g, k - held[i])
-                else:
-                    powers[i] = np.linalg.matrix_power(g, k)
-                held[i] = k
-        word = reduce(np.matmul, powers)
+        exponents = tuple(exponents)
+        if sum(exponents) != degree:
+            degree, previous, current = sum(exponents), current, {}
+        columns = _advance(bundle, {**previous, **current}, exponents)
+        current[exponents] = columns
         worst = 0.0
         for e in operators:
             expected = unvec(oracle @ vec(e))
-            big = word @ kron(e, bundle.omega) @ word.conj().T
-            actual = partial_trace(big, dims, keep=0)
+            actual = _reduce(bundle, columns, e)
             worst = max(worst, trace_norm(actual - expected))
         residuals.append(worst)
         labels.append(label)

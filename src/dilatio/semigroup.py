@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import CPTP_ATOL, SCHROEDINGER, KrausChannel, power, require_accepted
-from .linalg import as_complex_matrix, hermitize, kron, partial_trace_state
+from .linalg import as_complex_matrix, hermitize
+from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments semigroup.kron
 from .register import (
     DILATION_ATOL,
     RegisterDilation,
@@ -28,6 +29,7 @@ from .register import (
     reconstruct,
     verify_words,
     walk_dilation,
+    word_columns,
 )
 from .stinespring import stinespring_unitary
 
@@ -86,15 +88,14 @@ def evolve(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
 
 
 def heisenberg_evolve(bundle: RegisterDilation, b, n: int) -> np.ndarray:
-    """tr_omega((V^dag)^n (B (x) id) V^n); the dual power S^n(B)."""
+    """tr_omega((V^dag)^n (B (x) id) V^n) = C^dag (B (x) id) C for the
+    columns C = V^n J; the dual power S^n(B)."""
     check_horizon(bundle, n)
     m = as_complex_matrix(b)
     if m.shape != (bundle.dim, bundle.dim):
         raise ValueError(f"operator of shape {m.shape} does not match system dim {bundle.dim}")
-    env = bundle.ancilla_dim * bundle.shift_dim
-    vn = np.linalg.matrix_power(bundle.unitary, n)
-    big = vn.conj().T @ kron(m, np.eye(env, dtype=np.complex128)) @ vn
-    return partial_trace_state(big, [bundle.dim, env], bundle.omega)
+    c = word_columns(bundle, (n,))
+    return c.conj().T @ (m @ c.reshape(bundle.dim, -1)).reshape(c.shape)
 
 
 def verify_dilation(

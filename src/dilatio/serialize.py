@@ -87,14 +87,18 @@ def dump_document(obj) -> str:
 def write_json_atomic(path: str | Path, obj) -> None:
     path = Path(path)
     text = dump_document(obj)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the output, not the temporary file it was written through
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

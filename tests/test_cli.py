@@ -199,6 +199,29 @@ class TestDilate:
         assert code == 1 and not out.exists()
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    def test_unwritable_bundle_error_names_the_output(self, corpus, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.bundle"
+        code, _, err = run(
+            capsys, "dilate", corpus / "channel_identity.json",
+            "--mode", "semigroup", "--steps", "2", "--out", out,
+        )
+        assert code == 1
+        assert f"'{out}'" in err and ".tmp" not in err
+
+    def test_out_of_memory_is_resource_guard(self, corpus, tmp_path, capsys, monkeypatch):
+        from dilatio import semigroup
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(semigroup, "build_semigroup_dilation", exhausted)
+        code, _, err = run(
+            capsys, "dilate", corpus / "channel_identity.json",
+            "--mode", "semigroup", "--steps", "2", "--out", tmp_path / "x.bundle",
+        )
+        assert code == 4
+        assert err.startswith("resource guard:") and err.count("\n") == 1
+
     def test_rejected_channel_is_precondition_failure(self, corpus, tmp_path, capsys):
         code, _, _ = run(
             capsys, "dilate", corpus / "channel_transpose.json",
@@ -250,6 +273,16 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["period"] == 6 and len(report["residuals"]) == 21
+
+    def test_cyclic_negative_n_max_is_input_error(self, corpus, tmp_path, capsys):
+        bundle = tmp_path / "rot.bundle"
+        run(capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode", "cyclic",
+            "--out", bundle)
+        code, out, err = run(
+            capsys, "verify", bundle, corpus / "channel_rotation_m4.json", "--n-max", "-3"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "n_max" in err
 
     def test_no_verify_skips_the_ingestion_gate(self, corpus, damp_bundle5, tmp_path, capsys):
         # a mildly non-CPTP channel is refused at load, but --no-verify lets
