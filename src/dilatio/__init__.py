@@ -46,6 +46,7 @@ from .cyclic import (
 )
 from .errors import (
     ChannelFormatError,
+    CompletionError,
     HorizonError,
     MemoryGuardError,
     NotCommutingError,

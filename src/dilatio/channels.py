@@ -296,17 +296,27 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
 
 
 def power(t: KrausChannel, n: int) -> KrausChannel:
-    """The n-th iterate of a square channel; n == 0 is the identity channel."""
+    """The n-th iterate of a square channel; n == 0 is the identity channel.
+
+    Repeated squaring: floor(log2 n) squarings and popcount(n) - 1 further
+    compositions, so a caller needing every power up to N makes
+    O(N log N) compositions instead of O(N^2).  All factors are powers
+    of t and commute, so only rounding depends on the order.
+    """
     if not t.is_square:
         raise ValueError("powers need a square channel")
     if n < 0:
         raise ValueError("negative powers are not defined for channels")
     if n == 0:
         return identity_channel(t.dim_in, picture=t.picture)
-    result = t
-    for _ in range(n - 1):
-        result = compose(result, t)
-    return result
+    result, square = None, t
+    while True:
+        if n & 1:
+            result = square if result is None else compose(result, square)
+        n >>= 1
+        if not n:
+            return result
+        square = compose(square, square)
 
 
 def convex_combine(channels, weights) -> KrausChannel:

@@ -16,6 +16,7 @@ from . import control, cyclic, semigroup
 from .channels import verify_cptp
 from .errors import (
     ChannelFormatError,
+    CompletionError,
     HorizonError,
     MemoryGuardError,
     NotCommutingError,
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     except HorizonError:
         print("horizon exceeded: rebuild with larger --steps", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NotCyclicError, NotCommutingError, RejectedChannelError) as exc:
+    except (NotCyclicError, NotCommutingError, RejectedChannelError, CompletionError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryGuardError as exc:

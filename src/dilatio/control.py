@@ -31,7 +31,6 @@ from .errors import HorizonError, NotCommutingError
 from .linalg import (
     basis_state,
     check_density_matrix,
-    cyclic_shift,
     hermitize,
     kron,
     trace_distance,
@@ -40,11 +39,11 @@ from .register import (
     DILATION_ATOL,
     RegisterDilation,
     VerificationReport,
-    assemble,
     check_horizon,
     check_system_state,
     guard_total_dim,
     reconstruct,
+    shift_generator,
     verify_words,
 )
 from .stinespring import stinespring_unitary
@@ -119,10 +118,12 @@ def _word_unitaries(t: KrausChannel, s: KrausChannel, n_steps: int, tol: float):
     underlying construction sets every out-of-range index to the identity."""
     d = t.dim_in
     eye = np.eye(d * d * d, dtype=np.complex128)
+    powers_t = [power(t, n) for n in range(n_steps + 1)]
+    powers_s = [power(s, n) for n in range(n_steps + 1)]
     table: dict[tuple[int, int], np.ndarray] = {}
     for total in range(1, n_steps + 1):
         for k in range(total + 1):
-            word = compose(power(t, k), power(s, total - k))
+            word = compose(powers_t[k], powers_s[total - k])
             table[(total, k)] = stinespring_unitary(word, tol).unitary
 
     def u_word(total: int, k: int) -> np.ndarray:
@@ -160,22 +161,17 @@ def build_control_dilation(
     guard_total_dim(d * d * d * shift_dim * shift_dim, max_total_dim)
 
     u_word = _word_unitaries(t, s, n_steps, tol)
-    step = cyclic_shift(shift_dim)
-    eye_shift = np.eye(shift_dim, dtype=np.complex128)
-    cells_t = (
-        (
-            u_word(m, n) @ u_word(m - 1, n - 1).conj().T,
-            kron(basis_state(m, shift_dim), basis_state(n, shift_dim)),
-        )
-        for m in range(shift_dim)
-        for n in range(shift_dim)
-    )
-    cells_s = (
-        (u_word(n, 0) @ u_word(n - 1, 0).conj().T, kron(basis_state(n, shift_dim), eye_shift))
-        for n in range(shift_dim)
-    )
-    u = assemble(cells_t, kron(step, step), d * d * d)
-    v = assemble(cells_s, kron(step, eye_shift), d * d * d)
+    # cell (m, n) of Z_L (x) Z_L is register index m * L + n
+    L = shift_dim
+    u = shift_generator(d * d * d, L * L, (
+        (m * L + n, (m - 1) % L * L + (n - 1) % L, u_word(m, n) @ u_word(m - 1, n - 1).conj().T)
+        for m in range(L)
+        for n in range(L)
+    ))
+    blocks_s = [u_word(n, 0) @ u_word(n - 1, 0).conj().T for n in range(L)]
+    v = shift_generator(d * d * d, L * L, (
+        (n * L + j, (n - 1) % L * L + j, blocks_s[n]) for n in range(L) for j in range(L)
+    ))
     omega = kron(basis_state(0, d * d), kron(basis_state(0, shift_dim), basis_state(0, shift_dim)))
     return RegisterDilation("control", d, d * d, (shift_dim, shift_dim), (u, v), omega)
 

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import CompletionError
+
 # Frobenius tolerance for Hermiticity / isometry / unitarity checks.
 HERMITIAN_ATOL = 1e-10
 # Eigenvalues above -PSD_ATOL count as nonnegative.
@@ -93,14 +95,6 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     e = np.zeros((dim, dim), dtype=np.complex128)
     e[index, index] = 1.0
     return e
-
-
-def cyclic_shift(dim: int) -> np.ndarray:
-    """The cyclic right shift on C^dim: e_i -> e_(i+1 mod dim)."""
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        s[(i + 1) % dim, i] = 1.0
-    return s
 
 
 def _check_factor_shape(m: np.ndarray, dims: Sequence[int]) -> list[int]:
@@ -248,5 +242,5 @@ def complete_isometry_to_unitary(v) -> np.ndarray:
         r = r / np.linalg.norm(r)
         q = np.column_stack([q, r])
     if q.shape[1] != rows:
-        raise RuntimeError("unitary completion did not reach full rank")
+        raise CompletionError("unitary completion did not reach full rank")
     return q

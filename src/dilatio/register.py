@@ -29,7 +29,6 @@ from .errors import HorizonError, MemoryGuardError
 from .linalg import (
     basis_state,
     check_density_matrix,
-    cyclic_shift,
     frozen_matrix,
     is_pure_state,
     is_unitary,
@@ -142,26 +141,33 @@ def guard_total_dim(total: int, limit: int) -> None:
         )
 
 
-def assemble(
-    cells: Iterable[tuple[np.ndarray, np.ndarray]], shift: np.ndarray, block_dim: int
+def shift_generator(
+    block_dim: int, cells: int, placements: Iterable[tuple[int, int, np.ndarray]]
 ) -> np.ndarray:
-    """(sum_c B_c (x) P_c)(id (x) shift) over (block, register projector)
-    pairs; a generator of cells keeps one cell's term alive at a time."""
-    total = block_dim * shift.shape[0]
-    blocks = np.zeros((total, total), dtype=np.complex128)
-    for block, projector in cells:
-        blocks += kron(block, projector)
-    return blocks @ kron(np.eye(block_dim, dtype=np.complex128), shift)
+    """(sum_c B_c (x) |c><c|)(id (x) W) on blocks (x) register cells, for
+    the cell permutation W that moves cell src onto cell c, from
+    (c, src, B_c) triples: each block is written at [:, c, :, src] of
+    the zeroed (block, cell, block, cell) view, so neither a kron lift
+    per cell nor a product with id (x) W is formed."""
+    total = block_dim * cells
+    g = np.zeros((total, total), dtype=np.complex128)
+    view = g.reshape(block_dim, cells, block_dim, cells)
+    for c, src, block in placements:
+        view[:, c, :, src] = block
+    return g
 
 
 def walk_dilation(
     mode: str, d: int, path: list[np.ndarray], omega_cell: int
 ) -> RegisterDilation:
     """V on a register of len(path) - 1 cells whose walker, on entering
-    cell c, carries the dilation from path[c] on to path[c + 1]."""
+    cell c from cell c - 1 (cyclically), carries the dilation from
+    path[c] on to path[c + 1]."""
     length = len(path) - 1
-    cells = ((path[c + 1] @ path[c].conj().T, basis_state(c, length)) for c in range(length))
-    v = assemble(cells, cyclic_shift(length), d * d * d)
+    placements = (
+        (c, (c - 1) % length, path[c + 1] @ path[c].conj().T) for c in range(length)
+    )
+    v = shift_generator(d * d * d, length, placements)
     omega = kron(basis_state(0, d * d), basis_state(omega_cell, length))
     return RegisterDilation(mode, d, d * d, (length,), (v,), omega)
 

@@ -59,11 +59,9 @@ def pairs_to_matrix(pairs, rows: int, cols: int, field: str) -> np.ndarray:
 
 
 def matrix_to_blob(a) -> str:
-    m = np.ascontiguousarray(as_complex_matrix(a))
-    interleaved = np.empty(m.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = m.real
-    interleaved[..., 1] = m.imag
-    return base64.b64encode(interleaved.tobytes()).decode("ascii")
+    # a little-endian complex128 buffer already interleaves re/im float64 pairs
+    m = np.ascontiguousarray(as_complex_matrix(a), dtype="<c16")
+    return base64.b64encode(m).decode("ascii")
 
 
 def blob_to_matrix(blob: str, rows: int, cols: int, field: str) -> np.ndarray:
@@ -76,22 +74,26 @@ def blob_to_matrix(blob: str, rows: int, cols: int, field: str) -> np.ndarray:
         raise ChannelFormatError(
             f"field '{field}': blob of {len(raw)} bytes, expected {expected}"
         )
-    interleaved = np.frombuffer(raw, dtype="<f8").reshape(rows, cols, 2)
-    return (interleaved[..., 0] + 1j * interleaved[..., 1]).astype(np.complex128)
+    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(np.complex128)
+
+
+_JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
 
 
 def dump_document(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, **_JSON_LAYOUT) + "\n"
 
 
 def write_json_atomic(path: str | Path, obj) -> None:
+    """Write dump_document(obj) to path through a temporary file in the same
+    directory, streamed so that no second copy of the document is built."""
     path = Path(path)
-    text = dump_document(obj)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as handle:
-            handle.write(text)
+            json.dump(obj, handle, **_JSON_LAYOUT)
+            handle.write("\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

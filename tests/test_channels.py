@@ -162,6 +162,22 @@ class TestCompose:
             compose(identity_channel(2), identity_channel(3))
 
 
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """One entry per call of channels.compose, wherever power looks it up."""
+    from dilatio import channels
+
+    calls = []
+    original = channels.compose
+
+    def counting(t1, t2):
+        calls.append((t1, t2))
+        return original(t1, t2)
+
+    monkeypatch.setattr(channels, "compose", counting)
+    return calls
+
+
 class TestPower:
     def test_zeroth_power_is_identity(self):
         t = random_channel(3, rank=2, seed=8)
@@ -186,6 +202,45 @@ class TestPower:
             assert oracle_pop == pytest.approx((1 - gamma) ** n, abs=1e-12)
             evolved = apply_channel(power(t, n), excited)
             assert evolved[1, 1].real == pytest.approx((1 - gamma) ** n, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "t, n_max",
+        [
+            (random_channel(2, rank=3, seed=41), 40),
+            (dual(random_channel(2, rank=3, seed=42)), 40),
+            # a signed rank-one map keeps one Kraus operator at every power
+            (KrausChannel(2, 2, (haar_unitary(2, np.random.default_rng(43)),),
+                          coefficients=(-0.9,)), 40),
+            # signed lists are never re-extracted, so they grow as 4^n
+            (transpose_channel(), 6),
+        ],
+        ids=["schroedinger", "heisenberg", "signed-rank-one", "transpose"],
+    )
+    def test_every_power_matches_matrix_power(self, t, n_max):
+        m = superoperator_matrix(t)
+        for n in range(n_max + 1):
+            expected = np.linalg.matrix_power(m, n)
+            assert fro(superoperator_matrix(power(t, n)) - expected) <= 1e-9, n
+
+    def test_first_power_is_the_channel_itself(self):
+        t = random_channel(2, rank=2, seed=44)
+        assert power(t, 1) is t
+
+    def test_composition_count_is_logarithmic(self, compose_calls):
+        t = random_channel(2, rank=2, seed=45)
+        for n in range(1, 130):
+            compose_calls.clear()
+            power(t, n)
+            # floor(log2 n) squarings and popcount(n) - 1 products
+            assert len(compose_calls) <= n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+    def test_semigroup_build_makes_n_log_n_compositions(self, compose_calls):
+        from dilatio.semigroup import build_semigroup_dilation
+
+        build_semigroup_dilation(amplitude_damping(0.3), 95)
+        # one power per step, the per-power bounds summed over n = 1..95;
+        # rebuilding each power by repeated composition took 4465
+        assert len(compose_calls) <= 659
 
 
 class TestConvexCombine:

@@ -222,6 +222,20 @@ class TestDilate:
         assert code == 4
         assert err.startswith("resource guard:") and err.count("\n") == 1
 
+    def test_failed_completion_is_precondition_failure(self, corpus, tmp_path, capsys, monkeypatch):
+        from dilatio import linalg
+
+        # every candidate basis vector counts as spanned, so the completion
+        # of the Stinespring isometry cannot reach full rank
+        monkeypatch.setattr(linalg, "COMPLETION_SKIP_TOL", 10.0)
+        code, _, err = run(
+            capsys, "dilate", corpus / "channel_amplitude_damping_0.5.json",
+            "--mode", "semigroup", "--steps", "2", "--out", tmp_path / "x.bundle",
+        )
+        assert code == 3
+        assert err == "precondition failed: unitary completion did not reach full rank\n"
+        assert not (tmp_path / "x.bundle").exists()
+
     def test_rejected_channel_is_precondition_failure(self, corpus, tmp_path, capsys):
         code, _, _ = run(
             capsys, "dilate", corpus / "channel_transpose.json",

@@ -4,16 +4,20 @@ The reference is the definition itself: the word w = G_1^e_1 G_2^e_2 ...
 as a dense D x D matrix, the lift A (x) omega, the sandwich
 w (A (x) omega) w^dag and its partial trace.  The column path must agree
 with it on every mode, on bundles that are not in register form, and on
-a sabotaged bundle that must still fail verification.
+a sabotaged bundle that must still fail verification.  The generators
+written cell by cell into the register view must equal the dense
+assembly (sum_c B_c (x) P_c)(id (x) shift) they replace.
 """
 
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatio.channels import (
+    CPTP_ATOL,
     convex_combine,
     identity_channel,
     random_channel,
@@ -22,12 +26,12 @@ from dilatio.channels import (
     unvec,
     vec,
 )
-from dilatio.control import build_control_dilation, verify_reachable_inclusion
+from dilatio.control import _word_unitaries, build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
-from dilatio.fixtures import haar_unitary
+from dilatio.fixtures import haar_unitary, rotation_channel
 from dilatio.linalg import matrix_units, partial_trace, partial_trace_state, trace_norm
 from dilatio.register import RegisterDilation, power_words, reconstruct, verify_words
-from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
+from dilatio.semigroup import _step_unitaries, build_semigroup_dilation, heisenberg_evolve
 
 from helpers import random_density, random_matrix
 
@@ -195,3 +199,71 @@ def test_identity_generator_still_fails(params, horizon):
     # a unitary channel (rank 1 at d = 1) is the identity, which V = id reproduces
     if d > 1:
         assert not report.passed
+
+
+def dense_assemble(cells, shift, block_dim):
+    """(sum_c B_c (x) P_c)(id (x) shift) over (block, register projector) pairs."""
+    total = block_dim * shift.shape[0]
+    blocks = np.zeros((total, total), dtype=complex)
+    for block, projector in cells:
+        blocks += np.kron(block, projector)
+    return blocks @ np.kron(np.eye(block_dim), shift)
+
+
+def cell(c, length):
+    p = np.zeros((length, length), dtype=complex)
+    p[c, c] = 1.0
+    return p
+
+
+def step(length):
+    """e_i -> e_(i+1 mod length)."""
+    return np.roll(np.eye(length, dtype=complex), 1, axis=0)
+
+
+def walk_reference(path):
+    length = len(path) - 1
+    cells = [(path[c + 1] @ path[c].conj().T, cell(c, length)) for c in range(length)]
+    return dense_assemble(cells, step(length), path[0].shape[0])
+
+
+@pytest.mark.parametrize("d, horizon", [(1, 3), (2, 1), (2, 4), (3, 2)])
+def test_semigroup_generator_matches_dense_assembly(d, horizon):
+    ch = random_channel(d, d * d, seed=d + horizon)
+    steps = _step_unitaries(ch, horizon, CPTP_ATOL)
+    bundle = build_semigroup_dilation(ch, horizon)
+    # array_equal identifies -0.0 with 0.0: the product with the shift
+    # may flip the sign of a zero entry, nothing else
+    assert np.array_equal(bundle.unitary, walk_reference(steps[:1] + steps))
+
+
+@pytest.mark.parametrize("period", [2, 3, 5])
+def test_cyclic_generator_matches_dense_assembly(period):
+    ch = rotation_channel(period)
+    steps = _step_unitaries(ch, period - 1, CPTP_ATOL)
+    bundle = build_cyclic_dilation(ch, detect_cycle(ch))
+    assert bundle.period == period
+    assert np.array_equal(bundle.unitary, walk_reference(steps + steps[:1]))
+
+
+@pytest.mark.parametrize("d, horizon", [(1, 2), (2, 1), (2, 3)])
+def test_control_generators_match_dense_assembly(d, horizon):
+    t = random_channel(d, d * d, seed=d + horizon)
+    s = convex_combine([identity_channel(d), t], [0.4, 0.6])
+    u_word = _word_unitaries(t, s, horizon, CPTP_ATOL)
+    length, b = horizon + 1, d ** 3
+    eye = np.eye(length, dtype=complex)
+    cells_t = [
+        (u_word(m, n) @ u_word(m - 1, n - 1).conj().T, np.kron(cell(m, length), cell(n, length)))
+        for m in range(length)
+        for n in range(length)
+    ]
+    cells_s = [
+        (u_word(n, 0) @ u_word(n - 1, 0).conj().T, np.kron(cell(n, length), eye))
+        for n in range(length)
+    ]
+    bundle = build_control_dilation(t, s, horizon)
+    shift_t = np.kron(step(length), step(length))
+    shift_s = np.kron(step(length), eye)
+    assert np.array_equal(bundle.unitary_t, dense_assemble(cells_t, shift_t, b))
+    assert np.array_equal(bundle.unitary_s, dense_assemble(cells_s, shift_s, b))

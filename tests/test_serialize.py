@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -31,6 +32,7 @@ from dilatio.serialize import (
     save_state,
     state_from_dict,
     state_to_dict,
+    write_json_atomic,
 )
 
 from helpers import fro, random_density, random_matrix
@@ -47,6 +49,26 @@ class TestMatrixEncodings:
         rng = np.random.default_rng(1)
         m = random_matrix(5, rng, rows=7)
         np.testing.assert_array_equal(blob_to_matrix(matrix_to_blob(m), 7, 5, "x"), m)
+
+    def test_blob_is_the_interleaved_float64_encoding(self):
+        rng = np.random.default_rng(2)
+        m = random_matrix(4, rng, rows=3)
+        m[0, 0] = complex(-0.0, 0.5)
+        m[1, 2] = complex(0.25, -0.0)
+        m[2, 3] = complex(-0.0, -0.0)
+        interleaved = np.empty(m.shape + (2,), dtype="<f8")
+        interleaved[..., 0] = m.real
+        interleaved[..., 1] = m.imag
+        assert matrix_to_blob(m) == base64.b64encode(interleaved.tobytes()).decode("ascii")
+
+    def test_blob_roundtrip_keeps_every_bit(self):
+        rng = np.random.default_rng(3)
+        m = random_matrix(3, rng, rows=4)
+        m[0, 1] = complex(-0.0, -0.0)
+        m[3, 2] = complex(5e-324, -1e308)
+        again = blob_to_matrix(matrix_to_blob(m), 4, 3, "x")
+        assert again.dtype == np.complex128 and again.flags.writeable
+        assert again.tobytes() == m.tobytes()
 
     def test_signed_coefficients_roundtrip(self):
         ch = transpose_channel()
@@ -190,6 +212,21 @@ class TestBundleFiles:
                     "blob": matrix_to_blob(m * 1.5)}
         with pytest.raises(ChannelFormatError):
             bundle_from_dict(doc)
+
+
+def test_atomic_write_is_the_dumped_document(tmp_path):
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 3)
+    doc = bundle_to_dict(bundle, {"channel": "d"})
+    path = tmp_path / "b.bundle"
+    write_json_atomic(path, doc)
+    assert path.read_text(encoding="ascii") == dump_document(doc)
+
+
+def test_failed_encode_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError):
+        write_json_atomic(path, {"a": 1, "b": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_file_digest_changes_with_content(tmp_path):
