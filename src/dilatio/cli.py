@@ -149,6 +149,8 @@ def cmd_evolve(args) -> int:
         raise ChannelFormatError("provide exactly one of --steps or --sequence")
     if (args.sequence is not None) != (bundle.mode == "control"):
         raise ChannelFormatError("--sequence applies to control bundles, --steps to the others")
+    if args.steps is not None and args.steps < 0:
+        raise ChannelFormatError(f"--steps must be nonnegative, got {args.steps}")
     if bundle.mode == "control":
         out = control.evolve_control(bundle, rho, args.sequence)
     elif bundle.mode == "semigroup":

@@ -37,13 +37,13 @@ from .linalg import (
 )
 from .register import (
     DILATION_ATOL,
+    BlockPermutation,
     RegisterDilation,
     VerificationReport,
     check_horizon,
     check_system_state,
     guard_total_dim,
     reconstruct,
-    shift_generator,
     verify_words,
 )
 from .stinespring import stinespring_unitary
@@ -163,15 +163,13 @@ def build_control_dilation(
     u_word = _word_unitaries(t, s, n_steps, tol)
     # cell (m, n) of Z_L (x) Z_L is register index m * L + n
     L = shift_dim
-    u = shift_generator(d * d * d, L * L, (
-        (m * L + n, (m - 1) % L * L + (n - 1) % L, u_word(m, n) @ u_word(m - 1, n - 1).conj().T)
-        for m in range(L)
-        for n in range(L)
-    ))
+    cells = [divmod(c, L) for c in range(L * L)]
+    u = BlockPermutation(
+        [(m - 1) % L * L + (n - 1) % L for m, n in cells],
+        [u_word(m, n) @ u_word(m - 1, n - 1).conj().T for m, n in cells],
+    )
     blocks_s = [u_word(n, 0) @ u_word(n - 1, 0).conj().T for n in range(L)]
-    v = shift_generator(d * d * d, L * L, (
-        (n * L + j, (n - 1) % L * L + j, blocks_s[n]) for n in range(L) for j in range(L)
-    ))
+    v = BlockPermutation([(m - 1) % L * L + n for m, n in cells], [blocks_s[m] for m, _ in cells])
     omega = kron(basis_state(0, d * d), kron(basis_state(0, shift_dim), basis_state(0, shift_dim)))
     return RegisterDilation("control", d, d * d, (shift_dim, shift_dim), (u, v), omega)
 

@@ -180,8 +180,9 @@ def is_psd(a, tol: float = PSD_ATOL) -> bool:
     return bool(eigenvalues.min() >= -tol)
 
 
-def check_density_matrix(rho, tol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate a state: Hermitian, PSD, and unit trace, all within tol."""
+def _density_spectrum(rho, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """A validated state (Hermitian, PSD, unit trace, all within tol) and
+    the ascending eigenvalues of its Hermitian part."""
     m = as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"a state must be square, got shape {m.shape}")
@@ -192,22 +193,38 @@ def check_density_matrix(rho, tol: float = HERMITIAN_ATOL) -> np.ndarray:
         raise ValueError(f"state has negative eigenvalue {eigenvalues.min():.3e}")
     if abs(np.trace(m) - 1.0) > tol:
         raise ValueError(f"state trace {np.trace(m):.12g} differs from 1")
-    return m
+    return m, eigenvalues
+
+
+def check_density_matrix(rho, tol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """Validate a state: Hermitian, PSD, and unit trace, all within tol."""
+    return _density_spectrum(rho, tol)[0]
 
 
 def is_pure_state(rho, tol: float = HERMITIAN_ATOL) -> bool:
-    """Rank-one test: second largest eigenvalue at most tol."""
-    m = check_density_matrix(rho, tol)
-    eigenvalues = np.sort(np.linalg.eigvalsh(hermitize(m)))
+    """Rank-one test: second largest eigenvalue at most tol, from the one
+    eigendecomposition that validates the state."""
+    m, eigenvalues = _density_spectrum(rho, tol)
     return m.shape[0] == 1 or bool(eigenvalues[-2] <= tol)
 
 
+def unitarity_residual(a) -> float:
+    """||A^dag A - I||_F, or inf for a matrix that is not square.  A stack
+    of square blocks (L, b, b) gets the same norm over the whole stack,
+    which is that of G^dag G - I for the block permutation G the blocks
+    form: O(L b^3) instead of O((L b)^3)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        m = as_complex_matrix(m)[np.newaxis]
+    if m.shape[1] != m.shape[2]:
+        return np.inf
+    gram = m.conj().transpose(0, 2, 1) @ m
+    return float(np.linalg.norm(gram - np.eye(m.shape[1])))
+
+
 def is_unitary(a, tol: float = HERMITIAN_ATOL) -> bool:
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    gram = m.conj().T @ m
-    return float(np.linalg.norm(gram - np.eye(m.shape[0]))) <= tol
+    """unitarity_residual(a) <= tol, for a matrix or a stack of blocks."""
+    return unitarity_residual(a) <= tol
 
 
 def complete_isometry_to_unitary(v) -> np.ndarray:

@@ -7,12 +7,21 @@ on two registers, with one generator per channel of the commuting pair.
 Every reconstruction is tr_K(w (A (x) omega) w^dag) for a word
 w = G_1^e_1 G_2^e_2 ... in the generators.
 
+Every generator is therefore a block permutation
+G = sum_c B_c (x) |c><src(c)| of b x b blocks on the L register cells
+(b = d^3), and the library holds and runs it in that form
+(``BlockPermutation``): the unitarity check is per block, O(L b^3)
+instead of O(D^3), and powers and products stay block permutations, so
+a register generator never needs a D x D product.  A generator outside
+that pattern is the one-cell form L = 1, b = D, which runs through the
+same code.
+
 omega = |psi><psi| is pure, so the reconstruction depends only on the d
 columns C = w J of the word applied to the embedding J : x -> x (x) psi:
 tr_K(w (A (x) omega) w^dag) = tr_K(C A C^dag).  ``word_columns`` applies
 the generators to J one product G @ C at a time, and ``_reduce`` takes
 the partial trace of C A C^dag in one contraction.  A word one generator
-longer than a kept one costs O(D^2 d) plus O(D d^2) per reduced operator,
+longer than a kept one costs O(D b d) plus O(D d^2) per reduced operator,
 against (2 d^2 + 1) O(D^3) for a dense D x D power, the lifts A (x) omega
 and two D x D sandwiches per basis element.
 """
@@ -65,41 +74,123 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
+class BlockPermutation:
+    """G = sum_c B_c (x) |c><src(c)| on C^b (x) C^L, the cell index fast
+    (row i * L + c): block B_c carries cell src(c) onto cell c.  ``src``
+    is a permutation of the L cells, ``blocks`` is (L, b, b).  Columns
+    act in the cell-major layout (L, b, k) of a (b * L, k) array."""
+
+    src: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        src = np.array(self.src, dtype=np.intp)
+        blocks = np.ascontiguousarray(self.blocks, dtype=np.complex128)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or src.shape != blocks.shape[:1]:
+            raise ValueError(f"blocks of shape {blocks.shape} do not fit {src.size} cells")
+        if not np.array_equal(np.sort(src), np.arange(src.size)):
+            raise ValueError("the block sources are not a permutation of the cells")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("blocks contain NaN or Inf entries")
+        src.flags.writeable = False
+        blocks.flags.writeable = False
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def from_dense(cls, g: np.ndarray, cells: int) -> BlockPermutation:
+        """The form of a D x D generator on C^(D / cells) (x) C^cells, read
+        off the exact nonzero block pattern of its (b, L, b, L) view in
+        O(D^2).  A pattern that is no permutation gives the one-cell form."""
+        total = g.shape[0]
+        view = g.reshape(total // cells, cells, total // cells, cells)
+        pattern = (view != 0).any(axis=(0, 2))  # [c, s]: block from cell s to cell c
+        if (pattern.sum(axis=0) == 1).all() and (pattern.sum(axis=1) == 1).all():
+            src = pattern.argmax(axis=1)
+            return cls(src, view[:, np.arange(cells), :, src])
+        return cls([0], g.reshape(1, total, total))
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """The D x D matrix: each block written at [:, c, :, src(c)] of
+        the zeroed (b, L, b, L) view."""
+        cells, b = self.blocks.shape[:2]
+        g = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        g.reshape(b, cells, b, cells)[:, np.arange(cells), :, self.src] = self.blocks
+        return g
+
+    def __matmul__(self, other: BlockPermutation) -> BlockPermutation:
+        """G H for H on the same cells: (G H)_c = B_c H_src(c)."""
+        return BlockPermutation(other.src[self.src], self.blocks @ other.blocks[self.src])
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """G C for columns C in the cell-major layout (L, b, k)."""
+        return self.blocks @ columns[self.src]
+
+    def power(self, e: int) -> BlockPermutation:
+        """G^e for e >= 1, by repeated squaring: at most 2 log2(e) products."""
+        result, base = None, self
+        while True:
+            if e & 1:
+                result = base if result is None else result @ base
+            e >>= 1
+            if not e:
+                return result
+            base = base @ base
+
+
+@dataclass(frozen=True, init=False)
 class RegisterDilation:
     """Generators (V,), or (U, V) for a control pair (T, S), and a pure
     omega on K~ (x) registers.  ``registers`` is (N + 1,) for horizon N,
-    (m,) for period m, or (N + 1, N + 1) for a control bundle."""
+    (m,) for period m, or (N + 1, N + 1) for a control bundle.  The
+    generators come dense or as block permutations and are held as block
+    permutations (``forms``); ``generators`` and the ``unitary``
+    properties build the dense D x D matrices on demand."""
 
     mode: str
     dim: int
     ancilla_dim: int
     registers: tuple[int, ...]
-    generators: tuple[np.ndarray, ...]
+    forms: tuple[BlockPermutation, ...]
     omega: np.ndarray
 
-    def __post_init__(self):
-        if self.mode not in REGISTER_COUNT:
-            raise ValueError(f"unknown dilation mode {self.mode!r}")
-        count = REGISTER_COUNT[self.mode]
-        registers = tuple(int(r) for r in self.registers)
-        if len(registers) != count or len(set(registers)) != 1 or len(self.generators) != count:
-            raise ValueError(f"{self.mode} bundles need {count} equal registers and generators")
-        if self.mode == "cyclic" and registers[0] < 2:
+    def __init__(self, mode, dim, ancilla_dim, registers, generators, omega):
+        if mode not in REGISTER_COUNT:
+            raise ValueError(f"unknown dilation mode {mode!r}")
+        count = REGISTER_COUNT[mode]
+        registers = tuple(int(r) for r in registers)
+        if len(registers) != count or len(set(registers)) != 1 or len(generators) != count:
+            raise ValueError(f"{mode} bundles need {count} equal registers and generators")
+        if mode == "cyclic" and registers[0] < 2:
             raise ValueError("period must be at least 2")
-        anc = self.ancilla_dim * int(np.prod(registers))
-        n = self.dim * anc
-        generators = tuple(frozen_matrix(g) for g in self.generators)
+        cells = int(np.prod(registers))
+        anc = ancilla_dim * cells
+        n = dim * anc
+        forms = []
         for g in generators:
-            if g.shape != (n, n):
-                raise ValueError(f"unitary of shape {g.shape}, expected {(n, n)}")
-            if not is_unitary(g):
+            if not isinstance(g, BlockPermutation):
+                g = frozen_matrix(g)
+                if g.shape != (n, n):
+                    raise ValueError(f"unitary of shape {g.shape}, expected {(n, n)}")
+                g = BlockPermutation.from_dense(g, cells)
+            elif g.dim != n:
+                raise ValueError(f"unitary of shape {(g.dim, g.dim)}, expected {(n, n)}")
+            # ||G^dag G - I||_F over the blocks: O(L b^3), not O(D^3)
+            if not is_unitary(g.blocks):
                 raise ValueError("bundle operator is not unitary within 1e-10")
-        w = frozen_matrix(self.omega)
+            forms.append(g)
+        w = frozen_matrix(omega)
         if w.shape != (anc, anc) or not is_pure_state(w):
             raise ValueError("bundle ancilla state must be pure on K~ (x) the registers")
-        object.__setattr__(self, "registers", registers)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "omega", w)
+        for name, value in (
+            ("mode", mode), ("dim", dim), ("ancilla_dim", ancilla_dim),
+            ("registers", registers), ("forms", tuple(forms)), ("omega", w),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,14 +211,19 @@ class RegisterDilation:
         return self.registers[0] if self.mode == "cyclic" else None
 
     @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """The dense D x D generators."""
+        return tuple(f.dense() for f in self.forms)
+
+    @property
     def unitary(self) -> np.ndarray:
-        """V, the last generator."""
-        return self.generators[-1]
+        """V, the last generator, dense."""
+        return self.forms[-1].dense()
 
     @property
     def unitary_t(self) -> np.ndarray:
-        """U, the generator of T in a control pair (V in the other modes)."""
-        return self.generators[0]
+        """U, the generator of T in a control pair (V in the other modes), dense."""
+        return self.forms[0].dense()
 
     unitary_s = unitary  # the generator of S in a control pair
 
@@ -141,22 +237,6 @@ def guard_total_dim(total: int, limit: int) -> None:
         )
 
 
-def shift_generator(
-    block_dim: int, cells: int, placements: Iterable[tuple[int, int, np.ndarray]]
-) -> np.ndarray:
-    """(sum_c B_c (x) |c><c|)(id (x) W) on blocks (x) register cells, for
-    the cell permutation W that moves cell src onto cell c, from
-    (c, src, B_c) triples: each block is written at [:, c, :, src] of
-    the zeroed (block, cell, block, cell) view, so neither a kron lift
-    per cell nor a product with id (x) W is formed."""
-    total = block_dim * cells
-    g = np.zeros((total, total), dtype=np.complex128)
-    view = g.reshape(block_dim, cells, block_dim, cells)
-    for c, src, block in placements:
-        view[:, c, :, src] = block
-    return g
-
-
 def walk_dilation(
     mode: str, d: int, path: list[np.ndarray], omega_cell: int
 ) -> RegisterDilation:
@@ -164,10 +244,10 @@ def walk_dilation(
     cell c from cell c - 1 (cyclically), carries the dilation from
     path[c] on to path[c + 1]."""
     length = len(path) - 1
-    placements = (
-        (c, (c - 1) % length, path[c + 1] @ path[c].conj().T) for c in range(length)
+    v = BlockPermutation(
+        (np.arange(length) - 1) % length,
+        [path[c + 1] @ path[c].conj().T for c in range(length)],
     )
-    v = shift_generator(d * d * d, length, placements)
     omega = kron(basis_state(0, d * d), basis_state(omega_cell, length))
     return RegisterDilation(mode, d, d * d, (length,), (v,), omega)
 
@@ -196,20 +276,24 @@ def _embedding(bundle: RegisterDilation) -> np.ndarray:
     return kron(np.eye(bundle.dim, dtype=np.complex128), psi)
 
 
-def _apply_power(g: np.ndarray, e: int, c: np.ndarray) -> np.ndarray:
-    """g^e @ c: e products g @ c while they cost no more than one dense
-    D x D product (e * columns <= D), else one matrix power."""
-    if e * c.shape[1] > g.shape[0]:
-        return np.linalg.matrix_power(g, e) @ c
+def _apply_power(g: BlockPermutation, e: int, c: np.ndarray) -> np.ndarray:
+    """g^e @ c on the blocks: e block products with the columns while they
+    cost no more than one product of the blocks (e * columns <= b), else
+    g^e by squaring on the blocks first."""
+    cells, b = g.blocks.shape[:2]
+    k = c.shape[1]
+    if e * k > b:
+        g, e = g.power(e), 1
+    columns = c.reshape(b, cells, k).transpose(1, 0, 2)
     for _ in range(e):
-        c = g @ c
-    return c
+        columns = g.apply(columns)
+    return columns.transpose(1, 0, 2).reshape(b * cells, k)
 
 
 def word_columns(bundle: RegisterDilation, exponents: Sequence[int]) -> np.ndarray:
     """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right to left."""
     c = _embedding(bundle)
-    for g, e in reversed(list(zip(bundle.generators, exponents))):
+    for g, e in reversed(list(zip(bundle.forms, exponents))):
         c = _apply_power(g, e, c)
     return c
 
@@ -263,7 +347,7 @@ def _advance(bundle: RegisterDilation, kept: dict, exponents: tuple[int, ...]) -
     )
     if start is None:
         return word_columns(bundle, exponents)
-    return _apply_power(bundle.generators[i], exponents[i] - start[i], kept[start])
+    return _apply_power(bundle.forms[i], exponents[i] - start[i], kept[start])
 
 
 def verify_words(

@@ -28,7 +28,7 @@ FORMAT_STATE = "dilatio/state-v1"
 FORMAT_BUNDLE = "dilatio/bundle-v1"
 
 # Per bundle mode: the scalar field that sizes the registers, and the blob
-# field of each generator, in RegisterDilation.generators order.
+# field of each generator, in RegisterDilation.forms order.
 BUNDLE_FIELDS = {
     "semigroup": ("horizon", ("V",)),
     "cyclic": ("period", ("V",)),
@@ -223,8 +223,8 @@ def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict
         scalar: getattr(bundle, scalar),
         "omega": _matrix_entry(bundle.omega),
     }
-    for name, generator in zip(blobs, bundle.generators):
-        doc[name] = _matrix_entry(generator)
+    for name, form in zip(blobs, bundle.forms):
+        doc[name] = _matrix_entry(form.dense())
     return doc
 
 

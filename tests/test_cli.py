@@ -357,6 +357,19 @@ class TestEvolve:
         assert code == 3
         assert "horizon exceeded: rebuild with larger --steps" in err
 
+    @pytest.mark.parametrize("mode", ["semigroup", "cyclic"])
+    def test_negative_steps_is_input_error(self, corpus, tmp_path, capsys, mode):
+        # not "horizon exceeded": no larger --steps at build time would help
+        bundle = tmp_path / f"{mode}.bundle"
+        channel = "amplitude_damping_0.5" if mode == "semigroup" else "rotation_m4"
+        run(capsys, "dilate", corpus / f"channel_{channel}.json", "--mode", mode,
+            "--steps", "3", "--out", bundle)
+        code, out, err = run(
+            capsys, "evolve", bundle, corpus / "state_excited.json", "--steps", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err == "input error: --steps must be nonnegative, got -1\n"
+
     def test_sequences_collapse_on_control_bundle(self, corpus, tmp_path, capsys):
         bundle = tmp_path / "ctl.bundle"
         run(capsys, "dilate", corpus / "channel_commuting_a.json", "--mode", "control",

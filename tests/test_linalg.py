@@ -201,6 +201,20 @@ class TestStates:
         assert is_pure_state(np.diag([1.0, 0.0]))
         assert not is_pure_state(np.diag([0.5, 0.5]))
 
+    @pytest.mark.parametrize("weight, pure", [
+        (0.0, True), (0.3, False), (0.9e-10, True), (1.1e-10, False),
+    ])
+    def test_purity_takes_one_eigendecomposition(self, monkeypatch, weight, pure):
+        # (1 - w)|a><a| + w|b><b| in a random basis: the second eigenvalue is
+        # w, so the weights around 1e-10 sit just inside and outside the bound
+        q, _ = np.linalg.qr(random_matrix(4, np.random.default_rng(19)))
+        rho = q @ np.diag([1 - weight, weight, 0.0, 0.0]) @ q.conj().T
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        assert is_pure_state(rho) is pure
+        assert len(calls) == 1
+
 
 class TestUnitaryCompletion:
     def test_square_unitary_passes_through(self):

@@ -6,7 +6,10 @@ w (A (x) omega) w^dag and its partial trace.  The column path must agree
 with it on every mode, on bundles that are not in register form, and on
 a sabotaged bundle that must still fail verification.  The generators
 written cell by cell into the register view must equal the dense
-assembly (sum_c B_c (x) P_c)(id (x) shift) they replace.
+assembly (sum_c B_c (x) P_c)(id (x) shift) they replace.  The block
+permutation form must give the dense Gram residual, the dense unitarity
+decision and the dense powers, and keep D x D arrays out of a cyclic
+evolve.
 """
 
 from functools import reduce
@@ -28,10 +31,25 @@ from dilatio.channels import (
 )
 from dilatio.control import _word_unitaries, build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
+from dilatio.cyclic import evolve_cyclic
 from dilatio.fixtures import haar_unitary, rotation_channel
-from dilatio.linalg import matrix_units, partial_trace, partial_trace_state, trace_norm
-from dilatio.register import RegisterDilation, power_words, reconstruct, verify_words
+from dilatio.linalg import (
+    is_unitary,
+    matrix_units,
+    partial_trace,
+    partial_trace_state,
+    trace_norm,
+    unitarity_residual,
+)
+from dilatio.register import (
+    BlockPermutation,
+    RegisterDilation,
+    power_words,
+    reconstruct,
+    verify_words,
+)
 from dilatio.semigroup import _step_unitaries, build_semigroup_dilation, heisenberg_evolve
+from dilatio.serialize import load_bundle, save_bundle
 
 from helpers import random_density, random_matrix
 
@@ -267,3 +285,132 @@ def test_control_generators_match_dense_assembly(d, horizon):
     shift_s = np.kron(step(length), eye)
     assert np.array_equal(bundle.unitary_t, dense_assemble(cells_t, shift_t, b))
     assert np.array_equal(bundle.unitary_s, dense_assemble(cells_s, shift_s, b))
+
+
+def built_bundle(mode):
+    if mode == "semigroup":
+        return build_semigroup_dilation(random_channel(2, 4, seed=5), 4)
+    if mode == "cyclic":
+        ch = rotation_channel(5)
+        return build_cyclic_dilation(ch, detect_cycle(ch))
+    t = random_channel(2, 4, seed=6)
+    return build_control_dilation(t, convex_combine([identity_channel(2), t], [0.3, 0.7]), 2)
+
+
+def dense_gram_residual(g):
+    return float(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])))
+
+
+def rebuilt(bundle, generators):
+    return RegisterDilation(
+        bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers, generators, bundle.omega
+    )
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "cyclic", "control"])
+def test_block_residual_matches_dense_gram(mode):
+    bundle = built_bundle(mode)
+    cells = int(np.prod(bundle.registers))
+    for form, g in zip(bundle.forms, bundle.generators):
+        # register form: one d^3 x d^3 block per cell, not the one-cell fallback
+        assert form.blocks.shape == (cells, bundle.dim ** 3, bundle.dim ** 3)
+        assert abs(unitarity_residual(form.blocks) - dense_gram_residual(g)) <= 1e-14
+        np.testing.assert_array_equal(BlockPermutation.from_dense(g, cells).dense(), g)
+        # a non-unitary perturbation of one block: residuals of order one
+        off = form.blocks.copy()
+        off[1] *= 1.5
+        far = BlockPermutation(form.src, off)
+        assert unitarity_residual(far.blocks) == pytest.approx(
+            dense_gram_residual(far.dense()), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "cyclic", "control"])
+@pytest.mark.parametrize("target", [0.9e-10, 1.1e-10])
+def test_block_check_decides_as_the_dense_check(mode, target):
+    # scaling one block by 1 + t / (2 sqrt(b)) puts ||G^dag G - I||_F at
+    # about t, just inside or just outside the 1e-10 bound
+    bundle = built_bundle(mode)
+    form = bundle.forms[0]
+    blocks = form.blocks.copy()
+    blocks[0] *= 1 + target / (2 * np.sqrt(blocks.shape[1]))
+    g = BlockPermutation(form.src, blocks).dense()
+    dense_accepts = is_unitary(g)
+    assert dense_accepts is (target < 1e-10)
+    for generator in (g, BlockPermutation(form.src, blocks)):
+        if dense_accepts:
+            rebuilt(bundle, (generator,) + bundle.generators[1:])
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                rebuilt(bundle, (generator,) + bundle.generators[1:])
+
+
+def test_two_cells_reading_one_source_are_not_unitary():
+    bundle = built_bundle("semigroup")
+    form = bundle.forms[0]
+    src = form.src.copy()
+    src[1] = src[0]  # every block unitary, but one source cell is never read
+    with pytest.raises(ValueError, match="not a permutation"):
+        BlockPermutation(src, form.blocks)
+    cells, b = form.blocks.shape[:2]
+    g = np.zeros((b * cells, b * cells), dtype=complex)
+    view = g.reshape(b, cells, b, cells)
+    for c in range(cells):
+        view[:, c, :, src[c]] = form.blocks[c]
+    assert BlockPermutation.from_dense(g, cells).blocks.shape == (1, b * cells, b * cells)
+    with pytest.raises(ValueError, match="not unitary"):
+        rebuilt(bundle, (g,))
+
+
+def test_block_powers_match_matrix_power():
+    bundle = built_bundle("cyclic")
+    v, form = bundle.unitary, bundle.forms[0]
+    for e in (1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 100, 511, 999, 1000):
+        np.testing.assert_allclose(form.power(e).dense(), np.linalg.matrix_power(v, e), atol=1e-12)
+
+
+def test_block_product_matches_dense_product():
+    # the register shifts all commute; random cell permutations do not
+    rng = np.random.default_rng(8)
+    a, b = (
+        BlockPermutation(rng.permutation(5), [haar_unitary(3, rng) for _ in range(5)])
+        for _ in range(2)
+    )
+    np.testing.assert_allclose((a @ b).dense(), a.dense() @ b.dense(), atol=1e-14)
+    np.testing.assert_allclose((b @ a).dense(), b.dense() @ a.dense(), atol=1e-14)
+    columns = random_matrix(2, rng, rows=15)
+    cell_major = columns.reshape(3, 5, 2).transpose(1, 0, 2)
+    np.testing.assert_allclose(
+        a.apply(cell_major).transpose(1, 0, 2).reshape(15, 2), a.dense() @ columns, atol=1e-14
+    )
+
+
+def test_haar_generators_take_the_one_cell_form():
+    rng = np.random.default_rng(7)
+    v = haar_unitary(2 * 4 * 3, rng)
+    bundle = RegisterDilation("semigroup", 2, 4, (3,), (v,), random_pure_state(12, rng))
+    assert bundle.forms[0].blocks.shape == (1, 24, 24)
+    np.testing.assert_array_equal(bundle.unitary, v)
+
+
+def test_load_and_large_cyclic_evolve_form_no_dense_square(tmp_path, monkeypatch):
+    ch = rotation_channel(6)
+    path = tmp_path / "rot.bundle"
+    save_bundle(path, build_cyclic_dilation(ch, detect_cycle(ch)))
+    shapes = {"matrix_power": [], "is_unitary": []}
+
+    def counting(name, fn):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting("matrix_power", np.linalg.matrix_power))
+    monkeypatch.setattr(
+        "dilatio.register.is_unitary", counting("is_unitary", is_unitary)
+    )
+    bundle = load_bundle(path)
+    evolve_cyclic(bundle, np.diag([1.0, 0.0]), 10**12)
+    total = bundle.dim * bundle.ancilla_dim * bundle.period
+    assert shapes["is_unitary"] == [(6, 8, 8)]
+    assert all(s[-2:] != (total, total) for s in shapes["matrix_power"])
