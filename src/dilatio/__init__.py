@@ -25,7 +25,6 @@ from .channels import (
     verify_cptp,
 )
 from .control import (
-    ControlDilation,
     build_control_dilation,
     check_commuting,
     evolve_control,
@@ -35,7 +34,6 @@ from .control import (
 )
 from .cyclic import (
     CyclePeriod,
-    CyclicDilationBundle,
     build_cyclic_dilation,
     detect_cycle,
     evolve_cyclic,

@@ -9,6 +9,11 @@ dilation carries two unitaries U, V on H (x) K~ (x) Z_L (x) Z_L with
 
 for N <= horizon.  U and V need not commute; only these reconstruction
 words are claimed.
+
+U and V are the two-channel register build: cell (M, k) carries the
+Stinespring unitary u(M, k) of T^k S^(M-k), and a generator with shift
+vector delta the block u(x) u(x - delta)^dag at x = c * delta.  U has
+delta = (1, 1); V has delta = (1, 0), so its blocks are u(M, 0) u(M-1, 0)^dag.
 """
 
 from __future__ import annotations
@@ -22,31 +27,21 @@ from .channels import (
     SCHROEDINGER,
     KrausChannel,
     apply_channel,
-    compose,
-    power,
     require_accepted,
     superoperator_matrix,
 )
 from .errors import HorizonError, NotCommutingError
-from .linalg import (
-    basis_state,
-    check_density_matrix,
-    hermitize,
-    kron,
-    trace_distance,
-)
+from .linalg import check_density_matrix, hermitize, trace_distance
 from .register import (
     DILATION_ATOL,
-    BlockPermutation,
     RegisterDilation,
     VerificationReport,
+    build_register_dilation,
     check_horizon,
     check_system_state,
-    guard_total_dim,
     reconstruct,
     verify_words,
 )
-from .stinespring import stinespring_unitary
 
 # Control dilations live on L^2 shift cells; guard the total dimension.
 DEFAULT_MAX_TOTAL_DIM = 8192
@@ -102,38 +97,6 @@ def reachable_set(
     return states
 
 
-def ControlDilation(
-    dim: int, ancilla_dim: int, shift_dim: int, unitary_t, unitary_s, omega, horizon: int
-) -> RegisterDilation:
-    """Unitaries U (for T) and V (for S) over two shift registers."""
-    if horizon != shift_dim - 1:
-        raise ValueError("horizon must equal shift_dim - 1")
-    return RegisterDilation(
-        "control", dim, ancilla_dim, (shift_dim, shift_dim), (unitary_t, unitary_s), omega
-    )
-
-
-def _word_unitaries(t: KrausChannel, s: KrausChannel, n_steps: int, tol: float):
-    """U_(M,k) dilating T^k S^(M-k) for 1 <= M <= N, 0 <= k <= M; the
-    underlying construction sets every out-of-range index to the identity."""
-    d = t.dim_in
-    eye = np.eye(d * d * d, dtype=np.complex128)
-    powers_t = [power(t, n) for n in range(n_steps + 1)]
-    powers_s = [power(s, n) for n in range(n_steps + 1)]
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for total in range(1, n_steps + 1):
-        for k in range(total + 1):
-            word = compose(powers_t[k], powers_s[total - k])
-            table[(total, k)] = stinespring_unitary(word, tol).unitary
-
-    def u_word(total: int, k: int) -> np.ndarray:
-        if total < 1 or k < 0 or k > total:
-            return eye
-        return table[(total, k)]
-
-    return u_word
-
-
 def build_control_dilation(
     t: KrausChannel,
     s: KrausChannel,
@@ -153,25 +116,7 @@ def build_control_dilation(
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     _require_commuting_pair(t, s, commute_tol)
-    require_accepted(t, tol)
-    require_accepted(s, tol)
-
-    d = t.dim_in
-    shift_dim = n_steps + 1
-    guard_total_dim(d * d * d * shift_dim * shift_dim, max_total_dim)
-
-    u_word = _word_unitaries(t, s, n_steps, tol)
-    # cell (m, n) of Z_L (x) Z_L is register index m * L + n
-    L = shift_dim
-    cells = [divmod(c, L) for c in range(L * L)]
-    u = BlockPermutation(
-        [(m - 1) % L * L + (n - 1) % L for m, n in cells],
-        [u_word(m, n) @ u_word(m - 1, n - 1).conj().T for m, n in cells],
-    )
-    blocks_s = [u_word(n, 0) @ u_word(n - 1, 0).conj().T for n in range(L)]
-    v = BlockPermutation([(m - 1) % L * L + n for m, n in cells], [blocks_s[m] for m, _ in cells])
-    omega = kron(basis_state(0, d * d), kron(basis_state(0, shift_dim), basis_state(0, shift_dim)))
-    return RegisterDilation("control", d, d * d, (shift_dim, shift_dim), (u, v), omega)
+    return build_register_dilation("control", [t, s], n_steps, tol, max_total_dim)
 
 
 def _normalize_sequence(sequence: str | Iterable[str]) -> list[str]:

@@ -20,27 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CPTP_ATOL,
-    SCHROEDINGER,
-    KrausChannel,
-    require_accepted,
-    superoperator_matrix,
-)
+from .channels import CPTP_ATOL, KrausChannel, require_accepted, superoperator_matrix
 from .errors import NotCyclicError
 from .linalg import hermitize
 from .register import (
     DILATION_ATOL,
     RegisterDilation,
     VerificationReport,
+    build_register_dilation,
     check_system_state,
-    guard_total_dim,
     power_words,
     reconstruct,
     verify_words,
-    walk_dilation,
 )
-from .semigroup import DEFAULT_MAX_TOTAL_DIM, _step_unitaries
+from .semigroup import DEFAULT_MAX_TOTAL_DIM
 
 # Frobenius tolerance for detecting T^m == T on superoperators.
 CYCLE_DETECTION_ATOL = 1e-8
@@ -74,6 +67,8 @@ def detect_cycle(
     ch: KrausChannel, m_max: int = 16, tol: float = CYCLE_DETECTION_ATOL
 ) -> CyclePeriod | None:
     """Smallest m in 2..m_max with ||M(T^m) - M(T)||_F <= tol, else None."""
+    if m_max < 2:
+        raise ValueError(f"m_max must be at least 2, got {m_max}")
     if not ch.is_square:
         raise ValueError("cycle detection needs a square channel")
     require_accepted(ch)
@@ -91,13 +86,6 @@ def reduce_power(period: CyclePeriod, n: int) -> int:
     return reduced_exponent(period.m, n)
 
 
-def CyclicDilationBundle(
-    dim: int, ancilla_dim: int, period: int, unitary, omega
-) -> RegisterDilation:
-    """V and omega on H (x) K~ (x) C^m; valid for unbounded n."""
-    return RegisterDilation("cyclic", dim, ancilla_dim, (period,), (unitary,), omega)
-
-
 def build_cyclic_dilation(
     ch: KrausChannel,
     period: CyclePeriod,
@@ -113,9 +101,6 @@ def build_cyclic_dilation(
     with the wrap e_m -> e_1, and omega sits at cell m-1 so the first
     shift lands on the dilation of T^1.
     """
-    if ch.picture != SCHROEDINGER or not ch.is_square:
-        raise ValueError("cyclic dilation needs a square schroedinger channel")
-    require_accepted(ch, tol)
     m = period.m
     m1 = superoperator_matrix(ch)
     drift = np.linalg.norm(np.linalg.matrix_power(m1, m) - m1)
@@ -123,11 +108,8 @@ def build_cyclic_dilation(
         raise NotCyclicError(
             f"channel is not cyclic with period {m}: ||M(T^{m}) - M(T)||_F = {drift:.3e}"
         )
-
-    d = ch.dim_in
-    guard_total_dim(d * d * d * m, max_total_dim)
-    steps = _step_unitaries(ch, m - 1, tol)
-    return walk_dilation("cyclic", d, steps + steps[:1], m - 1)  # U_m := id
+    # the steps U_1 .. U_(m-1) of the semigroup table, closed by U_m := id
+    return build_register_dilation("cyclic", [ch], m - 1, tol, max_total_dim)
 
 
 def evolve_cyclic(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:

@@ -38,14 +38,11 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def frozen_matrix(a) -> np.ndarray:
-    """A validated, C-contiguous, read-only copy (for immutable containers)."""
-    m = np.ascontiguousarray(as_complex_matrix(a))
+    """A validated, C-contiguous, read-only copy (for immutable containers):
+    a view of the argument taken before cannot change it."""
+    m = as_complex_matrix(a).copy()  # C order
     m.flags.writeable = False
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

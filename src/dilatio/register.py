@@ -1,14 +1,22 @@
 """The shift-register dilation behind the semigroup, cyclic and control modes.
 
-Unitary blocks B_c sit on the cells c of a shift register, the register
-shifts cyclically, V = (sum_c B_c (x) P_c)(id (x) shift), and a pure
-omega is pinned to one cell.  Control bundles run the same construction
-on two registers, with one generator per channel of the commuting pair.
-Every reconstruction is tr_K(w (A (x) omega) w^dag) for a word
-w = G_1^e_1 G_2^e_2 ... in the generators.
+One construction serves every mode.  k channels T_1 .. T_k (k = 1 for
+semigroup and cyclic, 2 for a control pair) give k registers of length
+L = N + 1, whose cells c = (total, e_1, ..., e_(k-1)) carry the
+Stinespring unitary u(c) of the word T_1^e_1 ... T_k^(total - sum e)
+(``word_unitaries``; the identity off the table).  Generator j moves the
+walker by its shift vector delta: it shifts the total register and, for
+j < k, register j.  Its block at cell c is u(x) u(x - delta)^dag at
+x = c * delta, which is 0 on the registers it does not shift, and cell c
+reads cell (c - delta) mod L (``shift_generator``).  A pure omega pins the
+walker to an origin cell, so a word of generators telescopes to the
+unitary of its endpoint.  Cyclic bundles re-key the one-channel table so
+the register closes into the cycle.  Every reconstruction is
+tr_K(w (A (x) omega) w^dag) for a word w = G_1^e_1 G_2^e_2 ... in the
+generators.
 
 Every generator is therefore a block permutation
-G = sum_c B_c (x) |c><src(c)| of b x b blocks on the L register cells
+G = sum_c B_c (x) |c><src(c)| of b x b blocks on the L^k register cells
 (b = d^3), and the library holds and runs it in that form
 (``BlockPermutation``): the unitarity check is per block, O(L b^3)
 instead of O(D^3), and powers and products stay block permutations, so
@@ -29,13 +37,25 @@ and two D x D sandwiches per basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import SCHROEDINGER, KrausChannel, superoperator_matrix, unvec, vec
+from .channels import (
+    SCHROEDINGER,
+    KrausChannel,
+    compose,
+    power,
+    require_accepted,
+    superoperator_matrix,
+    unvec,
+    vec,
+)
 from .errors import HorizonError, MemoryGuardError
 from .linalg import (
+    as_complex_matrix,
     basis_state,
     check_density_matrix,
     frozen_matrix,
@@ -45,11 +65,13 @@ from .linalg import (
     matrix_units,
     trace_norm,
 )
+from .stinespring import stinespring_unitary
 
 # Default tolerance for dilation-identity verification.
 DILATION_ATOL = 1e-9
-# Shift registers per mode; a bundle carries one generator per register.
-REGISTER_COUNT = {"semigroup": 1, "cyclic": 1, "control": 2}
+# Per mode, the shift vector of each generator, one generator per channel
+# and per register: G_j shifts the total register and, for j < k, register j.
+SHIFTS = {"semigroup": ((1,),), "cyclic": ((1,),), "control": ((1, 1), (1, 0))}
 
 
 @dataclass(frozen=True)
@@ -77,15 +99,16 @@ class VerificationReport:
 class BlockPermutation:
     """G = sum_c B_c (x) |c><src(c)| on C^b (x) C^L, the cell index fast
     (row i * L + c): block B_c carries cell src(c) onto cell c.  ``src``
-    is a permutation of the L cells, ``blocks`` is (L, b, b).  Columns
-    act in the cell-major layout (L, b, k) of a (b * L, k) array."""
+    is a permutation of the L cells, ``blocks`` is (L, b, b), both copied
+    and read-only.  Columns act in the cell-major layout (L, b, k) of a
+    (b * L, k) array."""
 
     src: np.ndarray
     blocks: np.ndarray
 
     def __post_init__(self):
         src = np.array(self.src, dtype=np.intp)
-        blocks = np.ascontiguousarray(self.blocks, dtype=np.complex128)
+        blocks = np.array(self.blocks, dtype=np.complex128, order="C")
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or src.shape != blocks.shape[:1]:
             raise ValueError(f"blocks of shape {blocks.shape} do not fit {src.size} cells")
         if not np.array_equal(np.sort(src), np.arange(src.size)):
@@ -159,9 +182,9 @@ class RegisterDilation:
     omega: np.ndarray
 
     def __init__(self, mode, dim, ancilla_dim, registers, generators, omega):
-        if mode not in REGISTER_COUNT:
+        if mode not in SHIFTS:
             raise ValueError(f"unknown dilation mode {mode!r}")
-        count = REGISTER_COUNT[mode]
+        count = len(SHIFTS[mode])
         registers = tuple(int(r) for r in registers)
         if len(registers) != count or len(set(registers)) != 1 or len(generators) != count:
             raise ValueError(f"{mode} bundles need {count} equal registers and generators")
@@ -173,7 +196,8 @@ class RegisterDilation:
         forms = []
         for g in generators:
             if not isinstance(g, BlockPermutation):
-                g = frozen_matrix(g)
+                # the form copies what it keeps, so a decoded blob is not copied twice
+                g = as_complex_matrix(g)
                 if g.shape != (n, n):
                     raise ValueError(f"unitary of shape {g.shape}, expected {(n, n)}")
                 g = BlockPermutation.from_dense(g, cells)
@@ -237,19 +261,78 @@ def guard_total_dim(total: int, limit: int) -> None:
         )
 
 
-def walk_dilation(
-    mode: str, d: int, path: list[np.ndarray], omega_cell: int
+def word_unitaries(
+    channels: Sequence[KrausChannel], n_steps: int, tol: float
+) -> dict[tuple[int, ...], np.ndarray]:
+    """The Stinespring unitary of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e)
+    on each cell (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, from one
+    power table per channel and k - 1 compositions per word."""
+    k = len(channels)
+    # one channel's words are its powers 1..N; with more, every exponent 0..N occurs
+    exponents = range(1 if k == 1 else 0, n_steps + 1)
+    powers = [{e: power(ch, e) for e in exponents} for ch in channels]
+    table = {}
+    for total in range(1, n_steps + 1):
+        for head in product(range(total + 1), repeat=k - 1):
+            if sum(head) <= total:
+                word = head + (total - sum(head),)
+                channel = reduce(compose, (p[e] for p, e in zip(powers, word)))
+                table[(total,) + head] = stinespring_unitary(channel, tol).unitary
+    return table
+
+
+def shift_generator(
+    table: dict[tuple[int, ...], np.ndarray],
+    registers: tuple[int, ...],
+    shift: tuple[int, ...],
+    eye: np.ndarray,
+) -> BlockPermutation:
+    """The generator that moves the walker by ``shift``: cell c reads cell
+    (c - shift) mod L and carries u(x) u(x - shift)^dag at x = c * shift
+    (0 on the registers it does not shift), with u from ``table`` and the
+    identity ``eye`` off it."""
+    shift = np.asarray(shift)
+    cells = np.indices(registers).reshape(len(registers), -1).T  # row-major
+
+    def u(x):
+        return table.get(tuple(x.tolist()), eye)
+
+    src = np.ravel_multi_index(((cells - shift) % registers).T, registers)
+    return BlockPermutation(src, [u(x) @ u(x - shift).conj().T for x in cells * shift])
+
+
+def build_register_dilation(
+    mode: str,
+    channels: Sequence[KrausChannel],
+    n_steps: int,
+    tol: float,
+    max_total_dim: int,
 ) -> RegisterDilation:
-    """V on a register of len(path) - 1 cells whose walker, on entering
-    cell c from cell c - 1 (cyclically), carries the dilation from
-    path[c] on to path[c + 1]."""
-    length = len(path) - 1
-    v = BlockPermutation(
-        (np.arange(length) - 1) % length,
-        [path[c + 1] @ path[c].conj().T for c in range(length)],
+    """The dilation of ``channels`` on registers of length n_steps + 1: one
+    word-unitary table, one generator per shift vector of the mode, and
+    omega on the origin cell, (0, ..., 0) unless the register is a cycle."""
+    for ch in channels:
+        if ch.picture != SCHROEDINGER or not ch.is_square:
+            raise ValueError(f"{mode} dilation needs square schroedinger channels")
+        require_accepted(ch, tol)
+    d = channels[0].dim_in
+    registers = (n_steps + 1,) * len(channels)
+    cells = int(np.prod(registers))
+    guard_total_dim(d ** 3 * cells, max_total_dim)
+
+    table = word_unitaries(channels, n_steps, tol)
+    origin = (0,) * len(registers)
+    if mode == "cyclic":
+        # the cycle closes, U_m = U_0 = id: cell i - 1 carries U_i and the
+        # walker waits on cell m - 1, so its first step lands on U_1
+        table = {(x - 1,): u for (x,), u in table.items()}
+        origin = (n_steps,)
+    eye = np.eye(d ** 3, dtype=np.complex128)
+    forms = [shift_generator(table, registers, shift, eye) for shift in SHIFTS[mode]]
+    omega = kron(
+        basis_state(0, d * d), basis_state(int(np.ravel_multi_index(origin, registers)), cells)
     )
-    omega = kron(basis_state(0, d * d), basis_state(omega_cell, length))
-    return RegisterDilation(mode, d, d * d, (length,), (v,), omega)
+    return RegisterDilation(mode, d, d * d, registers, forms, omega)
 
 
 def check_horizon(bundle: RegisterDilation, n: int) -> None:

@@ -9,29 +9,31 @@ with omega pure on K~ (x) Z_L.  The bi-infinite shift of the underlying
 construction is truncated to the cyclic group Z_L; powers up to the
 horizon never wrap, so the truncation is exact there, and anything past
 the horizon is refused instead of silently wrapping.
+
+V is the one-channel register build: cell n carries the Stinespring
+unitary u(n) of T^n (the identity at cell 0) and V the block
+u(n) u(n-1)^dag, shift vector (1,).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import CPTP_ATOL, SCHROEDINGER, KrausChannel, power, require_accepted
+from .channels import CPTP_ATOL, KrausChannel
 from .linalg import as_complex_matrix, hermitize
 from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments semigroup.kron
 from .register import (
     DILATION_ATOL,
     RegisterDilation,
     VerificationReport,
+    build_register_dilation,
     check_horizon,
     check_system_state,
-    guard_total_dim,
     power_words,
     reconstruct,
     verify_words,
-    walk_dilation,
     word_columns,
 )
-from .stinespring import stinespring_unitary
 
 # Builders refuse a total dimension d * d^2 * L beyond this unless overridden.
 DEFAULT_MAX_TOTAL_DIM = 4096
@@ -44,15 +46,6 @@ def DilationBundle(
     if horizon != shift_dim - 1:
         raise ValueError("horizon must equal shift_dim - 1")
     return RegisterDilation("semigroup", dim, ancilla_dim, (shift_dim,), (unitary,), omega)
-
-
-def _step_unitaries(ch: KrausChannel, count: int, tol: float) -> list[np.ndarray]:
-    """Dilation unitaries of T^0 .. T^count on the common H (x) K~ space."""
-    d = ch.dim_in
-    steps = [np.eye(d * d * d, dtype=np.complex128)]
-    for n in range(1, count + 1):
-        steps.append(stinespring_unitary(power(ch, n), tol).unitary)
-    return steps
 
 
 def build_semigroup_dilation(
@@ -68,17 +61,9 @@ def build_semigroup_dilation(
     omega sits at shift cell 0, so V^n walks the register to cell n while
     accumulating exactly the dilation of T^n.
     """
-    if ch.picture != SCHROEDINGER or not ch.is_square:
-        raise ValueError("semigroup dilation needs a square schroedinger channel")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    require_accepted(ch, tol)
-
-    d = ch.dim_in
-    guard_total_dim(d * d * d * (n_steps + 1), max_total_dim)
-    steps = _step_unitaries(ch, n_steps, tol)
-    # the walker starts on cell 0, which carries id = U_0 U_0^dag
-    return walk_dilation("semigroup", d, steps[:1] + steps, 0)
+    return build_register_dilation("semigroup", [ch], n_steps, tol, max_total_dim)
 
 
 def evolve(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:

@@ -430,6 +430,15 @@ class TestKrausChannelValidation:
         with pytest.raises(ValueError):
             t.kraus[0][0, 0] = 5.0
 
+    def test_operators_are_copies(self):
+        # a view of the caller's array, taken before, must not reach the channel
+        x = np.eye(2, dtype=complex)
+        view = x[:]
+        ch = KrausChannel(2, 2, (x,))
+        view[0, 0] = 5.0
+        assert ch.kraus[0][0, 0] == 1.0
+        assert x.flags.writeable
+
     def test_coefficient_length_checked(self):
         with pytest.raises(ValueError):
             KrausChannel(2, 2, (np.eye(2),), coefficients=(1.0, 2.0))

@@ -243,6 +243,15 @@ class TestDilate:
         )
         assert code == 3
 
+    def test_cyclic_negative_m_max_is_input_error(self, corpus, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode", "cyclic",
+            "--m-max", "-3", "--out", tmp_path / "rot.bundle",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "m_max" in err
+        assert not (tmp_path / "rot.bundle").exists()
+
 
 class TestVerify:
     def test_fresh_bundle_passes(self, corpus, damp_bundle5, capsys):

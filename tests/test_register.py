@@ -20,16 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatio.channels import (
-    CPTP_ATOL,
+    compose,
     convex_combine,
     identity_channel,
+    power,
     random_channel,
     superoperator_matrix,
     unitary_channel,
     unvec,
     vec,
 )
-from dilatio.control import _word_unitaries, build_control_dilation, verify_reachable_inclusion
+from dilatio.control import build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
 from dilatio.fixtures import haar_unitary, rotation_channel
@@ -48,8 +49,9 @@ from dilatio.register import (
     reconstruct,
     verify_words,
 )
-from dilatio.semigroup import _step_unitaries, build_semigroup_dilation, heisenberg_evolve
+from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
 from dilatio.serialize import load_bundle, save_bundle
+from dilatio.stinespring import stinespring_unitary
 
 from helpers import random_density, random_matrix
 
@@ -239,6 +241,26 @@ def step(length):
     return np.roll(np.eye(length, dtype=complex), 1, axis=0)
 
 
+def step_unitaries(ch, count):
+    """Dilation unitaries of T^0 .. T^count on the common H (x) K~ space."""
+    steps = [np.eye(ch.dim_in ** 3, dtype=complex)]
+    for n in range(1, count + 1):
+        steps.append(stinespring_unitary(power(ch, n)).unitary)
+    return steps
+
+
+def control_word_unitaries(t, s, horizon):
+    """u(M, k), the dilation unitary of T^k S^(M-k) for 1 <= M <= horizon,
+    0 <= k <= M, and the identity at every other (M, k)."""
+    table = {
+        (total, k): stinespring_unitary(compose(power(t, k), power(s, total - k))).unitary
+        for total in range(1, horizon + 1)
+        for k in range(total + 1)
+    }
+    eye = np.eye(t.dim_in ** 3, dtype=complex)
+    return lambda total, k: table.get((total, k), eye)
+
+
 def walk_reference(path):
     length = len(path) - 1
     cells = [(path[c + 1] @ path[c].conj().T, cell(c, length)) for c in range(length)]
@@ -248,7 +270,7 @@ def walk_reference(path):
 @pytest.mark.parametrize("d, horizon", [(1, 3), (2, 1), (2, 4), (3, 2)])
 def test_semigroup_generator_matches_dense_assembly(d, horizon):
     ch = random_channel(d, d * d, seed=d + horizon)
-    steps = _step_unitaries(ch, horizon, CPTP_ATOL)
+    steps = step_unitaries(ch, horizon)
     bundle = build_semigroup_dilation(ch, horizon)
     # array_equal identifies -0.0 with 0.0: the product with the shift
     # may flip the sign of a zero entry, nothing else
@@ -258,7 +280,7 @@ def test_semigroup_generator_matches_dense_assembly(d, horizon):
 @pytest.mark.parametrize("period", [2, 3, 5])
 def test_cyclic_generator_matches_dense_assembly(period):
     ch = rotation_channel(period)
-    steps = _step_unitaries(ch, period - 1, CPTP_ATOL)
+    steps = step_unitaries(ch, period - 1)
     bundle = build_cyclic_dilation(ch, detect_cycle(ch))
     assert bundle.period == period
     assert np.array_equal(bundle.unitary, walk_reference(steps + steps[:1]))
@@ -268,7 +290,7 @@ def test_cyclic_generator_matches_dense_assembly(period):
 def test_control_generators_match_dense_assembly(d, horizon):
     t = random_channel(d, d * d, seed=d + horizon)
     s = convex_combine([identity_channel(d), t], [0.4, 0.6])
-    u_word = _word_unitaries(t, s, horizon, CPTP_ATOL)
+    u_word = control_word_unitaries(t, s, horizon)
     length, b = horizon + 1, d ** 3
     eye = np.eye(length, dtype=complex)
     cells_t = [
@@ -360,6 +382,22 @@ def test_two_cells_reading_one_source_are_not_unitary():
     assert BlockPermutation.from_dense(g, cells).blocks.shape == (1, b * cells, b * cells)
     with pytest.raises(ValueError, match="not unitary"):
         rebuilt(bundle, (g,))
+
+
+def test_blocks_are_copies():
+    # a view of the caller's blocks, taken before, must not reach the form
+    blocks = np.stack([np.eye(2, dtype=complex)] * 3)
+    view = blocks[:]
+    form = BlockPermutation([2, 0, 1], blocks)
+    view[0, 0, 0] = 5.0
+    assert form.blocks[0, 0, 0] == 1.0
+    assert blocks.flags.writeable
+    # a dense generator is read into fresh blocks and left as it was
+    bundle = built_bundle("semigroup")
+    v = bundle.unitary
+    again = rebuilt(bundle, (v,))
+    v[0, 0] += 1.0
+    assert np.array_equal(again.unitary, bundle.unitary)
 
 
 def test_block_powers_match_matrix_power():
