@@ -1,7 +1,8 @@
 """Quantum channels as finite Kraus families.
 
-A channel stores Kraus operators of shape (dim_out, dim_in) plus a
-picture flag:
+A channel stores its r Kraus operators of shape (dim_out, dim_in) as one
+(r, dim_out, dim_in) array, so composition, the Choi operator and the
+Kraus-sum identity are each one array product, plus a picture flag:
 
 * ``schroedinger`` acts on states,      A -> sum_i c_i K_i A K_i^dag,
   and is trace preserving when sum_i c_i K_i^dag K_i == id;
@@ -25,7 +26,7 @@ pieces are row-major vectorizations of the Kraus operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +53,10 @@ class KrausChannel:
 
     ``dim_in``/``dim_out`` always refer to the Schroedinger orientation
     (the Kraus operators are dim_out x dim_in); the Heisenberg action of
-    the same stored family runs in the reverse direction.
+    the same stored family runs in the reverse direction.  The operators
+    are held as one read-only (r, dim_out, dim_in) array, ``stack``,
+    validated once; ``kraus`` is the tuple of its r views.  ``kraus`` may
+    be given as such an array or as a sequence of matrices, and is copied.
     """
 
     dim_in: int
@@ -60,27 +64,32 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
     picture: str = SCHROEDINGER
     coefficients: tuple[float, ...] | None = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("channel dimensions must be positive")
         if self.picture not in (SCHROEDINGER, HEISENBERG):
             raise ValueError(f"unknown picture {self.picture!r}")
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus:
-            m = frozen_matrix(k)
-            if m.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator of shape {m.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
-            ops.append(m)
-        object.__setattr__(self, "kraus", tuple(ops))
+        try:
+            stack = np.array(self.kraus, dtype=np.complex128)  # a C-order copy
+        except ValueError as exc:
+            raise ValueError("Kraus operators differ in shape") from exc
+        if stack.ndim != 3 or stack.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(
+                f"Kraus operators of shape {stack.shape[1:]} do not match "
+                f"({self.dim_out}, {self.dim_in})"
+            )
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("Kraus operators contain NaN or Inf entries")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
         if self.coefficients is not None:
             coeffs = tuple(float(c) for c in self.coefficients)
-            if len(coeffs) != len(ops):
+            if len(coeffs) != len(stack):
                 raise ValueError("coefficients and Kraus list differ in length")
             if not all(math.isfinite(c) for c in coeffs):
                 raise ValueError("coefficients must be finite reals")
@@ -92,6 +101,11 @@ class KrausChannel:
 
     def coeffs(self) -> tuple[float, ...]:
         return self.coefficients if self.coefficients is not None else (1.0,) * len(self.kraus)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The coefficients as an array of length r."""
+        return np.array(self.coeffs(), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -192,34 +206,33 @@ def apply_superoperator(m, a) -> np.ndarray:
     return unvec(image, (d_out, d_out))
 
 
-def _choi_of(ops, coeffs) -> np.ndarray:
-    n = ops[0].size
-    c = np.zeros((n, n), dtype=np.complex128)
-    for w, k in zip(coeffs, ops):
-        r = k.reshape(-1)  # row-major vec matches the out (x) in layout
-        c += w * np.outer(r, r.conj())
-    return c
+def _choi_of(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i c_i r_i r_i^dag over the row-major vecs r_i of a Kraus stack
+    (the out (x) in layout), as one product R^T diag(c) conj(R)."""
+    rows = stack.reshape(len(stack), -1)
+    return (rows.T * weights) @ rows.conj()
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
     """Choi operator (T (x) id)(|Omega><Omega|) of a Schroedinger channel."""
     if ch.picture != SCHROEDINGER:
         raise ValueError("choi is defined on the schroedinger picture")
-    return ChoiMatrix(_choi_of(ch.kraus, ch.coeffs()), ch.dim_in, ch.dim_out)
+    return ChoiMatrix(_choi_of(ch.stack, ch.weights), ch.dim_in, ch.dim_out)
 
 
 def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport:
     """Certify complete positivity (Choi PSD) and trace preservation or
     unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id)."""
-    acting = ch.kraus if ch.picture == SCHROEDINGER else tuple(k.conj().T for k in ch.kraus)
-    choi_matrix = _choi_of(acting, ch.coeffs())
+    weights = ch.weights
+    acting = ch.stack if ch.picture == SCHROEDINGER else ch.stack.conj().transpose(0, 2, 1)
+    choi_matrix = _choi_of(acting, weights)
     herm_violation = float(np.linalg.norm(choi_matrix - choi_matrix.conj().T))
     eigenvalues = np.linalg.eigvalsh(hermitize(choi_matrix))
     cp_violation = max(herm_violation, max(0.0, float(-eigenvalues.min())))
 
-    ksum = np.zeros((ch.dim_in, ch.dim_in), dtype=np.complex128)
-    for c, k in zip(ch.coeffs(), ch.kraus):
-        ksum += c * (k.conj().T @ k)
+    # sum_i c_i K_i^dag K_i over the rows of every K_i, one product
+    rows = ch.stack.reshape(-1, ch.dim_in)
+    ksum = (rows.conj().T * np.repeat(weights, ch.dim_out)) @ rows
     tp_violation = float(np.linalg.norm(ksum - np.eye(ch.dim_in)))
 
     return CertificationReport(
@@ -246,14 +259,10 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {eigenvalues.min():.3e})")
     if top <= 0.0:
         raise ValueError("Choi matrix is zero; no Kraus family exists")
-    cutoff = tol * top
-    ops = []
-    for i in reversed(range(eigenvalues.size)):
-        if eigenvalues[i] <= cutoff:
-            break
-        k = math.sqrt(float(eigenvalues[i])) * vectors[:, i].reshape(c.dim_out, c.dim_in)
-        ops.append(k)
-    return KrausChannel(c.dim_in, c.dim_out, tuple(ops))
+    # eigenvalues ascend, so the kept ones are a suffix; take it largest first
+    kept = np.flatnonzero(eigenvalues > tol * top)[::-1]
+    scaled = vectors[:, kept] * np.sqrt(eigenvalues[kept])
+    return KrausChannel(c.dim_in, c.dim_out, scaled.T.reshape(-1, c.dim_out, c.dim_in))
 
 
 def _cap_kraus_rank(ch: KrausChannel) -> KrausChannel:
@@ -264,12 +273,16 @@ def _cap_kraus_rank(ch: KrausChannel) -> KrausChannel:
         return ch
     if ch.coefficients is not None and any(w < 0 for w in ch.coefficients):
         return ch  # signed maps keep their explicit list
-    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.kraus, ch.coeffs()), ch.dim_in, ch.dim_out))
-    return KrausChannel(ch.dim_in, ch.dim_out, fresh.kraus, picture=ch.picture)
+    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.stack, ch.weights), ch.dim_in, ch.dim_out))
+    return KrausChannel(ch.dim_in, ch.dim_out, fresh.stack, picture=ch.picture)
 
 
 def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
-    """The composite map t1 after t2, with Kraus-rank re-extraction."""
+    """The composite map t1 after t2, with Kraus-rank re-extraction.
+
+    Every product of a left and a right operator in one broadcast matmul,
+    left index slow, so the stack equals the pairwise products bit for bit;
+    the coefficients multiply as an outer product in the same order."""
     if t1.picture != t2.picture:
         raise ValueError("cannot compose channels in different pictures")
     if t1.picture == SCHROEDINGER:
@@ -277,8 +290,7 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
             raise ValueError(
                 f"dimension mismatch: t1 consumes {t1.dim_in}, t2 produces {t2.dim_out}"
             )
-        kraus = tuple(a @ b for a in t1.kraus for b in t2.kraus)
-        coeffs = tuple(x * y for x in t1.coeffs() for y in t2.coeffs())
+        left, right = t1, t2
         dim_in, dim_out = t2.dim_in, t1.dim_out
     else:
         # B -> t1(t2(B)) = sum (K2 K1)^dag B (K2 K1) in the stored orientation
@@ -286,22 +298,26 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
             raise ValueError(
                 f"dimension mismatch: t1 consumes {t1.dim_out}, t2 produces {t2.dim_in}"
             )
-        kraus = tuple(b @ a for b in t2.kraus for a in t1.kraus)
-        coeffs = tuple(y * x for y in t2.coeffs() for x in t1.coeffs())
+        left, right = t2, t1
         dim_in, dim_out = t1.dim_in, t2.dim_out
-    trivial = all(c == 1.0 for c in coeffs)
-    ch = KrausChannel(dim_in, dim_out, kraus, picture=t1.picture,
+    stack = (left.stack[:, np.newaxis] @ right.stack[np.newaxis]).reshape(-1, dim_out, dim_in)
+    coeffs = np.outer(left.weights, right.weights).ravel()
+    trivial = bool(np.all(coeffs == 1.0))
+    ch = KrausChannel(dim_in, dim_out, stack, picture=t1.picture,
                       coefficients=None if trivial else coeffs)
     return _cap_kraus_rank(ch)
 
 
-def power(t: KrausChannel, n: int) -> KrausChannel:
+def power(t: KrausChannel, n: int, known: dict[int, KrausChannel] | None = None) -> KrausChannel:
     """The n-th iterate of a square channel; n == 0 is the identity channel.
 
-    Repeated squaring: floor(log2 n) squarings and popcount(n) - 1 further
-    compositions, so a caller needing every power up to N makes
-    O(N log N) compositions instead of O(N^2).  All factors are powers
-    of t and commute, so only rounding depends on the order.
+    Repeated squaring: T^n = T^(n - h) T^h for the top bit h of n, and
+    T^2h = T^h T^h, so one call makes floor(log2 n) + popcount(n) - 1
+    compositions.  ``known`` maps exponents to powers of t already formed;
+    it is read and filled, so a caller tabulating T^1 .. T^N through one
+    dict makes one composition per exponent, and every entry is the same
+    channel, bit for bit, as a fresh ``power(t, e)``.  All factors are
+    powers of t and commute, so only rounding depends on the order.
     """
     if not t.is_square:
         raise ValueError("powers need a square channel")
@@ -309,14 +325,17 @@ def power(t: KrausChannel, n: int) -> KrausChannel:
         raise ValueError("negative powers are not defined for channels")
     if n == 0:
         return identity_channel(t.dim_in, picture=t.picture)
-    result, square = None, t
-    while True:
-        if n & 1:
-            result = square if result is None else compose(result, square)
-        n >>= 1
-        if not n:
-            return result
-        square = compose(square, square)
+    known = {} if known is None else known
+    known.setdefault(1, t)
+
+    def walk(e: int) -> KrausChannel:
+        if e not in known:
+            h = 1 << (e.bit_length() - 1)
+            pair = (walk(h >> 1), walk(h >> 1)) if e == h else (walk(e - h), walk(h))
+            known[e] = compose(*pair)
+        return known[e]
+
+    return walk(n)
 
 
 def convex_combine(channels, weights) -> KrausChannel:
@@ -333,15 +352,11 @@ def convex_combine(channels, weights) -> KrausChannel:
     for ch in channels[1:]:
         if (ch.dim_in, ch.dim_out, ch.picture) != (first.dim_in, first.dim_out, first.picture):
             raise ValueError("mixture members must share dimensions and picture")
-    kraus: list[np.ndarray] = []
-    coeffs: list[float] = []
-    for w, ch in zip(weights, channels):
-        root = math.sqrt(w)
-        kraus.extend(root * k for k in ch.kraus)
-        coeffs.extend(ch.coeffs())
-    trivial = all(c == 1.0 for c in coeffs)
-    out = KrausChannel(first.dim_in, first.dim_out, tuple(kraus), picture=first.picture,
-                       coefficients=None if trivial else tuple(coeffs))
+    stack = np.concatenate([math.sqrt(w) * ch.stack for w, ch in zip(weights, channels)])
+    coeffs = np.concatenate([ch.weights for ch in channels])
+    trivial = bool(np.all(coeffs == 1.0))
+    out = KrausChannel(first.dim_in, first.dim_out, stack, picture=first.picture,
+                       coefficients=None if trivial else coeffs)
     return _cap_kraus_rank(out)
 
 
@@ -349,7 +364,7 @@ def dual(t: KrausChannel) -> KrausChannel:
     """The adjoint with respect to tr(B T(A)) == tr(T*(B) A): same Kraus
     family, opposite picture.  An involution in finite dimension."""
     flipped = HEISENBERG if t.picture == SCHROEDINGER else SCHROEDINGER
-    return KrausChannel(t.dim_in, t.dim_out, t.kraus, picture=flipped,
+    return KrausChannel(t.dim_in, t.dim_out, t.stack, picture=flipped,
                         coefficients=t.coefficients)
 
 
@@ -392,8 +407,7 @@ def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim * rank, dim)) + 1j * rng.standard_normal((dim * rank, dim))
     q, _ = np.linalg.qr(g)
-    kraus = tuple(q[i * dim:(i + 1) * dim, :] for i in range(rank))
-    return KrausChannel(dim, dim, kraus)
+    return KrausChannel(dim, dim, q.reshape(rank, dim, dim))
 
 
 def require_accepted(ch: KrausChannel, tol: float = CPTP_ATOL) -> None:

@@ -9,6 +9,7 @@ DILATIO_MAX_DIM overrides the dilation builders' memory guards.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -68,7 +69,15 @@ def _guard_limit(args, default: int) -> int:
     return int(env)
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is negative or not finite (NaN passes no
+    comparison and inf passes every one), before any file is read."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ChannelFormatError(f"--tol must be a finite nonnegative number, got {tol!r}")
+
+
 def cmd_check(args) -> int:
+    _check_tol(args.tol)
     ch = load_channel(args.channel)
     report = verify_cptp(ch, args.tol)
     _emit(
@@ -114,6 +123,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)
     bundle = load_bundle(args.bundle)
     inputs = {"bundle": file_digest(args.bundle), "channel": file_digest(args.channel)}
     ch = _load_checked(args.channel, not args.no_verify)

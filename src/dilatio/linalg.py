@@ -205,6 +205,41 @@ def is_pure_state(rho, tol: float = HERMITIAN_ATOL) -> bool:
     return m.shape[0] == 1 or bool(eigenvalues[-2] <= tol)
 
 
+def pure_state_vector(state, dim: int, tol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """A read-only psi with |psi><psi| the given pure state on C^dim.
+
+    ``state`` is either psi itself, which must have unit norm within tol,
+    or a dense omega.  omega is reduced to its column at its largest
+    diagonal entry, divided by the square root of that entry (psi up to a
+    global phase), and accepted when ||omega - omega^dag||_F,
+    |tr omega - 1| and ||omega - psi psi^dag||_F are each at most tol.
+    By Weyl's inequality the last bounds every eigenvalue of the Hermitian
+    part of omega but the largest by tol, so this O(dim^2) check is no
+    weaker than is_pure_state's eigendecomposition.
+    """
+    a = np.asarray(state, dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("state contains NaN or Inf entries")
+    if a.shape == (dim,):
+        psi = a.copy()
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > tol:
+            raise ValueError(f"state vector has norm {norm:.12g}, not 1")
+    elif a.shape == (dim, dim):
+        if float(np.linalg.norm(a - a.conj().T)) > tol:
+            raise ValueError("state is not Hermitian within tolerance")
+        if abs(np.trace(a) - 1.0) > tol:
+            raise ValueError(f"state trace {np.trace(a):.12g} differs from 1")
+        j = int(np.argmax(a.diagonal().real))
+        psi = a[:, j] / np.sqrt(a[j, j].real)
+        if float(np.linalg.norm(a - np.outer(psi, psi.conj()))) > tol:
+            raise ValueError("state is not pure within tolerance")
+    else:
+        raise ValueError(f"state of shape {a.shape}, expected ({dim},) or ({dim}, {dim})")
+    psi.flags.writeable = False
+    return psi
+
+
 def unitarity_residual(a) -> float:
     """||A^dag A - I||_F, or inf for a matrix that is not square.  A stack
     of square blocks (L, b, b) gets the same norm over the whole stack,

@@ -10,7 +10,9 @@ j < k, register j.  Its block at cell c is u(x) u(x - delta)^dag at
 x = c * delta, which is 0 on the registers it does not shift, and cell c
 reads cell (c - delta) mod L (``shift_generator``).  A pure omega pins the
 walker to an origin cell, so a word of generators telescopes to the
-unitary of its endpoint.  Cyclic bundles re-key the one-channel table so
+unitary of its endpoint.  The table takes one power table per channel,
+built through one shared dict of known powers, so T^1 .. T^N cost N - 1
+compositions.  Cyclic bundles re-key the one-channel table so
 the register closes into the cycle.  Every reconstruction is
 tr_K(w (A (x) omega) w^dag) for a word w = G_1^e_1 G_2^e_2 ... in the
 generators.
@@ -24,8 +26,12 @@ a register generator never needs a D x D product.  A generator outside
 that pattern is the one-cell form L = 1, b = D, which runs through the
 same code.
 
-omega = |psi><psi| is pure, so the reconstruction depends only on the d
-columns C = w J of the word applied to the embedding J : x -> x (x) psi:
+omega = |psi><psi| is pure, and a bundle holds psi, not the anc x anc
+matrix (anc = d^2 L^k): a build passes the basis vector e_0 (x) e_origin, a
+dense omega (a v1 file, a test) is reduced to psi by three O(anc^2) norms
+instead of an O(anc^3) eigendecomposition, and ``omega`` is built only on
+demand.  The reconstruction depends only on the d columns C = w J of the
+word applied to the embedding J : x -> x (x) psi:
 tr_K(w (A (x) omega) w^dag) = tr_K(C A C^dag).  ``word_columns`` applies
 the generators to J one product G @ C at a time, and ``_reduce`` takes
 the partial trace of C A C^dag in one contraction.  A word one generator
@@ -56,13 +62,11 @@ from .channels import (
 from .errors import HorizonError, MemoryGuardError
 from .linalg import (
     as_complex_matrix,
-    basis_state,
     check_density_matrix,
-    frozen_matrix,
-    is_pure_state,
     is_unitary,
     kron,
     matrix_units,
+    pure_state_vector,
     trace_norm,
 )
 from .stinespring import stinespring_unitary
@@ -168,20 +172,23 @@ class BlockPermutation:
 @dataclass(frozen=True, init=False)
 class RegisterDilation:
     """Generators (V,), or (U, V) for a control pair (T, S), and a pure
-    omega on K~ (x) registers.  ``registers`` is (N + 1,) for horizon N,
-    (m,) for period m, or (N + 1, N + 1) for a control bundle.  The
-    generators come dense or as block permutations and are held as block
-    permutations (``forms``); ``generators`` and the ``unitary``
-    properties build the dense D x D matrices on demand."""
+    state omega = |psi><psi| on K~ (x) registers.  ``registers`` is
+    (N + 1,) for horizon N, (m,) for period m, or (N + 1, N + 1) for a
+    control bundle.  The generators come dense or as block permutations and
+    are held as block permutations (``forms``); ``generators`` and the
+    ``unitary`` properties build the dense D x D matrices on demand.  The
+    state comes as the vector psi or as a dense omega, which is reduced to
+    psi (``linalg.pure_state_vector``); ``omega`` builds the dense matrix
+    on demand."""
 
     mode: str
     dim: int
     ancilla_dim: int
     registers: tuple[int, ...]
     forms: tuple[BlockPermutation, ...]
-    omega: np.ndarray
+    psi: np.ndarray
 
-    def __init__(self, mode, dim, ancilla_dim, registers, generators, omega):
+    def __init__(self, mode, dim, ancilla_dim, registers, generators, state):
         if mode not in SHIFTS:
             raise ValueError(f"unknown dilation mode {mode!r}")
         count = len(SHIFTS[mode])
@@ -207,14 +214,20 @@ class RegisterDilation:
             if not is_unitary(g.blocks):
                 raise ValueError("bundle operator is not unitary within 1e-10")
             forms.append(g)
-        w = frozen_matrix(omega)
-        if w.shape != (anc, anc) or not is_pure_state(w):
-            raise ValueError("bundle ancilla state must be pure on K~ (x) the registers")
+        try:
+            psi = pure_state_vector(state, anc)
+        except ValueError as exc:
+            raise ValueError(f"bundle ancilla state on K~ (x) the registers: {exc}") from exc
         for name, value in (
             ("mode", mode), ("dim", dim), ("ancilla_dim", ancilla_dim),
-            ("registers", registers), ("forms", tuple(forms)), ("omega", w),
+            ("registers", registers), ("forms", tuple(forms)), ("psi", psi),
         ):
             object.__setattr__(self, name, value)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The dense ancilla state |psi><psi|."""
+        return np.outer(self.psi, self.psi.conj())
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -266,11 +279,15 @@ def word_unitaries(
 ) -> dict[tuple[int, ...], np.ndarray]:
     """The Stinespring unitary of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e)
     on each cell (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, from one
-    power table per channel and k - 1 compositions per word."""
+    power table per channel (n_steps - 1 compositions) and k - 1
+    compositions per word."""
     k = len(channels)
     # one channel's words are its powers 1..N; with more, every exponent 0..N occurs
     exponents = range(1 if k == 1 else 0, n_steps + 1)
-    powers = [{e: power(ch, e) for e in exponents} for ch in channels]
+    powers = []
+    for ch in channels:
+        known = {}  # shared by the channel's exponents: one composition each
+        powers.append({e: power(ch, e, known) for e in exponents})
     table = {}
     for total in range(1, n_steps + 1):
         for head in product(range(total + 1), repeat=k - 1):
@@ -329,10 +346,10 @@ def build_register_dilation(
         origin = (n_steps,)
     eye = np.eye(d ** 3, dtype=np.complex128)
     forms = [shift_generator(table, registers, shift, eye) for shift in SHIFTS[mode]]
-    omega = kron(
-        basis_state(0, d * d), basis_state(int(np.ravel_multi_index(origin, registers)), cells)
-    )
-    return RegisterDilation(mode, d, d * d, registers, forms, omega)
+    # psi = e_0 (x) e_origin on K~ (x) the registers
+    psi = np.zeros(d * d * cells, dtype=np.complex128)
+    psi[np.ravel_multi_index(origin, registers)] = 1.0
+    return RegisterDilation(mode, d, d * d, registers, forms, psi)
 
 
 def check_horizon(bundle: RegisterDilation, n: int) -> None:
@@ -350,13 +367,8 @@ def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
 
 
 def _embedding(bundle: RegisterDilation) -> np.ndarray:
-    """J = id (x) psi as a D x d array, with omega = |psi><psi|: psi is
-    omega's column at its largest diagonal entry, normalised (exact up to a
-    phase that every reconstruction cancels, since omega is pure)."""
-    w = bundle.omega
-    j = int(np.argmax(w.diagonal().real))
-    psi = w[:, j:j + 1] / np.sqrt(w[j, j].real)
-    return kron(np.eye(bundle.dim, dtype=np.complex128), psi)
+    """J = id (x) psi as a D x d array, with omega = |psi><psi|."""
+    return kron(np.eye(bundle.dim, dtype=np.complex128), bundle.psi[:, np.newaxis])
 
 
 def _apply_power(g: BlockPermutation, e: int, c: np.ndarray) -> np.ndarray:

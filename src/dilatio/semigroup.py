@@ -5,10 +5,11 @@ Z_L a cyclic shift register of length L = N + 1.  For 0 <= n <= N,
 
     T^n(A) == tr_K(V^n (A (x) omega) (V^dag)^n),
 
-with omega pure on K~ (x) Z_L.  The bi-infinite shift of the underlying
-construction is truncated to the cyclic group Z_L; powers up to the
-horizon never wrap, so the truncation is exact there, and anything past
-the horizon is refused instead of silently wrapping.
+with omega = |psi><psi| pure on K~ (x) Z_L, held as the vector psi
+(psi = e_0 (x) e_0 for a built bundle).  The bi-infinite shift of the
+underlying construction is truncated to the cyclic group Z_L; powers up
+to the horizon never wrap, so the truncation is exact there, and
+anything past the horizon is refused instead of silently wrapping.
 
 V is the one-channel register build: cell n carries the Stinespring
 unitary u(n) of T^n (the identity at cell 0) and V the block
@@ -42,7 +43,8 @@ DEFAULT_MAX_TOTAL_DIM = 4096
 def DilationBundle(
     dim: int, ancilla_dim: int, shift_dim: int, unitary, omega, horizon: int
 ) -> RegisterDilation:
-    """V, omega and the validity horizon of a semigroup dilation."""
+    """V, the ancilla state (the vector psi or a dense pure omega) and the
+    validity horizon of a semigroup dilation."""
     if horizon != shift_dim - 1:
         raise ValueError("horizon must equal shift_dim - 1")
     return RegisterDilation("semigroup", dim, ancilla_dim, (shift_dim,), (unitary,), omega)

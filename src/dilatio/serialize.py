@@ -74,7 +74,8 @@ def blob_to_matrix(blob: str, rows: int, cols: int, field: str) -> np.ndarray:
         raise ChannelFormatError(
             f"field '{field}': blob of {len(raw)} bytes, expected {expected}"
         )
-    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(np.complex128)
+    # a read-only view of the decoded bytes: every reader copies what it keeps
+    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols)
 
 
 _JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
@@ -249,7 +250,7 @@ def bundle_from_dict(doc: dict) -> RegisterDilation:
             ancilla_dim=shape[1],
             registers=tuple(shape[2:]),
             generators=tuple(_entry_matrix(doc, name) for name in blobs),
-            omega=_entry_matrix(doc, "omega"),
+            state=_entry_matrix(doc, "omega"),
         )
     except ValueError as exc:
         raise ChannelFormatError(f"{where}: {exc}") from exc

@@ -85,14 +85,15 @@ class UnitaryDilation:
         return partial_trace_state(big, [self.dim, self.ancilla_dim], self.omega)
 
 
-def _plain_kraus(ch: KrausChannel) -> tuple[np.ndarray, ...]:
-    """A coefficient-free Kraus list for an accepted (hence CP) channel."""
+def _plain_kraus(ch: KrausChannel) -> np.ndarray:
+    """A coefficient-free Kraus stack for an accepted (hence CP) channel."""
     if ch.coefficients is None:
-        return ch.kraus
-    if all(c >= 0 for c in ch.coefficients):
-        return tuple(np.sqrt(c) * k for c, k in zip(ch.coefficients, ch.kraus))
-    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.kraus, ch.coeffs()), ch.dim_in, ch.dim_out))
-    return fresh.kraus
+        return ch.stack
+    weights = ch.weights
+    if np.all(weights >= 0):
+        return np.sqrt(weights)[:, np.newaxis, np.newaxis] * ch.stack
+    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.stack, weights), ch.dim_in, ch.dim_out))
+    return fresh.stack
 
 
 def _spread_embedding_columns(completed: np.ndarray, dim: int, ancilla_dim: int) -> np.ndarray:
@@ -127,12 +128,10 @@ def stinespring_unitary(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDila
     ancilla_dim = d * d
     ops = _plain_kraus(ch)
     if len(ops) > ancilla_dim:
-        fresh = kraus_from_choi(ChoiMatrix(_choi_of(ops, (1.0,) * len(ops)), d, d))
-        ops = fresh.kraus
+        ops = kraus_from_choi(ChoiMatrix(_choi_of(ops, np.ones(len(ops))), d, d)).stack
 
     iso = np.zeros((d, ancilla_dim, d), dtype=np.complex128)
-    for i, k in enumerate(ops):
-        iso[:, i, :] = k
+    iso[:, :len(ops), :] = ops.transpose(1, 0, 2)
     completed = complete_isometry_to_unitary(iso.reshape(d * ancilla_dim, d))
     unitary = _spread_embedding_columns(completed, d, ancilla_dim)
     return UnitaryDilation(unitary, d, ancilla_dim, basis_state(0, ancilla_dim))

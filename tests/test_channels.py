@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from dilatio.channels import (
+    HEISENBERG,
+    SCHROEDINGER,
+    ChoiMatrix,
     KrausChannel,
     apply_channel,
     apply_superoperator,
@@ -28,6 +31,7 @@ from helpers import (
     kraus_apply,
     kraus_apply_dual,
     random_density,
+    random_isometry,
     random_matrix,
 )
 
@@ -178,6 +182,128 @@ def compose_calls(monkeypatch):
     return calls
 
 
+def rectangular_channel(d_in, d_out, rank, seed):
+    """A d_in -> d_out channel from a seeded random isometry, cut into blocks."""
+    q = random_isometry(d_out * rank, d_in, np.random.default_rng(seed))
+    return KrausChannel(d_in, d_out, tuple(q[i * d_out:(i + 1) * d_out] for i in range(rank)))
+
+
+def per_operator_compose(t1, t2):
+    """The composite's Kraus list and coefficients, one product at a time."""
+    if t1.picture == SCHROEDINGER:
+        return ([a @ b for a in t1.kraus for b in t2.kraus],
+                [x * y for x in t1.coeffs() for y in t2.coeffs()])
+    return ([b @ a for b in t2.kraus for a in t1.kraus],
+            [y * x for y in t2.coeffs() for x in t1.coeffs()])
+
+
+def per_operator_choi(kraus, coefficients):
+    """sum_i c_i vec(K_i) vec(K_i)^dag with row-major vecs, one outer product at a time."""
+    n = kraus[0].size
+    c = np.zeros((n, n), dtype=complex)
+    for w, k in zip(coefficients, kraus):
+        c += w * np.outer(k.reshape(-1), k.reshape(-1).conj())
+    return c
+
+
+def per_operator_kraus_sum(kraus, coefficients):
+    return sum(w * (k.conj().T @ k) for w, k in zip(coefficients, kraus))
+
+
+# (t1, t2) pairs whose composites stay within the rank bound or are signed,
+# so the stacked composite is never re-extracted
+UNCAPPED_PAIRS = {
+    "schroedinger": (random_channel(2, 2, seed=80), random_channel(2, 2, seed=81)),
+    "heisenberg": (dual(random_channel(2, 2, seed=82)), dual(random_channel(2, 2, seed=83))),
+    "signed-transpose": (transpose_channel(), amplitude_damping(0.3)),
+    "rectangular-2-3": (rectangular_channel(2, 3, 2, seed=84), random_channel(2, 2, seed=85)),
+    "rectangular-heisenberg": (
+        dual(random_channel(2, 2, seed=86)), dual(rectangular_channel(2, 3, 2, seed=87))
+    ),
+}
+CHANNELS = {
+    "schroedinger": random_channel(3, 4, seed=88),
+    "heisenberg": dual(random_channel(3, 4, seed=89)),
+    "signed-transpose": transpose_channel(),
+    "rectangular-2-3": rectangular_channel(2, 3, 3, seed=90),
+}
+
+
+class TestStackedKraus:
+    """The stacked-array paths against per-operator references kept here."""
+
+    @pytest.mark.parametrize("name", UNCAPPED_PAIRS)
+    def test_compose_equals_pairwise_products(self, name):
+        t1, t2 = UNCAPPED_PAIRS[name]
+        kraus, coeffs = per_operator_compose(t1, t2)
+        out = compose(t1, t2)
+        assert out.picture == t1.picture and out.stack.shape == (len(kraus),) + kraus[0].shape
+        np.testing.assert_array_equal(out.stack, np.array(kraus))
+        assert out.coeffs() == tuple(coeffs)
+        assert (out.coefficients is None) is all(c == 1.0 for c in coeffs)
+
+    @pytest.mark.parametrize("picture", [SCHROEDINGER, HEISENBERG])
+    def test_capped_compose_keeps_the_map(self, picture):
+        t1, t2 = random_channel(2, 4, seed=91), random_channel(2, 4, seed=92)
+        if picture == HEISENBERG:
+            t1, t2 = dual(t1), dual(t2)
+        kraus, coeffs = per_operator_compose(t1, t2)
+        out = compose(t1, t2)
+        assert len(out.kraus) == 4 and len(kraus) == 16
+        # stored families induce the same map in one picture iff in the other
+        assert fro(channel_matrix_oracle(out.kraus) - channel_matrix_oracle(kraus, coeffs)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["schroedinger", "signed-transpose", "rectangular-2-3"])
+    def test_choi_equals_outer_product_sum(self, name):
+        ch = CHANNELS[name]
+        expected = per_operator_choi(ch.kraus, ch.coeffs())
+        assert fro(choi(ch).matrix - expected) <= 1e-14
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_certification_equals_per_operator_sums(self, name):
+        ch = CHANNELS[name]
+        acting = ch.kraus if ch.picture == SCHROEDINGER else [k.conj().T for k in ch.kraus]
+        c = per_operator_choi(acting, ch.coeffs())
+        cp = max(fro(c - c.conj().T), max(0.0, -np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min()))
+        tp = fro(per_operator_kraus_sum(ch.kraus, ch.coeffs()) - np.eye(ch.dim_in))
+        report = verify_cptp(ch)
+        assert report.max_violation == pytest.approx(max(cp, tp), abs=1e-13)
+        assert (report.cp, report.tp_or_unital) == (cp <= 1e-10, tp <= 1e-10)
+
+    @pytest.mark.parametrize("name", ["schroedinger", "rectangular-2-3"])
+    def test_kraus_from_choi_equals_per_eigenvector_loop(self, name):
+        ch = CHANNELS[name]
+        c = ChoiMatrix(per_operator_choi(ch.kraus, ch.coeffs()), ch.dim_in, ch.dim_out)
+        eigenvalues, vectors = np.linalg.eigh(0.5 * (c.matrix + c.matrix.conj().T))
+        expected = [
+            np.sqrt(eigenvalues[i]) * vectors[:, i].reshape(ch.dim_out, ch.dim_in)
+            for i in reversed(range(eigenvalues.size))
+            if eigenvalues[i] > 1e-10 * eigenvalues[-1]
+        ]
+        out = kraus_from_choi(c)
+        assert len(expected) == len(ch.kraus)
+        np.testing.assert_array_equal(out.stack, np.array(expected))
+
+    def test_stack_is_read_only_and_kraus_views_it(self):
+        ch = rectangular_channel(2, 3, 3, seed=93)
+        assert ch.stack.shape == (3, 3, 2) and not ch.stack.flags.writeable
+        assert all(np.shares_memory(k, ch.stack) for k in ch.kraus)
+        # a stack argument is copied like a list of operators
+        given = np.array(ch.kraus)
+        again = KrausChannel(2, 3, given)
+        given[0, 0, 0] = 5.0
+        np.testing.assert_array_equal(again.stack, ch.stack)
+
+    @pytest.mark.parametrize("kraus", [
+        (np.eye(2), np.eye(3)),       # operators of different shapes
+        (np.eye(2)[0],),              # not a matrix
+        (np.full((2, 2), np.nan),),   # not finite
+    ])
+    def test_stack_validation(self, kraus):
+        with pytest.raises(ValueError):
+            KrausChannel(2, 2, kraus)
+
+
 class TestPower:
     def test_zeroth_power_is_identity(self):
         t = random_channel(3, rank=2, seed=8)
@@ -238,9 +364,20 @@ class TestPower:
         from dilatio.semigroup import build_semigroup_dilation
 
         build_semigroup_dilation(amplitude_damping(0.3), 95)
-        # one power per step, the per-power bounds summed over n = 1..95;
-        # rebuilding each power by repeated composition took 4465
-        assert len(compose_calls) <= 659
+        # T^2 .. T^95 from one shared table; a fresh power per step took
+        # 659, and rebuilding each power by repeated composition 4465
+        assert len(compose_calls) == 94
+
+    def test_shared_table_is_bit_identical_to_fresh_powers(self, compose_calls):
+        t = random_channel(2, rank=4, seed=46)
+        known = {}
+        table = {e: power(t, e, known) for e in range(1, 131)}
+        assert len(compose_calls) == 129
+        assert known == table  # the same objects, filled as the table grew
+        for e in range(1, 131):
+            fresh = power(t, e)
+            np.testing.assert_array_equal(table[e].stack, fresh.stack, err_msg=str(e))
+            assert table[e].coefficients == fresh.coefficients
 
 
 class TestConvexCombine:

@@ -334,6 +334,19 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_unusable_tolerance_is_input_error_before_any_read(command, tol, tmp_path, capsys):
+    # NaN passes no comparison and inf passes every one; neither may reach
+    # a report, and the files (missing here) are never opened
+    missing = tmp_path / "missing.json"
+    argv = [command, missing] + ([missing] if command == "verify" else []) + ["--tol", tol]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"input error: --tol must be a finite nonnegative number, "
+                                f"got {float(tol)!r}"]
+
+
 class TestEvolve:
     def test_zero_steps_echo(self, corpus, damp_bundle6, tmp_path, capsys):
         code, out, _ = run(

@@ -35,10 +35,12 @@ from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
 from dilatio.fixtures import haar_unitary, rotation_channel
 from dilatio.linalg import (
+    is_pure_state,
     is_unitary,
     matrix_units,
     partial_trace,
     partial_trace_state,
+    pure_state_vector,
     trace_norm,
     unitarity_residual,
 )
@@ -452,3 +454,108 @@ def test_load_and_large_cyclic_evolve_form_no_dense_square(tmp_path, monkeypatch
     total = bundle.dim * bundle.ancilla_dim * bundle.period
     assert shapes["is_unitary"] == [(6, 8, 8)]
     assert all(s[-2:] != (total, total) for s in shapes["matrix_power"])
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "cyclic", "control"])
+def test_built_state_is_a_basis_vector(mode):
+    # psi = e_0 (x) e_origin, and omega the dense kron it replaces, bit for bit
+    bundle = built_bundle(mode)
+    origin = bundle.registers[0] - 1 if mode == "cyclic" else 0
+    cells = int(np.prod(bundle.registers))
+    expected = np.kron(np.eye(bundle.ancilla_dim)[0], np.eye(cells)[origin])
+    np.testing.assert_array_equal(bundle.psi, expected)
+    assert not bundle.psi.flags.writeable
+    np.testing.assert_array_equal(bundle.omega, np.outer(expected, expected).astype(complex))
+
+
+def test_state_vector_and_dense_omega_give_one_bundle():
+    rng = np.random.default_rng(47)
+    d, cells = 2, 3
+    anc = d * d * cells
+    v = haar_unitary(d * anc, rng)
+    psi = rng.standard_normal(anc) + 1j * rng.standard_normal(anc)
+    psi /= np.linalg.norm(psi)
+    omega = np.outer(psi, psi.conj())
+    from_psi = RegisterDilation("semigroup", d, d * d, (cells,), (v,), psi)
+    from_omega = RegisterDilation("semigroup", d, d * d, (cells,), (v,), omega)
+    np.testing.assert_array_equal(from_psi.psi, psi)
+    # the reduction keeps psi up to a global phase, which omega cancels
+    np.testing.assert_allclose(from_psi.omega, omega, atol=1e-15)
+    np.testing.assert_allclose(from_omega.omega, omega, atol=1e-15)
+    for n in range(cells):
+        for a in matrix_units(d) + [random_density(d, rng)]:
+            for keep in (0, 2):
+                np.testing.assert_allclose(
+                    reconstruct(from_psi, (n,), a, keep), reconstruct(from_omega, (n,), a, keep),
+                    atol=1e-14,
+                )
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("mixed", "not pure"),
+    ("non-hermitian", "not Hermitian"),
+    ("trace", "trace"),
+    ("norm", "norm"),
+    ("shape", "shape"),
+])
+def test_impure_or_unnormalised_states_are_refused(defect, message):
+    rng = np.random.default_rng(48)
+    bundle = built_bundle("semigroup")
+    anc = bundle.ancilla_dim * bundle.shift_dim
+    psi = rng.standard_normal(anc) + 1j * rng.standard_normal(anc)
+    psi /= np.linalg.norm(psi)
+    phi = np.roll(psi, 1)
+    phi -= np.vdot(psi, phi) * psi
+    phi /= np.linalg.norm(phi)
+    state = {
+        "mixed": 0.999 * np.outer(psi, psi.conj()) + 0.001 * np.outer(phi, phi.conj()),
+        "non-hermitian": np.outer(psi, psi.conj()) + 1e-6j * np.outer(psi, phi.conj()),
+        "trace": 1.001 * np.outer(psi, psi.conj()),
+        "norm": 1.001 * psi,
+        "shape": psi[1:],
+    }[defect]
+    with pytest.raises(ValueError, match=message):
+        RegisterDilation("semigroup", bundle.dim, bundle.ancilla_dim, bundle.registers,
+                         bundle.forms, state)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-12, 0.5e-10, 2e-10, 1e-6, 0.3])
+def test_dense_state_check_is_no_weaker_than_the_spectrum(weight):
+    # (1 - w)|a><a| + w|b><b|: wherever the norm checks accept, the
+    # eigenvalue test accepts too (Weyl's inequality)
+    q, _ = np.linalg.qr(random_matrix(12, np.random.default_rng(49)))
+    rho = q @ np.diag([1 - weight, weight] + [0.0] * 10) @ q.conj().T
+    try:
+        pure_state_vector(rho, 12)
+    except ValueError:
+        assert weight > 0
+    else:
+        assert is_pure_state(rho)
+
+
+def test_guard_build_composes_once_per_power_and_decomposes_no_wide_matrix(monkeypatch):
+    # the d = 3 N = 150 guard build (D = 4077): one composition per power
+    # T^2 .. T^150, and no eigendecomposition wider than a 9 x 9 Choi matrix
+    from dilatio import channels, register
+
+    calls, widths = [], []
+    original = channels.compose
+
+    def counting(t1, t2):
+        calls.append(1)
+        return original(t1, t2)
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(channels, "compose", counting)
+    monkeypatch.setattr(register, "compose", counting)
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    bundle = build_semigroup_dilation(random_channel(3, 9, 1), 150)
+    assert bundle.forms[0].dim == 4077
+    assert len(calls) == 149
+    assert widths and max(widths) <= 9

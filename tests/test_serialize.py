@@ -67,7 +67,8 @@ class TestMatrixEncodings:
         m[0, 1] = complex(-0.0, -0.0)
         m[3, 2] = complex(5e-324, -1e308)
         again = blob_to_matrix(matrix_to_blob(m), 4, 3, "x")
-        assert again.dtype == np.complex128 and again.flags.writeable
+        # a read-only view of the decoded bytes, not a copy
+        assert again.dtype == np.complex128 and not again.flags.writeable
         assert again.tobytes() == m.tobytes()
 
     def test_signed_coefficients_roundtrip(self):
