@@ -16,6 +16,11 @@ Hermiticity-preserving map can be written that way, which is what makes
 non-CP test fixtures such as the transpose map expressible in the same
 container while keeping the Choi positivity test meaningful.
 
+Both pictures act by one rule, X -> sum_i c_i A_i X A_i^dag over the
+acting stack A_i = K_i (Schroedinger) or K_i^dag (Heisenberg).  One
+re-extraction keeps families at most dim_in * dim_out long: the Choi
+eigenvectors above the rounding floor KEEP_RTOL * lambda_max.
+
 Superoperators use column-stacking vectorization,
 vec(X A Y) == (Y^T (x) X) vec(A), so a Schroedinger channel has matrix
 sum_i c_i conj(K_i) (x) K_i.  Choi operators use the unnormalized
@@ -45,6 +50,10 @@ HEISENBERG = "heisenberg"
 CPTP_ATOL = 1e-10
 # Choi eigenvalues at or below RANK_RTOL * (largest eigenvalue) count as zero.
 RANK_RTOL = 1e-10
+# Re-extraction keeps every Choi eigenvalue above KEEP_RTOL * (largest): a
+# dropped eigenvalue is trace the Kraus sum loses (a cut at RANK_RTOL sheds
+# up to CPTP_ATOL per composition), and Choi sums round near 1e-16 * largest.
+KEEP_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -149,20 +158,20 @@ def unitary_channel(u, picture: str = SCHROEDINGER) -> KrausChannel:
     return KrausChannel(m.shape[0], m.shape[0], (m,), picture=picture)
 
 
+def _acting(ch: KrausChannel) -> np.ndarray:
+    """K_i (Schroedinger) or K_i^dag (Heisenberg): X -> sum_i c_i A_i X A_i^dag."""
+    return ch.stack if ch.picture == SCHROEDINGER else ch.stack.conj().transpose(0, 2, 1)
+
+
 def apply_channel(ch: KrausChannel, a) -> np.ndarray:
     """Apply the channel map to an operator of the appropriate size."""
     m = as_complex_matrix(a)
-    side = ch.dim_in if ch.picture == SCHROEDINGER else ch.dim_out
+    acting = _acting(ch)
+    side = acting.shape[2]
     if m.shape != (side, side):
         raise ValueError(f"operator of shape {m.shape} does not match channel input {side}")
-    out = 0
-    if ch.picture == SCHROEDINGER:
-        for c, k in zip(ch.coeffs(), ch.kraus):
-            out = out + c * (k @ m @ k.conj().T)
-    else:
-        for c, k in zip(ch.coeffs(), ch.kraus):
-            out = out + c * (k.conj().T @ m @ k)
-    return out
+    terms = acting @ m @ acting.conj().transpose(0, 2, 1)
+    return np.sum(ch.weights[:, np.newaxis, np.newaxis] * terms, axis=0)
 
 
 def vec(a) -> np.ndarray:
@@ -187,14 +196,12 @@ def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
     This is the brute-force oracle the dilation modules verify against:
     powers of the channel are plain matrix powers of M.
     """
-    blocks = []
-    if ch.picture == SCHROEDINGER:
-        for c, k in zip(ch.coeffs(), ch.kraus):
-            blocks.append(c * np.kron(k.conj(), k))
-    else:
-        for c, k in zip(ch.coeffs(), ch.kraus):
-            blocks.append(c * np.kron(k.T, k.conj().T))
-    return np.sum(blocks, axis=0)
+    acting = _acting(ch)
+    r, rows, cols = acting.shape
+    # conj(A_i) (x) A_i for every i in one broadcast product
+    blocks = acting.conj()[:, :, None, :, None] * acting[:, None, :, None, :]
+    blocks = blocks.reshape(r, rows * rows, cols * cols)
+    return np.sum(ch.weights[:, np.newaxis, np.newaxis] * blocks, axis=0)
 
 
 def apply_superoperator(m, a) -> np.ndarray:
@@ -224,8 +231,7 @@ def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport
     """Certify complete positivity (Choi PSD) and trace preservation or
     unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id)."""
     weights = ch.weights
-    acting = ch.stack if ch.picture == SCHROEDINGER else ch.stack.conj().transpose(0, 2, 1)
-    choi_matrix = _choi_of(acting, weights)
+    choi_matrix = _choi_of(_acting(ch), weights)
     herm_violation = float(np.linalg.norm(choi_matrix - choi_matrix.conj().T))
     eigenvalues = np.linalg.eigvalsh(hermitize(choi_matrix))
     cp_violation = max(herm_violation, max(0.0, float(-eigenvalues.min())))
@@ -259,22 +265,45 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {eigenvalues.min():.3e})")
     if top <= 0.0:
         raise ValueError("Choi matrix is zero; no Kraus family exists")
-    # eigenvalues ascend, so the kept ones are a suffix; take it largest first
-    kept = np.flatnonzero(eigenvalues > tol * top)[::-1]
-    scaled = vectors[:, kept] * np.sqrt(eigenvalues[kept])
-    return KrausChannel(c.dim_in, c.dim_out, scaled.T.reshape(-1, c.dim_out, c.dim_in))
+    stack = _top_kraus(eigenvalues, vectors, tol, (c.dim_out, c.dim_in))
+    return KrausChannel(c.dim_in, c.dim_out, stack)
 
 
-def _cap_kraus_rank(ch: KrausChannel) -> KrausChannel:
-    """Re-extract through the Choi spectrum when compositions blew the list
-    length past dim_in * dim_out.  Two stored lists induce the same map in
-    one picture iff they do in the other, so the extraction is picture-safe."""
-    if len(ch.kraus) <= ch.dim_in * ch.dim_out:
-        return ch
-    if ch.coefficients is not None and any(w < 0 for w in ch.coefficients):
-        return ch  # signed maps keep their explicit list
-    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.stack, ch.weights), ch.dim_in, ch.dim_out))
-    return KrausChannel(ch.dim_in, ch.dim_out, fresh.stack, picture=ch.picture)
+def _top_kraus(eigenvalues, vectors, rtol: float, shape) -> np.ndarray:
+    """sqrt(lambda) v, shaped (dim_out, dim_in), of every Choi eigenpair above
+    rtol * lambda_max, largest first (eigh's eigenvalues ascend)."""
+    kept = np.flatnonzero(eigenvalues > rtol * eigenvalues[-1])[::-1]
+    return (vectors[:, kept] * np.sqrt(eigenvalues[kept])).T.reshape(-1, *shape)
+
+
+def _reextract(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """At most dim_in * dim_out operators with the map of a CP family (in
+    either picture: stored families agree in one iff in the other)."""
+    eigenvalues, vectors = np.linalg.eigh(hermitize(_choi_of(stack, weights)))
+    return _top_kraus(eigenvalues, vectors, KEEP_RTOL, stack.shape[1:])
+
+
+def plain_kraus(ch: KrausChannel) -> np.ndarray:
+    """A coefficient-free stack of at most dim_in * dim_out operators with the
+    map of a CP channel: the stack, scaled by sqrt(c_i) if no c_i is negative,
+    re-extracted if it is longer or signed."""
+    weights = ch.weights
+    if len(ch.stack) > ch.dim_in * ch.dim_out or np.any(weights < 0):
+        return _reextract(ch.stack, weights)
+    if ch.coefficients is None:
+        return ch.stack
+    return np.sqrt(weights)[:, np.newaxis, np.newaxis] * ch.stack
+
+
+def _family(stack: np.ndarray, weights: np.ndarray, picture: str) -> KrausChannel:
+    """The channel of a composite or mixed stack: re-extracted when longer than
+    dim_in * dim_out unless signed, without coefficients when all are one."""
+    dim_out, dim_in = stack.shape[1:]
+    if len(stack) > dim_in * dim_out and np.all(weights >= 0):
+        stack, weights = _reextract(stack, weights), None
+    elif np.all(weights == 1.0):
+        weights = None
+    return KrausChannel(dim_in, dim_out, stack, picture=picture, coefficients=weights)
 
 
 def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
@@ -291,7 +320,6 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
                 f"dimension mismatch: t1 consumes {t1.dim_in}, t2 produces {t2.dim_out}"
             )
         left, right = t1, t2
-        dim_in, dim_out = t2.dim_in, t1.dim_out
     else:
         # B -> t1(t2(B)) = sum (K2 K1)^dag B (K2 K1) in the stored orientation
         if t1.dim_out != t2.dim_in:
@@ -299,13 +327,9 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
                 f"dimension mismatch: t1 consumes {t1.dim_out}, t2 produces {t2.dim_in}"
             )
         left, right = t2, t1
-        dim_in, dim_out = t1.dim_in, t2.dim_out
-    stack = (left.stack[:, np.newaxis] @ right.stack[np.newaxis]).reshape(-1, dim_out, dim_in)
-    coeffs = np.outer(left.weights, right.weights).ravel()
-    trivial = bool(np.all(coeffs == 1.0))
-    ch = KrausChannel(dim_in, dim_out, stack, picture=t1.picture,
-                      coefficients=None if trivial else coeffs)
-    return _cap_kraus_rank(ch)
+    products = left.stack[:, np.newaxis] @ right.stack[np.newaxis]
+    stack = products.reshape(-1, *products.shape[2:])
+    return _family(stack, np.outer(left.weights, right.weights).ravel(), t1.picture)
 
 
 def power(t: KrausChannel, n: int, known: dict[int, KrausChannel] | None = None) -> KrausChannel:
@@ -348,16 +372,11 @@ def convex_combine(channels, weights) -> KrausChannel:
         raise ValueError("weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights sum to {sum(weights)!r}, not 1")
-    first = channels[0]
-    for ch in channels[1:]:
-        if (ch.dim_in, ch.dim_out, ch.picture) != (first.dim_in, first.dim_out, first.picture):
-            raise ValueError("mixture members must share dimensions and picture")
+    if len({(ch.dim_in, ch.dim_out, ch.picture) for ch in channels}) > 1:
+        raise ValueError("mixture members must share dimensions and picture")
     stack = np.concatenate([math.sqrt(w) * ch.stack for w, ch in zip(weights, channels)])
     coeffs = np.concatenate([ch.weights for ch in channels])
-    trivial = bool(np.all(coeffs == 1.0))
-    out = KrausChannel(first.dim_in, first.dim_out, stack, picture=first.picture,
-                       coefficients=None if trivial else coeffs)
-    return _cap_kraus_rank(out)
+    return _family(stack, coeffs, channels[0].picture)
 
 
 def dual(t: KrausChannel) -> KrausChannel:
@@ -385,15 +404,12 @@ def detect_unitary_conjugation(t: KrausChannel, tol: float = 1e-9) -> np.ndarray
     if t.picture != SCHROEDINGER or not t.is_square:
         raise ValueError("unitary detection is defined for square schroedinger channels")
     eigenvalues, vectors = np.linalg.eigh(hermitize(choi(t).matrix))
-    top = float(eigenvalues[-1])
-    if top <= 0.0:
+    if eigenvalues[-1] <= 0.0:
         return None
-    if eigenvalues.size > 1 and float(eigenvalues[-2]) > tol * top:
+    stack = _top_kraus(eigenvalues, vectors, tol, (t.dim_out, t.dim_in))
+    if len(stack) != 1 or np.linalg.norm(stack[0].conj().T @ stack[0] - np.eye(t.dim_in)) > tol:
         return None
-    k = math.sqrt(top) * vectors[:, -1].reshape(t.dim_out, t.dim_in)
-    if np.linalg.norm(k.conj().T @ k - np.eye(t.dim_in)) > tol:
-        return None
-    return _normalize_global_phase(k)
+    return _normalize_global_phase(stack[0])
 
 
 def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
@@ -438,6 +454,7 @@ __all__ = [
     "choi",
     "verify_cptp",
     "kraus_from_choi",
+    "plain_kraus",
     "compose",
     "power",
     "convex_combine",

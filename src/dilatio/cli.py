@@ -96,6 +96,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_dilate(args) -> int:
+    if args.second is not None and args.mode != "control":
+        raise ChannelFormatError(f"--second applies to control mode, not {args.mode}")
     ch = _load_checked(args.channel, not args.no_verify)
     inputs = {"channel": file_digest(args.channel)}
     if args.mode == "semigroup":
@@ -125,6 +127,8 @@ def cmd_dilate(args) -> int:
 def cmd_verify(args) -> int:
     _check_tol(args.tol)
     bundle = load_bundle(args.bundle)
+    if args.second is not None and bundle.mode != "control":
+        raise ChannelFormatError(f"a {bundle.mode} bundle is verified against one channel file")
     inputs = {"bundle": file_digest(args.bundle), "channel": file_digest(args.channel)}
     ch = _load_checked(args.channel, not args.no_verify)
     report_doc = {
@@ -191,8 +195,16 @@ def cmd_fixtures(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1); argparse's own
+    exit 2 would read as a verification failure."""
+
+    def error(self, message):
+        raise ChannelFormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilatio",
         description="Construct and verify unitary dilations of quantum channel semigroups.",
     )
@@ -248,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except HorizonError:
         print("horizon exceeded: rebuild with larger --steps", file=sys.stderr)

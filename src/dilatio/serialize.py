@@ -42,6 +42,19 @@ def matrix_to_pairs(a) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _json_number(value, field: str, idx: int) -> float:
+    """A JSON number (an int or a float, not a bool) as a float; anything
+    else, a numeric string included, is a ChannelFormatError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ChannelFormatError(
+            f"field '{field}': entry {idx} must be a number, got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ChannelFormatError(f"field '{field}': entry {idx} is out of range") from exc
+
+
 def pairs_to_matrix(pairs, rows: int, cols: int, field: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != rows * cols:
         raise ChannelFormatError(
@@ -52,7 +65,7 @@ def pairs_to_matrix(pairs, rows: int, cols: int, field: str) -> np.ndarray:
     for idx, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ChannelFormatError(f"field '{field}': entry {idx} is not a [re, im] pair")
-        out[idx] = complex(float(pair[0]), float(pair[1]))
+        out[idx] = complex(_json_number(pair[0], field, idx), _json_number(pair[1], field, idx))
     if not np.all(np.isfinite(out)):
         raise ChannelFormatError(f"field '{field}': non-finite entries")
     return out.reshape(rows, cols)
@@ -156,7 +169,7 @@ def channel_from_dict(doc: dict) -> KrausChannel:
     coefficients = None
     if "coefficients" in doc:
         raw = _require(doc, "coefficients", list, where)
-        coefficients = tuple(float(c) for c in raw)
+        coefficients = tuple(_json_number(c, "coefficients", i) for i, c in enumerate(raw))
     try:
         return KrausChannel(dim_in, dim_out, kraus, picture=picture, coefficients=coefficients)
     except ValueError as exc:

@@ -21,11 +21,9 @@ from .channels import (
     CPTP_ATOL,
     HEISENBERG,
     SCHROEDINGER,
-    ChoiMatrix,
     KrausChannel,
-    _choi_of,
     dual,
-    kraus_from_choi,
+    plain_kraus,
     require_accepted,
 )
 from .linalg import (
@@ -41,6 +39,16 @@ from .linalg import (
 )
 
 
+def _frozen_unitary(u, n: int) -> np.ndarray:
+    """A read-only copy of an n x n unitary; raises ValueError otherwise."""
+    u = frozen_matrix(u)
+    if u.shape != (n, n):
+        raise ValueError(f"unitary of shape {u.shape}, expected {(n, n)}")
+    if not is_unitary(u):
+        raise ValueError("dilation operator is not unitary within 1e-10")
+    return u
+
+
 @dataclass(frozen=True)
 class UnitaryDilation:
     """Unitary U on H (x) K with pure ancilla omega; shape == (dim, ancilla_dim)."""
@@ -51,13 +59,8 @@ class UnitaryDilation:
     omega: np.ndarray
 
     def __post_init__(self):
-        u = frozen_matrix(self.unitary)
+        u = _frozen_unitary(self.unitary, self.dim * self.ancilla_dim)
         w = frozen_matrix(self.omega)
-        n = self.dim * self.ancilla_dim
-        if u.shape != (n, n):
-            raise ValueError(f"unitary of shape {u.shape}, expected {(n, n)}")
-        if not is_unitary(u):
-            raise ValueError("dilation operator is not unitary within 1e-10")
         if w.shape != (self.ancilla_dim, self.ancilla_dim) or not is_pure_state(w):
             raise ValueError("ancilla state must be a pure state on K")
         object.__setattr__(self, "unitary", u)
@@ -83,17 +86,6 @@ class UnitaryDilation:
         lifted = kron(m, np.eye(self.ancilla_dim, dtype=np.complex128))
         big = self.unitary.conj().T @ lifted @ self.unitary
         return partial_trace_state(big, [self.dim, self.ancilla_dim], self.omega)
-
-
-def _plain_kraus(ch: KrausChannel) -> np.ndarray:
-    """A coefficient-free Kraus stack for an accepted (hence CP) channel."""
-    if ch.coefficients is None:
-        return ch.stack
-    weights = ch.weights
-    if np.all(weights >= 0):
-        return np.sqrt(weights)[:, np.newaxis, np.newaxis] * ch.stack
-    fresh = kraus_from_choi(ChoiMatrix(_choi_of(ch.stack, weights), ch.dim_in, ch.dim_out))
-    return fresh.stack
 
 
 def _spread_embedding_columns(completed: np.ndarray, dim: int, ancilla_dim: int) -> np.ndarray:
@@ -126,9 +118,7 @@ def stinespring_unitary(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDila
 
     d = ch.dim_in
     ancilla_dim = d * d
-    ops = _plain_kraus(ch)
-    if len(ops) > ancilla_dim:
-        ops = kraus_from_choi(ChoiMatrix(_choi_of(ops, np.ones(len(ops))), d, d)).stack
+    ops = plain_kraus(ch)
 
     iso = np.zeros((d, ancilla_dim, d), dtype=np.complex128)
     iso[:, :len(ops), :] = ops.transpose(1, 0, 2)
@@ -152,13 +142,8 @@ class GeneralDilation:
     omega_anc: np.ndarray
 
     def __post_init__(self):
-        u = frozen_matrix(self.unitary)
         n = self.dim_in * self.dim_out * self.ancilla_dim
-        if u.shape != (n, n):
-            raise ValueError(f"unitary of shape {u.shape}, expected {(n, n)}")
-        if not is_unitary(u):
-            raise ValueError("dilation operator is not unitary within 1e-10")
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", _frozen_unitary(self.unitary, n))
         object.__setattr__(self, "omega_out", frozen_matrix(self.omega_out))
         object.__setattr__(self, "omega_anc", frozen_matrix(self.omega_anc))
 
@@ -187,20 +172,15 @@ def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDila
     require_accepted(ch, tol)
 
     d_in, d_out = ch.dim_in, ch.dim_out
-    ops = _plain_kraus(ch)
+    ops = plain_kraus(ch)
 
-    # tr_G as Kraus family id_H (x) <g|, then T, then the embedding |e_0>_H (x) id_G
-    eye_in = np.eye(d_in, dtype=np.complex128)
-    eye_out = np.eye(d_out, dtype=np.complex128)
-    embed = np.kron(np.eye(d_in, 1, dtype=np.complex128), eye_out)
-    composite = []
-    for k in ops:
-        lifted = embed @ k
-        for g in range(d_out):
-            bra = np.zeros((1, d_out), dtype=np.complex128)
-            bra[0, g] = 1.0
-            composite.append(lifted @ np.kron(eye_in, bra))
-    square = KrausChannel(d_in * d_out, d_in * d_out, tuple(composite))
+    # tr_G as Kraus family id_H (x) <g|, then T, then the embedding
+    # |e_0>_H (x) id_G: operator (i, g) maps |h, g'> to delta_gg' |e_0> (x) K_i|h>
+    r, n = len(ops), d_in * d_out
+    traced = ops[:, np.newaxis, :, :, np.newaxis] * np.eye(d_out)[:, np.newaxis, np.newaxis, :]
+    composite = np.zeros((r * d_out, n, n), dtype=np.complex128)
+    composite[:, :d_out, :] = traced.reshape(r * d_out, d_out, n)
+    square = KrausChannel(n, n, composite)
     inner = stinespring_unitary(square, tol)
     return GeneralDilation(
         unitary=inner.unitary,

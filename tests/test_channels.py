@@ -15,6 +15,7 @@ from dilatio.channels import (
     dual,
     identity_channel,
     kraus_from_choi,
+    plain_kraus,
     power,
     random_channel,
     superoperator_matrix,
@@ -210,6 +211,27 @@ def per_operator_kraus_sum(kraus, coefficients):
     return sum(w * (k.conj().T @ k) for w, k in zip(coefficients, kraus))
 
 
+def per_operator_apply(ch, a):
+    """The channel's sandwich sum, one operator at a time, picture by picture."""
+    out = 0
+    for c, k in zip(ch.coeffs(), ch.kraus):
+        if ch.picture == SCHROEDINGER:
+            out = out + c * (k @ a @ k.conj().T)
+        else:
+            out = out + c * (k.conj().T @ a @ k)
+    return out
+
+
+def per_operator_superoperator(ch):
+    """sum_i c_i conj(K_i) (x) K_i, or sum_i c_i K_i^T (x) K_i^dag in the
+    Heisenberg picture, one Kronecker product at a time."""
+    if ch.picture == SCHROEDINGER:
+        blocks = [c * np.kron(k.conj(), k) for c, k in zip(ch.coeffs(), ch.kraus)]
+    else:
+        blocks = [c * np.kron(k.T, k.conj().T) for c, k in zip(ch.coeffs(), ch.kraus)]
+    return np.sum(blocks, axis=0)
+
+
 # (t1, t2) pairs whose composites stay within the rank bound or are signed,
 # so the stacked composite is never re-extracted
 UNCAPPED_PAIRS = {
@@ -226,6 +248,8 @@ CHANNELS = {
     "heisenberg": dual(random_channel(3, 4, seed=89)),
     "signed-transpose": transpose_channel(),
     "rectangular-2-3": rectangular_channel(2, 3, 3, seed=90),
+    "rectangular-heisenberg": dual(rectangular_channel(2, 3, 3, seed=94)),
+    "signed-heisenberg": dual(transpose_channel()),
 }
 
 
@@ -252,6 +276,29 @@ class TestStackedKraus:
         assert len(out.kraus) == 4 and len(kraus) == 16
         # stored families induce the same map in one picture iff in the other
         assert fro(channel_matrix_oracle(out.kraus) - channel_matrix_oracle(kraus, coeffs)) <= 1e-13
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_apply_equals_per_operator_loop(self, name):
+        ch = CHANNELS[name]
+        side = ch.dim_in if ch.picture == SCHROEDINGER else ch.dim_out
+        a = random_matrix(side, np.random.default_rng(95))
+        np.testing.assert_array_equal(apply_channel(ch, a), per_operator_apply(ch, a))
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_superoperator_equals_per_operator_krons(self, name):
+        ch = CHANNELS[name]
+        np.testing.assert_array_equal(superoperator_matrix(ch), per_operator_superoperator(ch))
+
+    @pytest.mark.parametrize("picture", [SCHROEDINGER, HEISENBERG])
+    def test_uncapped_mixture_equals_scaled_operators(self, picture):
+        members = [rectangular_channel(2, 3, 2, seed=96), rectangular_channel(2, 3, 3, seed=97)]
+        if picture == HEISENBERG:
+            members = [dual(m) for m in members]
+        out = convex_combine(members, [0.25, 0.75])
+        expected = [np.sqrt(0.25) * k for k in members[0].kraus]
+        expected += [np.sqrt(0.75) * k for k in members[1].kraus]
+        assert out.picture == picture and out.coefficients is None
+        np.testing.assert_array_equal(out.stack, np.array(expected))
 
     @pytest.mark.parametrize("name", ["schroedinger", "signed-transpose", "rectangular-2-3"])
     def test_choi_equals_outer_product_sum(self, name):
@@ -302,6 +349,60 @@ class TestStackedKraus:
     def test_stack_validation(self, kraus):
         with pytest.raises(ValueError):
             KrausChannel(2, 2, kraus)
+
+
+class TestReextraction:
+    """Families longer than dim_in * dim_out are re-extracted above a
+    rounding floor, so no composition or mixture sheds trace."""
+
+    def test_tiny_mixture_weight_is_kept(self):
+        # the random member's Choi eigenvalues sit near 1e-11 of the largest
+        mix = convex_combine([identity_channel(2), random_channel(2, 4, seed=1)],
+                             [1 - 1e-10, 1e-10])
+        assert len(mix.kraus) == 4
+        report = verify_cptp(mix)
+        assert report.accepted and report.max_violation <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [1e-11, 1e-12])
+    def test_weak_damping_powers_keep_their_trace(self, gamma):
+        t = amplitude_damping(gamma)
+        for n in (10, 30, 60):
+            assert verify_cptp(power(t, n)).max_violation <= 1e-13
+
+    def test_kraus_from_choi_keeps_its_cut(self):
+        mix = convex_combine([identity_channel(2), random_channel(2, 4, seed=1)],
+                             [1 - 1e-10, 1e-10])
+        assert len(kraus_from_choi(choi(mix)).kraus) == 1
+        assert len(kraus_from_choi(choi(mix), tol=1e-13).kraus) == 4
+
+    def test_noise_eigenvalues_are_dropped(self):
+        # ten qutrit operators, re-extracted: the Choi rank is two, and the
+        # other seven eigenvalues are rounding at 1e-16 of the largest
+        rng = np.random.default_rng(98)
+        u, v = unitary_channel(haar_unitary(3, rng)), unitary_channel(haar_unitary(3, rng))
+        mix = convex_combine([u] * 9 + [v], [0.1] * 10)
+        assert len(mix.kraus) == 2
+
+    def test_plain_kraus_of_an_unsigned_family(self):
+        ch = random_channel(2, 3, seed=100)
+        assert plain_kraus(ch) is ch.stack
+        weighted = KrausChannel(2, 2, ch.stack, coefficients=(0.5, 2.0, 1.0))
+        np.testing.assert_array_equal(
+            plain_kraus(weighted), np.sqrt([0.5, 2.0, 1.0])[:, None, None] * ch.stack
+        )
+
+    @pytest.mark.parametrize("ch", [
+        KrausChannel(2, 3, np.array([rectangular_channel(2, 3, 1, seed=101).kraus[0]] * 2),
+                     coefficients=(1.5, -0.5)),
+        rectangular_channel(2, 3, 7, seed=102),
+        dual(random_channel(2, 4, seed=103)),
+    ], ids=["signed", "longer-than-rank-bound", "heisenberg"])
+    def test_plain_kraus_keeps_the_map(self, ch):
+        plain = KrausChannel(ch.dim_in, ch.dim_out, plain_kraus(ch), picture=ch.picture)
+        assert plain.coefficients is None and len(plain.kraus) <= ch.dim_in * ch.dim_out
+        np.testing.assert_allclose(
+            per_operator_superoperator(plain), per_operator_superoperator(ch), atol=1e-14
+        )
 
 
 class TestPower:

@@ -334,6 +334,48 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
 
 
+    def test_second_channel_of_semigroup_bundle_is_input_error(self, corpus, damp_bundle5,
+                                                                tmp_path, capsys):
+        # the extra file would be neither read nor recorded in the report
+        damp = corpus / "channel_amplitude_damping_0.5.json"
+        out = tmp_path / "report.json"
+        code, stdout, err = run(capsys, "verify", damp_bundle5, damp, damp, "--out", out)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.splitlines() == ["input error: a semigroup bundle is verified against "
+                                    "one channel file"]
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "cyclic"])
+def test_second_channel_outside_control_mode_is_input_error(mode, corpus, tmp_path, capsys):
+    out = tmp_path / "unused.bundle"
+    rotation = corpus / "channel_rotation_m4.json"
+    code, _, err = run(capsys, "dilate", rotation, "--mode", mode, "--second", rotation,
+                       "--out", out)
+    assert code == 1 and not out.exists()
+    assert err.splitlines() == [f"input error: --second applies to control mode, not {mode}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "B", "S", "--steps", "abc"],
+     "dilatio evolve: argument --steps: invalid int value: 'abc'"),
+    (["check", "x.json", "--bogus"], "dilatio: unrecognized arguments: --bogus"),
+    ([], "dilatio: the following arguments are required: command"),
+])
+def test_usage_error_is_input_error(argv, message, capsys):
+    # argparse's own exit 2 is reserved for verification failures
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"input error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: dilatio" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_unusable_tolerance_is_input_error_before_any_read(command, tol, tmp_path, capsys):

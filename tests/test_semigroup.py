@@ -48,6 +48,15 @@ class TestBuild:
         assert report.passed
         assert len(report.residuals) == 7
 
+    @pytest.mark.parametrize("gamma, horizon", [(1e-11, 10), (1e-11, 30), (1e-12, 10)])
+    def test_weak_damping_dilates_and_verifies(self, gamma, horizon):
+        # a certified channel whose powers have Choi eigenvalues near
+        # 1e-11 of the largest: dropping them would leave the cell blocks
+        # short of unitary or the powers short of trace preserving
+        ch = amplitude_damping(gamma)
+        report = verify_dilation(build_semigroup_dilation(ch, horizon), ch, tol=1e-9)
+        assert report.passed and max(report.residuals) <= 1e-13
+
     def test_intermediate_state_identity(self):
         # V^n (A (x) omega) V^dag^n == U_n (A (x) omega~) U_n^dag (x) |e_n><e_n|
         from dilatio.channels import power

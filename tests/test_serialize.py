@@ -116,6 +116,43 @@ class TestChannelFiles:
             load_channel(path)
 
 
+    @pytest.mark.parametrize("pair, kind", [
+        ([None, 0.0], "NoneType"),
+        ([[1.0], 0.0], "list"),
+        (["1", "0"], "str"),
+        ([True, 0.0], "bool"),
+        ([0.0, False], "bool"),
+    ])
+    def test_pair_entries_must_be_numbers(self, pair, kind):
+        doc = channel_to_dict(amplitude_damping(0.1))
+        doc["kraus"][1][2] = pair
+        with pytest.raises(ChannelFormatError,
+                           match=rf"field 'kraus\[1\]': entry 2 must be a number, got {kind}"):
+            channel_from_dict(doc)
+
+    def test_integer_entries_are_numbers(self):
+        doc = channel_to_dict(transpose_channel())
+        doc["kraus"] = [[[int(re), int(im)] for re, im in k] for k in doc["kraus"]]
+        doc["coefficients"] = [1, 1, -1, 1]
+        again = channel_from_dict(doc)
+        assert again.coefficients == (1.0, 1.0, -1.0, 1.0)
+        np.testing.assert_array_equal(again.stack, transpose_channel().stack)
+
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"), ("0.5", "str"), (True, "bool")])
+    def test_coefficients_must_be_numbers(self, value, kind):
+        doc = channel_to_dict(transpose_channel())
+        doc["coefficients"][3] = value
+        with pytest.raises(ChannelFormatError,
+                           match=f"field 'coefficients': entry 3 must be a number, got {kind}"):
+            channel_from_dict(doc)
+
+    def test_integer_out_of_float_range_is_named(self):
+        doc = channel_to_dict(amplitude_damping(0.1))
+        doc["kraus"][0][0] = [10 ** 400, 0]
+        with pytest.raises(ChannelFormatError, match=r"entry 0 is out of range"):
+            channel_from_dict(doc)
+
+
 class TestStateFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -133,6 +170,14 @@ class TestStateFiles:
         doc = state_to_dict(np.diag([1.0, 0.0]))
         doc["matrix"][0] = [0.7, 0.0]
         with pytest.raises(ChannelFormatError):
+            state_from_dict(doc)
+
+
+    @pytest.mark.parametrize("pair", [[None, 0], ["1", "0"], [True, 0]])
+    def test_state_entries_must_be_numbers(self, pair):
+        doc = state_to_dict(np.diag([1.0, 0.0]))
+        doc["matrix"][3] = pair
+        with pytest.raises(ChannelFormatError, match="field 'matrix': entry 3 must be a number"):
             state_from_dict(doc)
 
 

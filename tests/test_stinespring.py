@@ -12,6 +12,8 @@ from dilatio.errors import RejectedChannelError
 from dilatio.fixtures import amplitude_damping, haar_unitary, transpose_channel
 from dilatio.linalg import kron, matrix_units, partial_trace, trace_norm
 from dilatio.stinespring import (
+    GeneralDilation,
+    UnitaryDilation,
     general_stinespring,
     heisenberg_dilation,
     stinespring_unitary,
@@ -149,6 +151,52 @@ class TestGeneralStinespring:
             trace_norm(dil.apply(e) - kraus_apply(kraus, e)) for e in matrix_units(2)
         )
         assert worst <= 1e-10
+
+
+    @pytest.mark.parametrize("rank, coefficients", [(7, None), (2, (1.5, -0.5))],
+                             ids=["longer-than-rank-bound", "signed"])
+    def test_families_that_need_re_extraction(self, rank, coefficients):
+        rng = np.random.default_rng(11)
+        if coefficients is None:
+            q, _ = np.linalg.qr(random_matrix(2, rng, rows=3 * rank))
+            kraus = tuple(q[3 * i:3 * (i + 1), :] for i in range(rank))
+        else:
+            isometry, _ = np.linalg.qr(random_matrix(2, rng, rows=3))
+            kraus = (isometry, isometry)  # 1.5 V . V^dag - 0.5 V . V^dag
+        ch = KrausChannel(2, 3, kraus, coefficients=coefficients)
+        dil = general_stinespring(ch)
+        assert dil.shape == (2, 3, 36)
+        worst = max(
+            trace_norm(dil.apply(e) - kraus_apply(ch.kraus, e, ch.coefficients))
+            for e in matrix_units(2)
+        )
+        assert worst <= 1e-12
+
+    def test_composite_family_against_per_operator_products(self):
+        # omega_H (x) T(tr_G(.)): operator (i, g) is (|e_0> (x) K_i)(id_H (x) <g|)
+        ch = random_channel(2, 2, seed=12)
+        embed = np.kron(np.eye(2, 1), np.eye(2))
+        expected = [
+            embed @ k @ np.kron(np.eye(2), np.eye(2)[g].reshape(1, 2))
+            for k in ch.kraus for g in range(2)
+        ]
+        square = KrausChannel(4, 4, tuple(expected))
+        np.testing.assert_allclose(
+            general_stinespring(ch).unitary, stinespring_unitary(square).unitary, atol=1e-15
+        )
+
+
+class TestDilationValidation:
+    @pytest.mark.parametrize("make", [
+        lambda u: UnitaryDilation(u, 2, 2, np.diag([1.0, 0.0])),
+        lambda u: GeneralDilation(u, 1, 2, 2, np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
+    ], ids=["unitary", "general"])
+    def test_one_unitary_check(self, make):
+        make(np.eye(4))
+        with pytest.raises(ValueError, match="not unitary"):
+            make(np.diag([1.0, 1.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"unitary of shape \(2, 2\), expected \(4, 4\)"):
+            make(np.eye(2))
 
 
 class TestHeisenbergDilation:
