@@ -5,14 +5,22 @@ human-readable documents, and as base64 little-endian float64
 interleaved re/im blobs inside bundle files.  All documents are dumped
 with sorted keys and fixed separators so identical inputs produce
 byte-identical files.
+
+A bundle's blobs are the dense matrices of the v1 format, but no dense
+matrix is built to write them: each generator's rows are filled from its
+blocks one block row at a time into a reused (L, D) slab, omega's rows
+come from psi in chunks, and the base64 of the chunks is streamed into
+the file between the pieces of the JSON document.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,7 +29,7 @@ import numpy as np
 from .errors import ChannelFormatError
 from .linalg import as_complex_matrix, check_density_matrix
 from .channels import HEISENBERG, SCHROEDINGER, KrausChannel
-from .register import RegisterDilation
+from .register import BlockPermutation, RegisterDilation
 
 FORMAT_CHANNEL = "dilatio/channel-v1"
 FORMAT_STATE = "dilatio/state-v1"
@@ -98,28 +106,38 @@ def dump_document(obj) -> str:
     return json.dumps(obj, **_JSON_LAYOUT) + "\n"
 
 
-def write_json_atomic(path: str | Path, obj) -> None:
-    """Write dump_document(obj) to path through a temporary file in the same
-    directory, streamed so that no second copy of the document is built."""
+def _write_atomic(path: str | Path, write) -> None:
+    """Call write(handle) on a binary temporary file in path's directory
+    and move it over path.  On any failure the temporary file is removed,
+    path is left as it was, and an OSError names path, not the temporary
+    file it was written through."""
     path = Path(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="ascii") as handle:
-            json.dump(obj, handle, **_JSON_LAYOUT)
-            handle.write("\n")
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            # name the output, not the temporary file it was written through
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
+def write_json_atomic(path: str | Path, obj) -> None:
+    """Write dump_document(obj) to path through a temporary file."""
+    _write_atomic(path, lambda handle: handle.write(dump_document(obj).encode("ascii")))
+
+
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _require(doc: dict, field: str, kind, where: str):
@@ -213,9 +231,80 @@ def load_state(path: str | Path) -> np.ndarray:
 
 # ----------------------------------------------------------------- bundles
 
-def _matrix_entry(a) -> dict:
-    m = as_complex_matrix(a)
-    return {"rows": m.shape[0], "cols": m.shape[1], "blob": matrix_to_blob(m)}
+# Raw bytes per base64 call and per omega chunk, a multiple of 3: every
+# piece but the last of a blob then encodes to whole base64 quads.
+_PIECE = 3 << 15
+# The JSON text of the placeholder NUL "blob:NAME" NUL that stands in the
+# bundle header for the blob of field NAME.
+_PLACEHOLDER = re.compile(r"\\u0000blob:(\w+)\\u0000")
+
+
+def _generator_rows(form: BlockPermutation):
+    """The dense generator's rows, L at a time: rows i L .. i L + L - 1
+    (block row i) are the (L, b, L) slab with slab[c, :, src(c)] = B_c[i, :].
+    Every block row has the same nonzero pattern, so one zeroed slab is
+    overwritten in place; each slab is stale once the next is asked for."""
+    cells, b = form.blocks.shape[:2]
+    slab = np.zeros((cells, b, cells), dtype="<c16")
+    cell = np.arange(cells)
+    for i in range(b):
+        slab[cell, :, form.src] = form.blocks[:, i, :]
+        yield slab
+
+
+def _state_rows(psi: np.ndarray):
+    """The rows of omega = psi psi^dag, about _PIECE bytes at a time."""
+    step = max(1, _PIECE // (16 * psi.size))
+    conj = psi.conj()
+    for start in range(0, psi.size, step):
+        yield np.outer(psi[start:start + step], conj)
+
+
+def _base64_pieces(chunks):
+    """The base64 of the concatenated little-endian complex128 chunks, in
+    pieces that join to it: every piece but the last encodes a multiple
+    of 3 bytes, and the <= 2 bytes a chunk leaves over carry to the next."""
+    carry = b""
+    for chunk in chunks:
+        raw = np.ascontiguousarray(chunk, dtype="<c16").reshape(-1).view(np.uint8)
+        if carry:
+            head = 3 - len(carry)
+            carry += raw[:head].tobytes()
+            raw = raw[head:]
+            if len(carry) < 3:
+                continue
+            yield binascii.b2a_base64(carry, newline=False)
+        cut = raw.size - raw.size % 3
+        for start in range(0, cut, _PIECE):
+            yield binascii.b2a_base64(raw[start:min(start + _PIECE, cut)], newline=False)
+        carry = raw[cut:].tobytes()
+    if carry:
+        yield binascii.b2a_base64(carry, newline=False)
+
+
+def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
+    """The bundle document with a placeholder in place of each blob (see
+    _PLACEHOLDER), and each blob's row chunks by field name."""
+    scalar, names = BUNDLE_FIELDS[bundle.mode]
+    doc = {
+        "format": FORMAT_BUNDLE,
+        "inputs": inputs or {},
+        "mode": bundle.mode,
+        "shape": list(bundle.shape),
+        scalar: getattr(bundle, scalar),
+    }
+    rows = {"omega": (bundle.psi.size, _state_rows(bundle.psi))}
+    rows.update((name, (form.dim, _generator_rows(form))) for name, form in zip(names, bundle.forms))
+    for name, (side, _) in rows.items():
+        doc[name] = {"rows": side, "cols": side, "blob": f"\0blob:{name}\0"}
+    return doc, {name: chunks for name, (_, chunks) in rows.items()}
+
+
+def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
+    doc, blobs = _bundle_document(bundle, inputs)
+    for name, chunks in blobs.items():
+        doc[name]["blob"] = b"".join(_base64_pieces(chunks)).decode("ascii")
+    return doc
 
 
 def _entry_matrix(doc: dict, field: str) -> np.ndarray:
@@ -225,21 +314,6 @@ def _entry_matrix(doc: dict, field: str) -> np.ndarray:
     cols = _require(entry, "cols", int, f"{where} '{field}'")
     blob = _require(entry, "blob", str, f"{where} '{field}'")
     return blob_to_matrix(blob, rows, cols, field)
-
-
-def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
-    scalar, blobs = BUNDLE_FIELDS[bundle.mode]
-    doc = {
-        "format": FORMAT_BUNDLE,
-        "inputs": inputs or {},
-        "mode": bundle.mode,
-        "shape": list(bundle.shape),
-        scalar: getattr(bundle, scalar),
-        "omega": _matrix_entry(bundle.omega),
-    }
-    for name, form in zip(blobs, bundle.forms):
-        doc[name] = _matrix_entry(form.dense())
-    return doc
 
 
 def bundle_from_dict(doc: dict) -> RegisterDilation:
@@ -273,7 +347,23 @@ def bundle_from_dict(doc: dict) -> RegisterDilation:
 
 
 def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None = None) -> None:
-    write_json_atomic(path, bundle_to_dict(bundle, inputs))
+    """Write dump_document(bundle_to_dict(bundle, inputs)) to path, with each
+    blob streamed from the blocks and psi between the pieces of the header."""
+    doc, blobs = _bundle_document(bundle, inputs)
+    parts = _PLACEHOLDER.split(dump_document(doc))
+    if sorted(parts[1::2]) != sorted(blobs):
+        raise ValueError(
+            f"bundle header holds blob placeholders {parts[1::2]}, expected one each of {sorted(blobs)}"
+        )
+
+    def write(handle):
+        handle.write(parts[0].encode("ascii"))
+        for name, text in zip(parts[1::2], parts[2::2]):
+            for piece in _base64_pieces(blobs[name]):
+                handle.write(piece)
+            handle.write(text.encode("ascii"))
+
+    _write_atomic(path, write)
 
 
 def load_bundle(path: str | Path) -> RegisterDilation:

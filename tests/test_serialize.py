@@ -1,5 +1,9 @@
 import base64
+import errno
+import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +14,12 @@ from dilatio.cyclic import CyclePeriod, build_cyclic_dilation, verify_cyclic_dil
 from dilatio.errors import ChannelFormatError
 from dilatio.fixtures import (
     amplitude_damping,
+    haar_unitary,
     random_commuting_pair,
     rotation_channel,
     transpose_channel,
 )
+from dilatio.register import BlockPermutation, RegisterDilation
 from dilatio.semigroup import build_semigroup_dilation, verify_dilation
 from dilatio.serialize import (
     blob_to_matrix,
@@ -281,3 +287,139 @@ def test_file_digest_changes_with_content(tmp_path):
     b.write_text("two")
     assert file_digest(a) != file_digest(b)
     assert len(file_digest(a)) == 64
+
+
+# ---------------------------------------------------------- streamed writer
+
+def _with_negated_first_block(bundle):
+    """The bundle with its first cell's block negated in every generator:
+    the zeros of an identity block become -0.0."""
+    forms = []
+    for form in bundle.forms:
+        blocks = form.blocks.copy()
+        blocks[0] *= -1
+        forms.append(BlockPermutation(form.src, blocks))
+    return RegisterDilation(bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers,
+                            forms, bundle.psi)
+
+
+def _writer_bundle(mode, length):
+    """A bundle whose registers have ``length`` cells each."""
+    if mode == "semigroup":
+        return build_semigroup_dilation(random_channel(2, 3, length), length - 1)
+    if mode == "cyclic":
+        return build_cyclic_dilation(rotation_channel(length), CyclePeriod(length))
+    if mode == "control":
+        t, s = random_commuting_pair(2, seed=length)
+        return build_control_dilation(t, s, length - 1)
+    # Haar generators take the one-cell form; psi is no basis state
+    rng = np.random.default_rng(length)
+    anc = 4 * length
+    psi = rng.standard_normal(anc) + 1j * rng.standard_normal(anc)
+    v = haar_unitary(2 * anc, rng)
+    return RegisterDilation("semigroup", 2, 4, (length,), (v,), psi / np.linalg.norm(psi))
+
+
+WRITER_CASES = [
+    (mode, length)
+    for mode in ("semigroup", "cyclic", "control", "one-cell")
+    for length in (2, 3, 4, 5)
+] + [("semigroup", 32)]  # slabs and omega each span several base64 pieces
+
+
+@pytest.mark.parametrize("mode, length", WRITER_CASES)
+def test_streamed_bundle_is_the_dumped_document(tmp_path, mode, length):
+    # 16 L D = 16 b L^2 bytes per slab: L = 2, 4, 5 leave 1 or 2 bytes to carry
+    bundle = _with_negated_first_block(_writer_bundle(mode, length))
+    if mode != "one-cell":
+        assert all((np.signbit(f.blocks.real) & (f.blocks.real == 0)).any() for f in bundle.forms)
+    path = tmp_path / "b.bundle"
+    save_bundle(path, bundle, {"channel": "digest"})
+    doc = bundle_to_dict(bundle, {"channel": "digest"})
+    assert path.read_bytes() == dump_document(doc).encode("ascii")
+    blobs = [matrix_to_blob(bundle.omega)] + [matrix_to_blob(f.dense()) for f in bundle.forms]
+    names = ["omega"] + ["U", "V"][-len(bundle.forms):]
+    assert [doc[name]["blob"] for name in names] == blobs
+
+
+def test_save_bundle_builds_no_dense_matrix(tmp_path, monkeypatch):
+    bundle = build_control_dilation(*random_commuting_pair(2, seed=4), 2)
+    expected = dump_document(bundle_to_dict(bundle))
+
+    def refuse(self):
+        raise AssertionError("a dense D x D matrix was built")
+
+    monkeypatch.setattr(BlockPermutation, "dense", refuse)
+    monkeypatch.setattr(RegisterDilation, "omega", property(refuse))
+    save_bundle(tmp_path / "b.bundle", bundle)
+    assert (tmp_path / "b.bundle").read_text(encoding="ascii") == expected
+
+
+def test_save_bundle_memory_stays_below_a_dense_generator(tmp_path):
+    bundle = build_semigroup_dilation(random_channel(2, 4, 5), 127)
+    dense_bytes = 16 * bundle.forms[0].dim ** 2
+    assert dense_bytes == 16 << 20  # D = 1024
+    tracemalloc.start()
+    try:
+        save_bundle(tmp_path / "b.bundle", bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
+
+
+class _DiskFull:
+    """A binary file that takes ``room`` bytes and then fails as a full disk does."""
+
+    def __init__(self, handle, room):
+        self.handle, self.room = handle, room
+
+    def write(self, data):
+        size = memoryview(data).nbytes
+        if size > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= size
+        return self.handle.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def test_failed_stream_keeps_the_old_file_and_names_the_output(tmp_path, monkeypatch):
+    path = tmp_path / "b.bundle"
+    path.write_text("old bundle")
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 3)
+    fdopen = os.fdopen
+    written = []
+
+    def full_disk(fd, mode):
+        written.append(_DiskFull(fdopen(fd, mode), 4096))
+        return written[-1]
+
+    monkeypatch.setattr(os, "fdopen", full_disk)
+    with pytest.raises(OSError, match="b.bundle") as failure:
+        save_bundle(path, bundle)
+    assert failure.value.errno == errno.ENOSPC
+    assert failure.value.filename == str(path)
+    # the header is written and the V blob is under way when the disk fills
+    assert 0 < written[0].room < 4096
+    assert path.read_text() == "old bundle"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bundle"]
+
+
+def test_placeholder_in_the_inputs_is_refused(tmp_path):
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
+    path = tmp_path / "b.bundle"
+    with pytest.raises(ValueError, match="placeholders"):
+        save_bundle(path, bundle, {"channel": "\0blob:V\0"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_file_digest_reads_past_one_chunk(tmp_path):
+    path = tmp_path / "big"
+    data = np.random.default_rng(0).bytes((5 << 20) // 2)
+    path.write_bytes(data)
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()
