@@ -271,9 +271,16 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
 
 def _top_kraus(eigenvalues, vectors, rtol: float, shape) -> np.ndarray:
     """sqrt(lambda) v, shaped (dim_out, dim_in), of every Choi eigenpair above
-    rtol * lambda_max, largest first (eigh's eigenvalues ascend)."""
+    rtol * lambda_max, largest first (eigh's eigenvalues ascend), each with
+    one phase rule: its first entry in row-major order whose modulus exceeds
+    1e-8 times its largest is made real positive, so the family does not
+    depend on the phase the eigensolver picks."""
     kept = np.flatnonzero(eigenvalues > rtol * eigenvalues[-1])[::-1]
-    return (vectors[:, kept] * np.sqrt(eigenvalues[kept])).T.reshape(-1, *shape)
+    rows = (vectors[:, kept] * np.sqrt(eigenvalues[kept])).T
+    size = np.abs(rows)
+    first = np.argmax(size > 1e-8 * size.max(axis=1, keepdims=True), axis=1)
+    lead = rows[np.arange(len(rows)), first]
+    return (rows * (lead.conj() / np.abs(lead))[:, np.newaxis]).reshape(-1, *shape)
 
 
 def _reextract(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -387,15 +394,6 @@ def dual(t: KrausChannel) -> KrausChannel:
                         coefficients=t.coefficients)
 
 
-def _normalize_global_phase(k: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(k).max())
-    flat = k.ravel()
-    for entry in flat:
-        if abs(entry) > 1e-8 * scale:
-            return k * (entry.conjugate() / abs(entry))
-    return k
-
-
 def detect_unitary_conjugation(t: KrausChannel, tol: float = 1e-9) -> np.ndarray | None:
     """Return U (phase normalized: first significant entry in row-major
     order made positive real) when the channel acts as A -> U A U^dag,
@@ -409,7 +407,7 @@ def detect_unitary_conjugation(t: KrausChannel, tol: float = 1e-9) -> np.ndarray
     stack = _top_kraus(eigenvalues, vectors, tol, (t.dim_out, t.dim_in))
     if len(stack) != 1 or np.linalg.norm(stack[0].conj().T @ stack[0] - np.eye(t.dim_in)) > tol:
         return None
-    return _normalize_global_phase(stack[0])
+    return stack[0]
 
 
 def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:

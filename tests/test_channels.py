@@ -207,6 +207,16 @@ def per_operator_choi(kraus, coefficients):
     return c
 
 
+def fixed_phase(k):
+    """k with its first entry in row-major order above 1e-8 times its largest
+    modulus made real positive, one entry at a time."""
+    scale = np.abs(k).max()
+    for entry in k.ravel():
+        if abs(entry) > 1e-8 * scale:
+            return k * (entry.conjugate() / abs(entry))
+    return k
+
+
 def per_operator_kraus_sum(kraus, coefficients):
     return sum(w * (k.conj().T @ k) for w, k in zip(coefficients, kraus))
 
@@ -323,7 +333,7 @@ class TestStackedKraus:
         c = ChoiMatrix(per_operator_choi(ch.kraus, ch.coeffs()), ch.dim_in, ch.dim_out)
         eigenvalues, vectors = np.linalg.eigh(0.5 * (c.matrix + c.matrix.conj().T))
         expected = [
-            np.sqrt(eigenvalues[i]) * vectors[:, i].reshape(ch.dim_out, ch.dim_in)
+            fixed_phase(np.sqrt(eigenvalues[i]) * vectors[:, i].reshape(ch.dim_out, ch.dim_in))
             for i in reversed(range(eigenvalues.size))
             if eigenvalues[i] > 1e-10 * eigenvalues[-1]
         ]
@@ -403,6 +413,24 @@ class TestReextraction:
         np.testing.assert_allclose(
             per_operator_superoperator(plain), per_operator_superoperator(ch), atol=1e-14
         )
+
+    def test_extracted_operators_lead_with_a_real_positive_entry(self):
+        for k in kraus_from_choi(choi(random_channel(3, 5, seed=104))).kraus:
+            flat = np.abs(k.ravel())
+            lead = k.ravel()[np.argmax(flat > 1e-8 * flat.max())]
+            assert lead.imag == 0.0 and lead.real > 0.0
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_reextraction_ignores_the_order_of_the_choi_sum(self, gamma, p):
+        # one mixture, its Choi sum taken in two orders: the eigensolver may
+        # return an eigenvector with another phase, which the phase rule removes
+        for n in range(1, 7):
+            a = power(amplitude_damping(gamma), n)
+            b = compose(amplitude_damping(gamma), a)
+            x = convex_combine([a, b], [p, 1 - p])
+            y = convex_combine([b, a], [1 - p, p])
+            np.testing.assert_allclose(x.stack, y.stack, rtol=0, atol=1e-11)
 
 
 class TestPower:
