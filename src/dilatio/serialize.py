@@ -293,11 +293,14 @@ def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
         "shape": list(bundle.shape),
         scalar: getattr(bundle, scalar),
     }
-    rows = {"omega": (bundle.psi.size, _state_rows(bundle.psi))}
-    rows.update((name, (form.dim, _generator_rows(form))) for name, form in zip(names, bundle.forms))
-    for name, (side, _) in rows.items():
+    sources = {"omega": (bundle.psi.size, _state_rows(bundle.psi))}
+    for name, form in zip(names, bundle.forms):
+        sources[name] = (form.dim, _generator_rows(form))
+    blobs = {}
+    for name, (side, chunks) in sources.items():
         doc[name] = {"rows": side, "cols": side, "blob": f"\0blob:{name}\0"}
-    return doc, {name: chunks for name, (_, chunks) in rows.items()}
+        blobs[name] = chunks
+    return doc, blobs
 
 
 def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
