@@ -9,6 +9,7 @@ DILATIO_MAX_DIM overrides the dilation builders' memory guards.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -126,10 +127,11 @@ def cmd_dilate(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_tol(args.tol)
-    bundle = load_bundle(args.bundle)
+    digest = hashlib.sha256()  # of the bytes the reader streams: the file is read once
+    bundle = load_bundle(args.bundle, digest)
     if args.second is not None and bundle.mode != "control":
         raise ChannelFormatError(f"a {bundle.mode} bundle is verified against one channel file")
-    inputs = {"bundle": file_digest(args.bundle), "channel": file_digest(args.channel)}
+    inputs = {"bundle": digest.hexdigest(), "channel": file_digest(args.channel)}
     ch = _load_checked(args.channel, not args.no_verify)
     report_doc = {
         "command": "verify",
@@ -157,14 +159,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    bundle = load_bundle(args.bundle)
-    rho = load_state(args.state)
+    # usage errors first, before any file is read
     if (args.steps is None) == (args.sequence is None):
         raise ChannelFormatError("provide exactly one of --steps or --sequence")
-    if (args.sequence is not None) != (bundle.mode == "control"):
-        raise ChannelFormatError("--sequence applies to control bundles, --steps to the others")
     if args.steps is not None and args.steps < 0:
         raise ChannelFormatError(f"--steps must be nonnegative, got {args.steps}")
+    bundle = load_bundle(args.bundle)
+    rho = load_state(args.state)
+    if (args.sequence is not None) != (bundle.mode == "control"):
+        raise ChannelFormatError("--sequence applies to control bundles, --steps to the others")
     if bundle.mode == "control":
         out = control.evolve_control(bundle, rho, args.sequence)
     elif bundle.mode == "semigroup":

@@ -67,6 +67,7 @@ from .linalg import (
     kron,
     matrix_units,
     pure_state_vector,
+    stored_entries,
     trace_norm,
 )
 from .stinespring import stinespring_unitary
@@ -126,15 +127,31 @@ class BlockPermutation:
 
     @classmethod
     def from_dense(cls, g: np.ndarray, cells: int) -> BlockPermutation:
-        """The form of a D x D generator on C^(D / cells) (x) C^cells, read
-        off the exact nonzero block pattern of its (b, L, b, L) view in
-        O(D^2).  A pattern that is no permutation gives the one-cell form."""
-        total = g.shape[0]
-        view = g.reshape(total // cells, cells, total // cells, cells)
-        pattern = (view != 0).any(axis=(0, 2))  # [c, s]: block from cell s to cell c
-        if (pattern.sum(axis=0) == 1).all() and (pattern.sum(axis=1) == 1).all():
-            src = pattern.argmax(axis=1)
-            return cls(src, view[:, np.arange(cells), :, src])
+        """The form of a D x D generator on C^(D / cells) (x) C^cells (see
+        ``from_entries``), in O(D^2)."""
+        return cls.from_entries(*stored_entries(g), g.shape[0], cells)
+
+    @classmethod
+    def from_entries(cls, index, values, total: int, cells: int) -> BlockPermutation:
+        """The form of the total x total generator whose row-major entries
+        are ``values`` at the flat ``index`` and 0 elsewhere, on
+        C^(total / cells) (x) C^cells, read off the exact pattern of its
+        nonzero entries: entry (i L + c, j L + s) lies in the block from cell
+        s to cell c.  A pattern that is no permutation gives the one-cell form."""
+        b = total // cells
+        row, col = np.divmod(index, total)
+        i, c = np.divmod(row, cells)
+        j, s = np.divmod(col, cells)
+        nonzero = values != 0
+        src = np.full(cells, -1)
+        src[c[nonzero]] = s[nonzero]  # the permutation, if the nonzero entries hold one
+        if (src[c[nonzero]] == s[nonzero]).all() and np.array_equal(np.sort(src), np.arange(cells)):
+            inside = s == src[c]
+            blocks = np.zeros((cells, b, b), dtype=np.complex128)
+            blocks[c[inside], i[inside], j[inside]] = values[inside]
+            return cls(src, blocks)
+        g = np.zeros(total * total, dtype=np.complex128)
+        g[index] = values
         return cls([0], g.reshape(1, total, total))
 
     @property

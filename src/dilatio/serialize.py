@@ -7,10 +7,14 @@ with sorted keys and fixed separators so identical inputs produce
 byte-identical files.
 
 A bundle's blobs are the dense matrices of the v1 format, but no dense
-matrix is built to write them: each generator's rows are filled from its
-blocks one block row at a time into a reused (L, D) slab, omega's rows
-come from psi in chunks, and the base64 of the chunks is streamed into
-the file between the pieces of the JSON document.
+matrix is built to write or to read them: each generator's rows are
+filled from its blocks one block row at a time into a reused (L, D) slab,
+omega's rows come from psi in chunks, and the base64 of the chunks is
+streamed into the file between the pieces of the JSON document.  Base64
+turns every 48 bytes of a blob into its own 64 characters, and 48 zero
+bytes into 64 A's, so the writer encodes and the reader decodes only the
+groups that are not all zero; the reader streams the file once and keeps
+the entries of those groups, from which it reads the blocks and psi.
 """
 
 from __future__ import annotations
@@ -21,13 +25,19 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ChannelFormatError
-from .linalg import as_complex_matrix, check_density_matrix
+from .linalg import (
+    as_complex_matrix,
+    check_density_matrix,
+    pure_state_from_entries,
+    stored_entries,
+)
 from .channels import HEISENBERG, SCHROEDINGER, KrausChannel
 from .register import BlockPermutation, RegisterDilation
 
@@ -86,17 +96,12 @@ def matrix_to_blob(a) -> str:
 
 
 def blob_to_matrix(blob: str, rows: int, cols: int, field: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(blob.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise ChannelFormatError(f"field '{field}': invalid base64 blob") from exc
-    expected = rows * cols * 2 * 8
-    if len(raw) != expected:
-        raise ChannelFormatError(
-            f"field '{field}': blob of {len(raw)} bytes, expected {expected}"
-        )
-    # a read-only view of the decoded bytes: every reader copies what it keeps
-    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols)
+    """The dense read-only matrix of a blob, through the bundle reader's decoder."""
+    index, values = _decode_blob(blob).entries(rows, cols, field)
+    m = np.zeros(rows * cols, dtype=np.complex128)
+    m[index] = values
+    m.flags.writeable = False
+    return m.reshape(rows, cols)
 
 
 _JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
@@ -231,12 +236,31 @@ def load_state(path: str | Path) -> np.ndarray:
 
 # ----------------------------------------------------------------- bundles
 
-# Raw bytes per base64 call and per omega chunk, a multiple of 3: every
-# piece but the last of a blob then encodes to whole base64 quads.
+# Raw bytes per base64 call and per omega chunk, a multiple of 48: every
+# piece but the last of a blob then encodes to whole base64 groups.
 _PIECE = 3 << 15
+# Base64 maps each 48 raw bytes (3 complex entries), counted from the start
+# of a blob, to its own group of 64 characters, and 48 zero bytes to 64 A's.
+_RAW_GROUP, _GROUP = 48, 64
+_ZERO_GROUP = 0x4141414141414141  # eight A's, as a little-endian uint64
 # The JSON text of the placeholder NUL "blob:NAME" NUL that stands in the
 # bundle header for the blob of field NAME.
 _PLACEHOLDER = re.compile(r"\\u0000blob:(\w+)\\u0000")
+# The same placeholder after json.loads; the reader names blobs by number.
+_READ_PLACEHOLDER = re.compile("\0blob:([0-9]+)\0")
+# Bytes per read of a bundle file.
+_CHUNK = 1 << 20
+
+if sys.version_info >= (3, 11):
+    def _a2b(text) -> bytes:
+        return binascii.a2b_base64(text, strict_mode=True)
+else:  # no strict_mode: the alphabet and padding checks of b64decode(validate=True)
+    _BASE64 = re.compile(rb"[A-Za-z0-9+/]*={0,2}")
+
+    def _a2b(text) -> bytes:
+        if not _BASE64.fullmatch(bytes(text)):
+            raise binascii.Error("non-base64 data")
+        return binascii.a2b_base64(text)
 
 
 def _generator_rows(form: BlockPermutation):
@@ -260,26 +284,117 @@ def _state_rows(psi: np.ndarray):
         yield np.outer(psi[start:start + step], conj)
 
 
+def _encode_groups(raw: np.ndarray) -> bytes:
+    """The base64 of whole 48-byte groups: 64 A's for each group of zeros,
+    b2a_base64 of the others."""
+    groups = raw.reshape(-1, _RAW_GROUP)
+    live = np.flatnonzero(raw.view(np.uint64).reshape(-1, _RAW_GROUP // 8).any(axis=1))
+    if live.size == len(groups):
+        return binascii.b2a_base64(raw, newline=False)
+    text = np.full((len(groups), _GROUP), ord("A"), dtype=np.uint8)
+    if live.size:
+        encoded = binascii.b2a_base64(groups[live], newline=False)
+        text[live] = np.frombuffer(encoded, dtype=np.uint8).reshape(-1, _GROUP)
+    return text.tobytes()
+
+
 def _base64_pieces(chunks):
     """The base64 of the concatenated little-endian complex128 chunks, in
-    pieces that join to it: every piece but the last encodes a multiple
-    of 3 bytes, and the <= 2 bytes a chunk leaves over carry to the next."""
+    pieces that join to it: every piece but the last encodes whole 48-byte
+    groups, and the < 48 bytes a chunk leaves over carry to the next."""
     carry = b""
     for chunk in chunks:
         raw = np.ascontiguousarray(chunk, dtype="<c16").reshape(-1).view(np.uint8)
         if carry:
-            head = 3 - len(carry)
+            head = _RAW_GROUP - len(carry)
             carry += raw[:head].tobytes()
             raw = raw[head:]
-            if len(carry) < 3:
+            if len(carry) < _RAW_GROUP:
                 continue
-            yield binascii.b2a_base64(carry, newline=False)
-        cut = raw.size - raw.size % 3
+            yield _encode_groups(np.frombuffer(carry, dtype=np.uint8))
+        cut = raw.size - raw.size % _RAW_GROUP
         for start in range(0, cut, _PIECE):
-            yield binascii.b2a_base64(raw[start:min(start + _PIECE, cut)], newline=False)
+            yield _encode_groups(raw[start:min(start + _PIECE, cut)])
         carry = raw[cut:].tobytes()
     if carry:
         yield binascii.b2a_base64(carry, newline=False)
+
+
+class _BlobEntries:
+    """The entries of one base64 blob, fed in pieces.  A group of 64 A's
+    (48 zero bytes) is skipped; every other group is decoded strictly, three
+    complex entries each.  The last group, the only one that may carry
+    padding, waits for ``entries`` and is decoded on its own.  A decoding
+    error is kept, not raised, until the blob's field is known."""
+
+    def __init__(self):
+        self.pending = b""  # the undecoded end of the blob, at most one group
+        self.groups = 0  # whole groups decoded or skipped
+        self.index, self.values = [], []
+        self.error = None
+
+    def feed(self, text) -> None:
+        if self.error is not None:
+            return
+        if len(self.pending) + len(text) <= _GROUP:
+            self.pending += bytes(text)
+            return
+        try:
+            if self.pending:
+                head = _GROUP - len(self.pending)
+                self._decode(self.pending + bytes(text[:head]))
+                text = text[head:]
+            cut = (len(text) - 1) // _GROUP * _GROUP
+            self._decode(text[:cut])
+            self.pending = bytes(text[cut:])
+        except binascii.Error as exc:
+            self.error = exc
+
+    def _decode(self, text) -> None:
+        count = len(text) // _GROUP
+        words = np.frombuffer(text, dtype="<u8").reshape(count, _GROUP // 8)
+        live = np.flatnonzero((words != _ZERO_GROUP).any(axis=1))
+        if live.size:
+            chars = np.frombuffer(text, dtype=np.uint8).reshape(count, _GROUP)
+            raw = _a2b(chars[live].tobytes())
+            if len(raw) != _RAW_GROUP * live.size:
+                raise binascii.Error("padding inside the blob")
+            index, values = _stored(3 * (self.groups + live), 3, raw)
+            self.index.append(index)
+            self.values.append(values)
+        self.groups += count
+
+    def entries(self, rows: int, cols: int, field: str):
+        """(flat index, value) of the decoded entries of a rows x cols matrix."""
+        try:
+            if self.error is not None:
+                raise self.error
+            tail = _a2b(self.pending)
+        except binascii.Error as exc:
+            raise ChannelFormatError(f"field '{field}': invalid base64 blob") from exc
+        size = _RAW_GROUP * self.groups + len(tail)
+        if size != rows * cols * 16:
+            raise ChannelFormatError(
+                f"field '{field}': blob of {size} bytes, expected {rows * cols * 16}"
+            )
+        index, values = _stored(np.array([3 * self.groups]), len(tail) // 16, tail)
+        return np.concatenate([*self.index, index]), np.concatenate([*self.values, values])
+
+
+def _stored(first: np.ndarray, count: int, raw: bytes):
+    """(flat index, value) of the stored entries of decoded groups of
+    ``count`` entries, the groups starting at flat indices ``first``."""
+    local, values = stored_entries(np.frombuffer(raw, dtype="<c16"))
+    return first[local // count] + local % count, values
+
+
+def _decode_blob(blob: str) -> _BlobEntries:
+    entries = _BlobEntries()
+    try:
+        entries.feed(blob.encode("ascii"))
+    except UnicodeEncodeError as exc:
+        entries.error = binascii.Error(str(exc))
+    return entries
 
 
 def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
@@ -310,16 +425,9 @@ def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict
     return doc
 
 
-def _entry_matrix(doc: dict, field: str) -> np.ndarray:
-    where = "bundle document"
-    entry = _require(doc, field, dict, where)
-    rows = _require(entry, "rows", int, f"{where} '{field}'")
-    cols = _require(entry, "cols", int, f"{where} '{field}'")
-    blob = _require(entry, "blob", str, f"{where} '{field}'")
-    return blob_to_matrix(blob, rows, cols, field)
-
-
-def bundle_from_dict(doc: dict) -> RegisterDilation:
+def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
+    """The bundle of a parsed document, with blob_entries(blob string) the
+    _BlobEntries of each entry's blob."""
     where = "bundle document"
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{where} must be a JSON object")
@@ -329,18 +437,38 @@ def bundle_from_dict(doc: dict) -> RegisterDilation:
         raise ChannelFormatError(f"{where} field 'shape' must list positive integers")
     if mode not in BUNDLE_FIELDS:
         raise ChannelFormatError(f"{where} field 'mode' must be semigroup|cyclic|control")
-    scalar, blobs = BUNDLE_FIELDS[mode]
+    scalar, names = BUNDLE_FIELDS[mode]
     value = _require(doc, scalar, int, where)
     if len(shape) < 3:
         raise ChannelFormatError(f"{where} field 'shape' must have at least 3 factors")
+    cells = int(np.prod(shape[2:]))
+    anc = shape[1] * cells
+    total = shape[0] * anc
+
+    def entries(field: str, side: int):
+        entry = _require(doc, field, dict, where)
+        rows = _require(entry, "rows", int, f"{where} '{field}'")
+        cols = _require(entry, "cols", int, f"{where} '{field}'")
+        blob = _require(entry, "blob", str, f"{where} '{field}'")
+        index, values = blob_entries(blob).entries(rows, cols, field)
+        if (rows, cols) != (side, side):
+            kind = "unitary" if field != "omega" else "ancilla state"
+            raise ChannelFormatError(
+                f"{where}: {kind} of shape {(rows, cols)}, expected {(side, side)}"
+            )
+        return index, values
+
     try:
+        forms = [
+            BlockPermutation.from_entries(*entries(name, total), total, cells) for name in names
+        ]
         bundle = RegisterDilation(
             mode=mode,
             dim=shape[0],
             ancilla_dim=shape[1],
             registers=tuple(shape[2:]),
-            generators=tuple(_entry_matrix(doc, name) for name in blobs),
-            state=_entry_matrix(doc, "omega"),
+            generators=forms,
+            state=pure_state_from_entries(*entries("omega", anc), anc),
         )
     except ValueError as exc:
         raise ChannelFormatError(f"{where}: {exc}") from exc
@@ -349,15 +477,22 @@ def bundle_from_dict(doc: dict) -> RegisterDilation:
     return bundle
 
 
+def bundle_from_dict(doc: dict) -> RegisterDilation:
+    return _bundle_from_doc(doc, _decode_blob)
+
+
 def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None = None) -> None:
     """Write dump_document(bundle_to_dict(bundle, inputs)) to path, with each
     blob streamed from the blocks and psi between the pieces of the header."""
     doc, blobs = _bundle_document(bundle, inputs)
-    parts = _PLACEHOLDER.split(dump_document(doc))
+    header = dump_document(doc)
+    parts = _PLACEHOLDER.split(header)
     if sorted(parts[1::2]) != sorted(blobs):
         raise ValueError(
             f"bundle header holds blob placeholders {parts[1::2]}, expected one each of {sorted(blobs)}"
         )
+    if header.count('"blob":') != len(blobs):  # only a key can dump to this text
+        raise ValueError('bundle inputs hold a "blob" key, which load_bundle refuses')
 
     def write(handle):
         handle.write(parts[0].encode("ascii"))
@@ -369,16 +504,95 @@ def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None 
     _write_atomic(path, write)
 
 
-def load_bundle(path: str | Path) -> RegisterDilation:
-    return bundle_from_dict(_load_json(path))
+def _split_bundle(handle, digest):
+    """One pass over a bundle file: the JSON header, in which the string
+    value of every "blob" key is the placeholder of its number, and the
+    _BlobEntries of each blob.  Only the header is scanned a byte at a time;
+    a blob runs to the next quote, which a valid blob cannot hold."""
+    header = bytearray()
+    blobs = []
+    blob = None  # the blob being read
+    in_string = escaped = False
+    start = 0  # where the current string token starts in the header
+    expect = None  # after the key "blob": the colon, then the opening quote
+    buffer = bytearray(_CHUNK)
+    view = memoryview(buffer)
+    while size := handle.readinto(buffer):
+        if digest is not None:
+            digest.update(view[:size])
+        pos = 0
+        while pos < size:
+            if blob is not None:
+                end = buffer.find(b'"', pos, size)
+                blob.feed(view[pos:size if end < 0 else end])
+                if end < 0:
+                    break
+                blob, pos = None, end + 1
+                continue
+            char = buffer[pos]
+            pos += 1
+            if in_string:
+                header.append(char)
+                if escaped:
+                    escaped = False
+                elif char == ord("\\"):
+                    escaped = True
+                elif char == ord('"'):
+                    in_string = False
+                    expect = ":" if header[start:] == b'"blob"' else None
+            elif char in b" \t\n\r":
+                header.append(char)
+            elif expect == ":" and char == ord(":"):
+                header.append(char)
+                expect = '"'
+            elif expect == '"' and char == ord('"'):
+                header += b'"\\u0000blob:%d\\u0000"' % len(blobs)
+                blob, expect = _BlobEntries(), None
+                blobs.append(blob)
+            else:
+                header.append(char)
+                expect = None
+                if char == ord('"'):
+                    in_string, start = True, len(header) - 1
+    return bytes(header), blobs
+
+
+def load_bundle(path: str | Path, digest=None) -> RegisterDilation:
+    """The bundle in a v1 file, read once in bounded chunks: no dense matrix
+    and no blob string is built, only the entries of the base64 groups that
+    are not all zero.  ``digest``, a hashlib object, is updated with every
+    byte of the file."""
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            header, blobs = _split_bundle(handle, digest)
+    except OSError as exc:
+        raise ChannelFormatError(f"cannot read {path}: {exc}") from exc
+    doc = _parse_json(header, path)
+    claimed = set()
+
+    def placeholder(blob: str) -> _BlobEntries:
+        match = _READ_PLACEHOLDER.fullmatch(blob)
+        if match is None or int(match[1]) >= len(blobs) or int(match[1]) in claimed:
+            raise ChannelFormatError(f"bundle file {path}: a blob is not a plain base64 string")
+        claimed.add(int(match[1]))
+        return blobs[int(match[1])]
+
+    bundle = _bundle_from_doc(doc, placeholder)
+    if len(claimed) != len(blobs):
+        raise ChannelFormatError(f"bundle file {path}: a \"blob\" key outside a bundle entry")
+    return bundle
 
 
 def _load_json(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes()
     except OSError as exc:
         raise ChannelFormatError(f"cannot read {path}: {exc}") from exc
+    return _parse_json(text, path)
+
+
+def _parse_json(text: bytes, path: str | Path):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc

@@ -265,6 +265,28 @@ class TestVerify:
         assert len(report["residuals"]) == 6
         assert all(r <= 1e-9 for r in report["residuals"])
 
+    def test_bundle_digest_comes_from_the_one_read(self, corpus, damp_bundle5, capsys,
+                                                  monkeypatch):
+        import hashlib
+
+        from dilatio import cli
+
+        channel = corpus / "channel_amplitude_damping_0.5.json"
+        digested = []
+        original = cli.file_digest
+
+        def recording(path):
+            digested.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(cli, "file_digest", recording)
+        code, out, _ = run(capsys, "verify", damp_bundle5, channel)
+        assert code == 0
+        assert digested == [str(channel)]
+        inputs = json.loads(out)["inputs"]
+        assert inputs["bundle"] == hashlib.sha256(damp_bundle5.read_bytes()).hexdigest()
+        assert inputs["channel"] == original(channel)
+
     def test_wrong_channel_fails(self, corpus, damp_bundle5, capsys):
         code, out, _ = run(
             capsys, "verify", damp_bundle5, corpus / "channel_amplitude_damping_0.1.json"
@@ -433,6 +455,24 @@ class TestEvolve:
         )
         assert code == 1 and out == ""
         assert err == "input error: --steps must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--steps", "1", "--sequence", "T"), "provide exactly one of --steps or --sequence"),
+        ((), "provide exactly one of --steps or --sequence"),
+        (("--steps", "-2"), "--steps must be nonnegative, got -2"),
+    ])
+    def test_usage_errors_read_no_file(self, corpus, damp_bundle6, capsys, monkeypatch,
+                                       flags, message):
+        from dilatio import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was read before the arguments were checked")
+
+        monkeypatch.setattr(cli, "load_bundle", refuse)
+        monkeypatch.setattr(cli, "load_state", refuse)
+        code, out, err = run(capsys, "evolve", damp_bundle6, corpus / "state_excited.json", *flags)
+        assert code == 1 and out == ""
+        assert err == f"input error: {message}\n"
 
     def test_sequences_collapse_on_control_bundle(self, corpus, tmp_path, capsys):
         bundle = tmp_path / "ctl.bundle"

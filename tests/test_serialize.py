@@ -423,3 +423,174 @@ def test_file_digest_reads_past_one_chunk(tmp_path):
     data = np.random.default_rng(0).bytes((5 << 20) // 2)
     path.write_bytes(data)
     assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+# ------------------------------------------------------------ sparse reader
+
+def _dense_decode(path):
+    """Each blob of a bundle file decoded whole, as the dense v1 reader did."""
+    doc = json.loads(path.read_text(encoding="ascii"))
+    return {
+        name: np.frombuffer(base64.b64decode(entry["blob"], validate=True), dtype="<c16")
+        .reshape(entry["rows"], entry["cols"])
+        for name, entry in doc.items()
+        if isinstance(entry, dict) and "blob" in entry
+    }
+
+
+@pytest.mark.parametrize("mode, length", WRITER_CASES)
+def test_loaded_forms_and_psi_are_the_dense_decode(tmp_path, mode, length):
+    bundle = _with_negated_first_block(_writer_bundle(mode, length))
+    path = tmp_path / "b.bundle"
+    save_bundle(path, bundle, {"channel": "digest"})
+    dense = _dense_decode(path)
+    names = ["U", "V"][-len(bundle.forms):]
+    for loaded in (load_bundle(path), bundle_from_dict(json.loads(path.read_text()))):
+        for name, form, written in zip(names, loaded.forms, bundle.forms):
+            cells, b = written.blocks.shape[:2]
+            view = dense[name].reshape(b, cells, b, cells)
+            np.testing.assert_array_equal(form.src, written.src)
+            expected = view[:, np.arange(cells), :, written.src]
+            assert form.blocks.tobytes() == expected.tobytes() == written.blocks.tobytes()
+        omega = dense["omega"]
+        j = int(np.argmax(omega.diagonal().real))
+        assert loaded.psi.tobytes() == (omega[:, j] / np.sqrt(omega[j, j].real)).tobytes()
+
+
+def _bundle_text(tmp_path):
+    bundle = build_semigroup_dilation(random_channel(2, 4, 3), 4)
+    path = tmp_path / "b.bundle"
+    save_bundle(path, bundle)
+    text = path.read_text(encoding="ascii")
+    start = text.index('"V":{"blob":"') + len('"V":{"blob":"')
+    return path, text, start, text.index('"', start)
+
+
+def _replace(text, at, old, new):
+    assert text[at:at + len(old)] == old
+    return text[:at] + new + text[at + len(old):]
+
+
+@pytest.mark.parametrize("char", ["-", " ", "\\n", "é", "\\u0041"])
+def test_non_alphabet_text_inside_a_run_of_zero_groups_is_refused(tmp_path, char):
+    path, text, start, end = _bundle_text(tmp_path)
+    run_at = text.index("A" * 256, start)
+    assert run_at < end
+    # inside the second whole group of the run of A's
+    at = run_at + (-(run_at - start) % 64) + 64 + 17
+    path.write_text(_replace(text, at, "A", char), encoding="utf-8")
+    with pytest.raises(ChannelFormatError, match="field 'V': invalid base64 blob"):
+        load_bundle(path)
+
+
+def test_escaped_slash_inside_a_blob_is_refused(tmp_path):
+    # "\/" is JSON for "/": a JSON reader sees the very same blob
+    path, text, start, end = _bundle_text(tmp_path)
+    at = text.index("/", start)
+    assert at < end
+    escaped = _replace(text, at, "/", "\\/")
+    assert json.loads(escaped) == json.loads(text)
+    path.write_text(escaped, encoding="ascii")
+    with pytest.raises(ChannelFormatError, match="field 'V': invalid base64 blob"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("padding", ["=", "==", "A="])
+def test_padding_in_mid_blob_is_refused(tmp_path, padding):
+    path, text, start, end = _bundle_text(tmp_path)
+    groups = [text[at:at + 64] for at in range(start, end - 64, 64)]
+    zero = groups.index("A" * 64, 1)
+    live = next(k for k, group in enumerate(groups) if k and group != "A" * 64)
+    for group in (zero, live):  # a skipped group and a decoded one, neither the last
+        at = start + 64 * group + 64 - len(padding)
+        path.write_text(_replace(text, at, text[at:at + len(padding)], padding), encoding="ascii")
+        with pytest.raises(ChannelFormatError, match="field 'V': invalid base64 blob"):
+            load_bundle(path)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 64, 68])
+def test_truncated_blob_is_refused(tmp_path, cut):
+    path, text, start, end = _bundle_text(tmp_path)
+    middle = start + (end - start) // 2
+    path.write_text(text[:middle] + text[middle + cut:], encoding="ascii")
+    with pytest.raises(ChannelFormatError, match="field 'V'"):
+        load_bundle(path)
+
+
+def test_blob_key_outside_a_bundle_entry_is_refused(tmp_path):
+    path, text, start, end = _bundle_text(tmp_path)
+    stray = _replace(text, text.index('"inputs":{}'), '"inputs":{}', '"inputs":{"blob":"AAAA"}')
+    path.write_text(stray, encoding="ascii")
+    assert bundle_from_dict(json.loads(stray)).mode == "semigroup"
+    with pytest.raises(ChannelFormatError, match='"blob" key outside a bundle entry'):
+        load_bundle(path)
+    # nor does the writer make such a file
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
+    with pytest.raises(ValueError, match='"blob" key'):
+        save_bundle(tmp_path / "c.bundle", bundle, {"blob": "AAAA"})
+    assert not (tmp_path / "c.bundle").exists()
+
+
+def test_escaped_blob_key_is_refused(tmp_path):
+    path, text, start, end = _bundle_text(tmp_path)
+    escaped = _replace(text, start - len('"blob":"'), '"blob"', '"\\u0062lob"')
+    assert json.loads(escaped) == json.loads(text)
+    path.write_text(escaped, encoding="ascii")
+    with pytest.raises(ChannelFormatError, match="not a plain base64 string"):
+        load_bundle(path)
+
+
+def test_blob_keys_may_be_spaced(tmp_path):
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 3)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(bundle_to_dict(bundle), indent=1))
+    again = load_bundle(path)
+    assert again.forms[0].blocks.tobytes() == bundle.forms[0].blocks.tobytes()
+
+
+def test_load_bundle_memory_stays_near_the_blocks(tmp_path):
+    bundle = build_semigroup_dilation(random_channel(2, 4, 5), 127)
+    path = tmp_path / "b.bundle"
+    save_bundle(path, bundle)
+    block_bytes = bundle.forms[0].blocks.nbytes
+    tracemalloc.start()
+    try:
+        again = load_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.forms[0].blocks.tobytes() == bundle.forms[0].blocks.tobytes()
+    assert peak < (4 << 20) + block_bytes
+    assert path.stat().st_size > 5 * peak
+
+
+@pytest.mark.parametrize("mode, length", [("semigroup", 32), ("control", 5), ("cyclic", 6)])
+def test_only_groups_holding_entries_are_decoded(tmp_path, monkeypatch, mode, length):
+    import binascii
+
+    bundle = _writer_bundle(mode, length)
+    path = tmp_path / "b.bundle"
+    save_bundle(path, bundle)
+    dense = _dense_decode(path)
+    decoded = []
+    original = binascii.a2b_base64
+
+    def counting(text, *args, **kwargs):
+        decoded.append(len(text))
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(binascii, "a2b_base64", counting)
+    load_bundle(path)
+    expected = 0
+    for name, matrix in dense.items():
+        raw = matrix.tobytes()
+        whole = (len(raw) - 1) // 48  # the last group is decoded on its own
+        live = np.frombuffer(raw[:48 * whole], dtype=np.uint8).reshape(whole, 48).any(axis=1)
+        tail = 4 * -(-(len(raw) - 48 * whole) // 3)
+        expected += 64 * int(live.sum()) + tail
+        if name != "omega":
+            cells, b = bundle.forms[0].blocks.shape[:2]
+            # at most one group per block entry, plus the last group
+            assert 64 * int(live.sum()) <= 64 * cells * b * b
+    assert sum(decoded) == expected
+    assert sum(decoded) < sum(4 * m.nbytes // 3 for m in dense.values()) / 3
