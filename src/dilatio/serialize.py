@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -251,16 +250,18 @@ _READ_PLACEHOLDER = re.compile("\0blob:([0-9]+)\0")
 # Bytes per read of a bundle file.
 _CHUNK = 1 << 20
 
-if sys.version_info >= (3, 11):
-    def _a2b(text) -> bytes:
-        return binascii.a2b_base64(text, strict_mode=True)
-else:  # no strict_mode: the alphabet and padding checks of b64decode(validate=True)
-    _BASE64 = re.compile(rb"[A-Za-z0-9+/]*={0,2}")
+# A JSON string can hold a NUL only as the escape \u0000 (one not itself
+# escaped), so the reader counts them: two per placeholder, none of the file's.
+_NUL_ESCAPE = re.compile(rb"(?<!\\)(?:\\\\)*\\u0000")
+# The alphabet and padding checks of b64decode(validate=True), which
+# a2b_base64 does not make: it skips bytes outside the alphabet.
+_BASE64 = re.compile(rb"[A-Za-z0-9+/]*={0,2}")
 
-    def _a2b(text) -> bytes:
-        if not _BASE64.fullmatch(bytes(text)):
-            raise binascii.Error("non-base64 data")
-        return binascii.a2b_base64(text)
+
+def _a2b(text: bytes) -> bytes:
+    if not _BASE64.fullmatch(text):
+        raise binascii.Error("non-base64 data")
+    return binascii.a2b_base64(text)
 
 
 def _generator_rows(form: BlockPermutation):
@@ -493,6 +494,8 @@ def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None 
         )
     if header.count('"blob":') != len(blobs):  # only a key can dump to this text
         raise ValueError('bundle inputs hold a "blob" key, which load_bundle refuses')
+    if len(_NUL_ESCAPE.findall(header.encode("ascii"))) != 2 * len(blobs):
+        raise ValueError("bundle inputs hold a NUL character, which load_bundle refuses")
 
     def write(handle):
         handle.write(parts[0].encode("ascii"))
@@ -567,6 +570,8 @@ def load_bundle(path: str | Path, digest=None) -> RegisterDilation:
             header, blobs = _split_bundle(handle, digest)
     except OSError as exc:
         raise ChannelFormatError(f"cannot read {path}: {exc}") from exc
+    if len(_NUL_ESCAPE.findall(header)) != 2 * len(blobs):
+        raise ChannelFormatError(f"bundle file {path}: a string holds a NUL character")
     doc = _parse_json(header, path)
     claimed = set()
 

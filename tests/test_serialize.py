@@ -540,6 +540,33 @@ def test_escaped_blob_key_is_refused(tmp_path):
         load_bundle(path)
 
 
+def test_escaped_blob_key_with_a_forged_placeholder_is_refused(tmp_path):
+    # V's blob moves under a real "blob" key in inputs, read first as blob 0,
+    # and V's escaped key carries the text of blob 0's placeholder
+    path, text, start, end = _bundle_text(tmp_path)
+    key_at = start - len('"blob":"')
+    forged = text[:key_at] + '"bl\\u006fb":"\\u0000blob:0\\u0000"' + text[end + 1:]
+    forged = _replace(forged, forged.index('"inputs":{}'), '"inputs":{}',
+                      '"inputs":{"blob":' + text[start - 1:end + 1] + "}")
+    with pytest.raises(ChannelFormatError, match="field 'V': invalid base64 blob"):
+        bundle_from_dict(json.loads(forged))
+    path.write_text(forged, encoding="ascii")
+    with pytest.raises(ChannelFormatError, match="a string holds a NUL character"):
+        load_bundle(path)
+
+
+def test_nul_characters_in_inputs_are_refused_by_the_writer(tmp_path):
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
+    with pytest.raises(ValueError, match="NUL character"):
+        save_bundle(tmp_path / "c.bundle", bundle, {"note": "a\0b"})
+    assert not (tmp_path / "c.bundle").exists()
+    # an escaped backslash before u0000 is text, not a NUL
+    save_bundle(tmp_path / "c.bundle", bundle, {"note": "a\\u0000b"})
+    assert load_bundle(tmp_path / "c.bundle").forms[0].blocks.tobytes() == (
+        bundle.forms[0].blocks.tobytes()
+    )
+
+
 def test_blob_keys_may_be_spaced(tmp_path):
     bundle = build_semigroup_dilation(amplitude_damping(0.3), 3)
     path = tmp_path / "b.json"
