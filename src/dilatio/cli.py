@@ -164,6 +164,8 @@ def cmd_evolve(args) -> int:
         raise ChannelFormatError("provide exactly one of --steps or --sequence")
     if args.steps is not None and args.steps < 0:
         raise ChannelFormatError(f"--steps must be nonnegative, got {args.steps}")
+    if args.sequence is not None:
+        control.normalize_sequence(args.sequence)
     bundle = load_bundle(args.bundle)
     rho = load_state(args.state)
     if (args.sequence is not None) != (bundle.mode == "control"):

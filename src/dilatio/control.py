@@ -83,15 +83,9 @@ def reachable_set(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     _require_commuting_pair(t, s, commute_tol)
-    rho = check_density_matrix(rho0)
     states: list[tuple[int, np.ndarray]] = []
     for k in range(n_steps + 1):
-        out = rho
-        for _ in range(n_steps - k):
-            out = apply_channel(s, out)
-        for _ in range(k):
-            out = apply_channel(t, out)
-        out = hermitize(out)
+        out = apply_word(t, s, rho0, "S" * (n_steps - k) + "T" * k)
         if all(trace_distance(out, seen) > dedup_tol for _, seen in states):
             states.append((k, out))
     return states
@@ -119,7 +113,8 @@ def build_control_dilation(
     return build_register_dilation("control", [t, s], n_steps, tol, max_total_dim)
 
 
-def _normalize_sequence(sequence: str | Iterable[str]) -> list[str]:
+def normalize_sequence(sequence: str | Iterable[str]) -> list[str]:
+    """The steps of a control word, refused unless every one is T or S."""
     steps = list(sequence)
     if any(step not in ("T", "S") for step in steps):
         raise ValueError(f"control sequence must use the alphabet T/S, got {steps!r}")
@@ -132,7 +127,7 @@ def evolve_control(bundle: RegisterDilation, rho0, sequence: str | Iterable[str]
     Only the number of T steps matters (the generators commute), so the
     word U^k V^(N-k) reproduces any ordering of the same letters.
     """
-    steps = _normalize_sequence(sequence)
+    steps = normalize_sequence(sequence)
     n_total = len(steps)
     check_horizon(bundle, n_total)
     rho = check_system_state(bundle, rho0)
@@ -193,7 +188,7 @@ def verify_reachable_inclusion(
 def apply_word(t: KrausChannel, s: KrausChannel, rho0, sequence: Sequence[str]) -> np.ndarray:
     """Sequential application of a control word directly to a state
     (the brute-force oracle for the dilation path)."""
-    steps = _normalize_sequence(sequence)
+    steps = normalize_sequence(sequence)
     out = check_density_matrix(rho0)
     for step in steps:
         out = apply_channel(t if step == "T" else s, out)

@@ -158,13 +158,22 @@ class BlockPermutation:
     def dim(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
-    def dense(self) -> np.ndarray:
-        """The D x D matrix: each block written at [:, c, :, src(c)] of
-        the zeroed (b, L, b, L) view."""
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat row-major index, value) of every block entry, ascending:
+        B_c[i, j] sits at row i L + c, column j L + src(c).  The inverse of
+        ``from_entries``."""
         cells, b = self.blocks.shape[:2]
-        g = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        g.reshape(b, cells, b, cells)[:, np.arange(cells), :, self.src] = self.blocks
-        return g
+        rows = np.arange(b)[:, np.newaxis] * cells + np.arange(cells)  # (b, L): i L + c
+        cols = np.arange(b)[:, np.newaxis] * cells + self.src  # (b, L): j L + src(c)
+        index = rows[:, :, np.newaxis] * self.dim + cols.T[np.newaxis]
+        return index.reshape(-1), self.blocks.transpose(1, 0, 2).reshape(-1)
+
+    def dense(self) -> np.ndarray:
+        """The D x D matrix: ``entries`` scattered into zeros."""
+        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        index, values = self.entries()
+        g[index] = values
+        return g.reshape(self.dim, self.dim)
 
     def __matmul__(self, other: BlockPermutation) -> BlockPermutation:
         """G H for H on the same cells: (G H)_c = B_c H_src(c)."""

@@ -7,14 +7,16 @@ with sorted keys and fixed separators so identical inputs produce
 byte-identical files.
 
 A bundle's blobs are the dense matrices of the v1 format, but no dense
-matrix is built to write or to read them: each generator's rows are
-filled from its blocks one block row at a time into a reused (L, D) slab,
-omega's rows come from psi in chunks, and the base64 of the chunks is
-streamed into the file between the pieces of the JSON document.  Base64
-turns every 48 bytes of a blob into its own 64 characters, and 48 zero
-bytes into 64 A's, so the writer encodes and the reader decodes only the
-groups that are not all zero; the reader streams the file once and keeps
-the entries of those groups, from which it reads the blocks and psi.
+matrix is built to write or to read them: both sides work on the sparse
+(flat index, value) entries of a blob.  Base64 turns every 48 bytes of a
+blob into its own 64 characters, and 48 zero bytes into 64 A's.  The
+writer takes a generator's entries from its blocks
+(``BlockPermutation.entries``) and omega's from row chunks of psi psi^dag,
+writes 64 A's for each group that holds no entry, encodes the others, and
+streams the text into the file between the pieces of the JSON document.
+The reader streams the file once, skips the groups of 64 A's and keeps
+the entries of the others, from which it reads the blocks
+(``BlockPermutation.from_entries``) and psi.
 """
 
 from __future__ import annotations
@@ -235,8 +237,8 @@ def load_state(path: str | Path) -> np.ndarray:
 
 # ----------------------------------------------------------------- bundles
 
-# Raw bytes per base64 call and per omega chunk, a multiple of 48: every
-# piece but the last of a blob then encodes to whole base64 groups.
+# Raw bytes per written piece of a blob and per omega chunk, a multiple of
+# 48: every piece but the last of a blob encodes whole base64 groups.
 _PIECE = 3 << 15
 # Base64 maps each 48 raw bytes (3 complex entries), counted from the start
 # of a blob, to its own group of 64 characters, and 48 zero bytes to 64 A's.
@@ -264,61 +266,43 @@ def _a2b(text: bytes) -> bytes:
     return binascii.a2b_base64(text)
 
 
-def _generator_rows(form: BlockPermutation):
-    """The dense generator's rows, L at a time: rows i L .. i L + L - 1
-    (block row i) are the (L, b, L) slab with slab[c, :, src(c)] = B_c[i, :].
-    Every block row has the same nonzero pattern, so one zeroed slab is
-    overwritten in place; each slab is stale once the next is asked for."""
-    cells, b = form.blocks.shape[:2]
-    slab = np.zeros((cells, b, cells), dtype="<c16")
-    cell = np.arange(cells)
-    for i in range(b):
-        slab[cell, :, form.src] = form.blocks[:, i, :]
-        yield slab
+def _blob_pieces(index, values, count: int):
+    """The base64 of the ``count``-entry little-endian complex128 vector
+    that holds ``values`` at the ascending flat ``index`` and 0 elsewhere,
+    one piece of whole groups at a time: 64 A's for each group that holds
+    no entry, one b2a_base64 call over the groups that do, and the last,
+    partial group encoded on its own."""
+    whole = count // 3  # the groups of three entries
+    group = index // 3
+    step = _PIECE // _RAW_GROUP
+    for start in range(0, whole, step):
+        stop = min(start + step, whole)
+        lo, hi = np.searchsorted(group, (start, stop))
+        text = np.full((stop - start, _GROUP), ord("A"), dtype=np.uint8)
+        if hi > lo:
+            live, slot = np.unique(group[lo:hi], return_inverse=True)
+            raw = np.zeros((live.size, 3), dtype="<c16")
+            raw[slot, index[lo:hi] % 3] = values[lo:hi]
+            encoded = binascii.b2a_base64(raw, newline=False)
+            text[live - start] = np.frombuffer(encoded, dtype=np.uint8).reshape(-1, _GROUP)
+        yield text.tobytes()
+    if count % 3:
+        lo = np.searchsorted(index, 3 * whole)
+        raw = np.zeros(count % 3, dtype="<c16")
+        raw[index[lo:] - 3 * whole] = values[lo:]
+        yield binascii.b2a_base64(raw, newline=False)
 
 
-def _state_rows(psi: np.ndarray):
-    """The rows of omega = psi psi^dag, about _PIECE bytes at a time."""
-    step = max(1, _PIECE // (16 * psi.size))
+def _state_pieces(psi: np.ndarray):
+    """The base64 pieces of omega = psi psi^dag, from the stored entries of
+    the product itself, so that every zero keeps its sign, in chunks of a
+    multiple of 3 rows, about _PIECE bytes each: every chunk but the last
+    then ends on a group boundary."""
+    step = 3 * max(1, _PIECE // (48 * psi.size))
     conj = psi.conj()
     for start in range(0, psi.size, step):
-        yield np.outer(psi[start:start + step], conj)
-
-
-def _encode_groups(raw: np.ndarray) -> bytes:
-    """The base64 of whole 48-byte groups: 64 A's for each group of zeros,
-    b2a_base64 of the others."""
-    groups = raw.reshape(-1, _RAW_GROUP)
-    live = np.flatnonzero(raw.view(np.uint64).reshape(-1, _RAW_GROUP // 8).any(axis=1))
-    if live.size == len(groups):
-        return binascii.b2a_base64(raw, newline=False)
-    text = np.full((len(groups), _GROUP), ord("A"), dtype=np.uint8)
-    if live.size:
-        encoded = binascii.b2a_base64(groups[live], newline=False)
-        text[live] = np.frombuffer(encoded, dtype=np.uint8).reshape(-1, _GROUP)
-    return text.tobytes()
-
-
-def _base64_pieces(chunks):
-    """The base64 of the concatenated little-endian complex128 chunks, in
-    pieces that join to it: every piece but the last encodes whole 48-byte
-    groups, and the < 48 bytes a chunk leaves over carry to the next."""
-    carry = b""
-    for chunk in chunks:
-        raw = np.ascontiguousarray(chunk, dtype="<c16").reshape(-1).view(np.uint8)
-        if carry:
-            head = _RAW_GROUP - len(carry)
-            carry += raw[:head].tobytes()
-            raw = raw[head:]
-            if len(carry) < _RAW_GROUP:
-                continue
-            yield _encode_groups(np.frombuffer(carry, dtype=np.uint8))
-        cut = raw.size - raw.size % _RAW_GROUP
-        for start in range(0, cut, _PIECE):
-            yield _encode_groups(raw[start:min(start + _PIECE, cut)])
-        carry = raw[cut:].tobytes()
-    if carry:
-        yield binascii.b2a_base64(carry, newline=False)
+        rows = np.outer(psi[start:start + step], conj)
+        yield from _blob_pieces(*stored_entries(rows), rows.size)
 
 
 class _BlobEntries:
@@ -400,7 +384,7 @@ def _decode_blob(blob: str) -> _BlobEntries:
 
 def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
     """The bundle document with a placeholder in place of each blob (see
-    _PLACEHOLDER), and each blob's row chunks by field name."""
+    _PLACEHOLDER), and the base64 pieces of each blob by field name."""
     scalar, names = BUNDLE_FIELDS[bundle.mode]
     doc = {
         "format": FORMAT_BUNDLE,
@@ -409,20 +393,20 @@ def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
         "shape": list(bundle.shape),
         scalar: getattr(bundle, scalar),
     }
-    sources = {"omega": (bundle.psi.size, _state_rows(bundle.psi))}
+    sides = {"omega": bundle.psi.size}
+    blobs = {"omega": _state_pieces(bundle.psi)}
     for name, form in zip(names, bundle.forms):
-        sources[name] = (form.dim, _generator_rows(form))
-    blobs = {}
-    for name, (side, chunks) in sources.items():
+        sides[name] = form.dim
+        blobs[name] = _blob_pieces(*form.entries(), form.dim ** 2)
+    for name, side in sides.items():
         doc[name] = {"rows": side, "cols": side, "blob": f"\0blob:{name}\0"}
-        blobs[name] = chunks
     return doc, blobs
 
 
 def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
     doc, blobs = _bundle_document(bundle, inputs)
-    for name, chunks in blobs.items():
-        doc[name]["blob"] = b"".join(_base64_pieces(chunks)).decode("ascii")
+    for name, pieces in blobs.items():
+        doc[name]["blob"] = b"".join(pieces).decode("ascii")
     return doc
 
 
@@ -500,7 +484,7 @@ def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None 
     def write(handle):
         handle.write(parts[0].encode("ascii"))
         for name, text in zip(parts[1::2], parts[2::2]):
-            for piece in _base64_pieces(blobs[name]):
+            for piece in blobs[name]:
                 handle.write(piece)
             handle.write(text.encode("ascii"))
 

@@ -460,6 +460,7 @@ class TestEvolve:
         (("--steps", "1", "--sequence", "T"), "provide exactly one of --steps or --sequence"),
         ((), "provide exactly one of --steps or --sequence"),
         (("--steps", "-2"), "--steps must be nonnegative, got -2"),
+        (("--sequence", "TSX"), "control sequence must use the alphabet T/S, got ['T', 'S', 'X']"),
     ])
     def test_usage_errors_read_no_file(self, corpus, damp_bundle6, capsys, monkeypatch,
                                        flags, message):

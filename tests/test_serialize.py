@@ -19,6 +19,7 @@ from dilatio.fixtures import (
     rotation_channel,
     transpose_channel,
 )
+from dilatio.linalg import stored_entries
 from dilatio.register import BlockPermutation, RegisterDilation
 from dilatio.semigroup import build_semigroup_dilation, verify_dilation
 from dilatio.serialize import (
@@ -312,6 +313,16 @@ def _writer_bundle(mode, length):
     if mode == "control":
         t, s = random_commuting_pair(2, seed=length)
         return build_control_dilation(t, s, length - 1)
+    if mode == "signed-psi":
+        # psi with exact +0 and -0 parts: omega's products of them are signed zeros
+        bundle = _writer_bundle("semigroup", length)
+        rng = np.random.default_rng(length)
+        psi = rng.standard_normal(bundle.psi.size) + 1j * rng.standard_normal(bundle.psi.size)
+        psi[::3] = 0.0
+        psi[1::4] = complex(-0.0, -0.0)
+        psi[2::5] = complex(-0.0, 0.5)
+        return RegisterDilation(bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers,
+                                bundle.forms, psi / np.linalg.norm(psi))
     # Haar generators take the one-cell form; psi is no basis state
     rng = np.random.default_rng(length)
     anc = 4 * length
@@ -324,7 +335,7 @@ WRITER_CASES = [
     (mode, length)
     for mode in ("semigroup", "cyclic", "control", "one-cell")
     for length in (2, 3, 4, 5)
-] + [("semigroup", 32)]  # slabs and omega each span several base64 pieces
+] + [("semigroup", 32), ("signed-psi", 20)]  # blobs, and omega, span several pieces
 
 
 @pytest.mark.parametrize("mode, length", WRITER_CASES)
@@ -365,7 +376,59 @@ def test_save_bundle_memory_stays_below_a_dense_generator(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dense_bytes / 4
+    # half of one zero-filled (L, b, L) slab of a block row's dense rows
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("mode, length", WRITER_CASES)
+def test_entries_invert_from_entries(mode, length):
+    bundle = _with_negated_first_block(_writer_bundle(mode, length))
+    for form in bundle.forms:
+        cells, b = form.blocks.shape[:2]
+        index, values = form.entries()
+        assert (np.diff(index) > 0).all()
+        again = BlockPermutation.from_entries(index, values, form.dim, cells)
+        np.testing.assert_array_equal(again.src, form.src)
+        assert again.blocks.tobytes() == form.blocks.tobytes()
+        # B_c[i, j] at row i L + c, column j L + src(c)
+        layout = np.zeros((b, cells, b, cells), dtype=np.complex128)
+        layout[:, np.arange(cells), :, form.src] = form.blocks
+        assert form.dense().tobytes() == layout.tobytes()
+
+
+def test_signed_psi_case_has_signed_zeros_off_the_support():
+    # a writer that took omega only over psi's support would write +0 there
+    bundle = _writer_bundle("signed-psi", 20)
+    support = bundle.psi != 0
+    off = ~np.outer(support, support)
+    omega = bundle.omega
+    assert any((np.signbit(part) & (part == 0) & off).any() for part in (omega.real, omega.imag))
+
+
+@pytest.mark.parametrize("mode, length",
+                         [("semigroup", 32), ("control", 5), ("cyclic", 6), ("signed-psi", 20)])
+def test_only_groups_holding_entries_are_encoded(tmp_path, monkeypatch, mode, length):
+    import binascii
+
+    bundle = _writer_bundle(mode, length)
+    encoded = []
+    original = binascii.b2a_base64
+
+    def counting(data, *args, **kwargs):
+        text = original(data, *args, **kwargs)
+        encoded.append(len(text))
+        return text
+
+    monkeypatch.setattr(binascii, "b2a_base64", counting)
+    save_bundle(tmp_path / "b.bundle", bundle)
+    blobs = [(stored_entries(bundle.omega)[0], bundle.psi.size ** 2)]
+    blobs += [(form.entries()[0], form.dim ** 2) for form in bundle.forms]
+    expected = 0
+    for index, count in blobs:
+        whole = count // 3  # the last, partial group is encoded on its own
+        expected += 64 * np.unique(index[index < 3 * whole] // 3).size
+        expected += 4 * -(-16 * (count % 3) // 3)
+    assert sum(encoded) == expected
 
 
 class _DiskFull:
