@@ -4,6 +4,10 @@ Exit codes: 0 pass, 1 input error, 2 verification failure,
 3 precondition failure, 4 resource guard.  Reports go to stdout (or
 --out where available), diagnostics to stderr.  The environment variable
 DILATIO_MAX_DIM overrides the dilation builders' memory guards.
+
+Each handler imports the dilation modules it dispatches to, so that a
+call loads only the modules its subcommand runs (``check`` loads no
+dilation module at all).  ``run`` is the process entry point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 import os
 import sys
 
-from . import control, cyclic, semigroup
 from .channels import verify_cptp
 from .errors import (
     ChannelFormatError,
@@ -25,7 +28,6 @@ from .errors import (
     NotCyclicError,
     RejectedChannelError,
 )
-from .fixtures import write_fixture_corpus
 from .serialize import (
     dump_document,
     file_digest,
@@ -43,6 +45,12 @@ EXIT_INPUT = 1
 EXIT_FAIL = 2
 EXIT_PRECONDITION = 3
 EXIT_GUARD = 4
+
+# Defaults of the options that apply to some modes only; each option is
+# None unless given, so that one given to another mode is refused.
+DEFAULT_STEPS = 1
+DEFAULT_M_MAX = 16
+DEFAULT_N_MAX = 50
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -97,18 +105,27 @@ def cmd_check(args) -> int:
 
 
 def cmd_dilate(args) -> int:
+    from . import control, cyclic, semigroup
+
+    # usage errors first, before any file is read
     if args.second is not None and args.mode != "control":
         raise ChannelFormatError(f"--second applies to control mode, not {args.mode}")
+    if args.steps is not None and args.mode == "cyclic":
+        raise ChannelFormatError("--steps applies to semigroup and control modes, not cyclic")
+    if args.m_max is not None and args.mode != "cyclic":
+        raise ChannelFormatError(f"--m-max applies to cyclic mode, not {args.mode}")
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
+    m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
     ch = _load_checked(args.channel, not args.no_verify)
     inputs = {"channel": file_digest(args.channel)}
     if args.mode == "semigroup":
         bundle = semigroup.build_semigroup_dilation(
-            ch, args.steps, max_total_dim=_guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
+            ch, steps, max_total_dim=_guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
         )
     elif args.mode == "cyclic":
-        period = cyclic.detect_cycle(ch, m_max=args.m_max)
+        period = cyclic.detect_cycle(ch, m_max=m_max)
         if period is None:
-            raise NotCyclicError(f"no cycle period found up to m_max={args.m_max}")
+            raise NotCyclicError(f"no cycle period found up to m_max={m_max}")
         bundle = cyclic.build_cyclic_dilation(
             ch, period, max_total_dim=_guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
         )
@@ -118,7 +135,7 @@ def cmd_dilate(args) -> int:
         second = _load_checked(args.second, not args.no_verify)
         inputs["second"] = file_digest(args.second)
         bundle = control.build_control_dilation(
-            ch, second, args.steps, max_total_dim=_guard_limit(args, control.DEFAULT_MAX_TOTAL_DIM)
+            ch, second, steps, max_total_dim=_guard_limit(args, control.DEFAULT_MAX_TOTAL_DIM)
         )
     save_bundle(args.out, bundle, inputs)
     print(f"wrote {args.mode} bundle to {args.out}", file=sys.stderr)
@@ -126,11 +143,15 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import control, cyclic, semigroup
+
     _check_tol(args.tol)
     digest = hashlib.sha256()  # of the bytes the reader streams: the file is read once
     bundle = load_bundle(args.bundle, digest)
     if args.second is not None and bundle.mode != "control":
         raise ChannelFormatError(f"a {bundle.mode} bundle is verified against one channel file")
+    if args.n_max is not None and bundle.mode != "cyclic":
+        raise ChannelFormatError(f"--n-max applies to cyclic bundles, not {bundle.mode}")
     inputs = {"bundle": digest.hexdigest(), "channel": file_digest(args.channel)}
     ch = _load_checked(args.channel, not args.no_verify)
     report_doc = {
@@ -139,7 +160,8 @@ def cmd_verify(args) -> int:
         "tolerance": args.tol,
     }
     if bundle.mode == "cyclic":
-        report = cyclic.verify_cyclic_dilation(bundle, ch, n_max=args.n_max, tol=args.tol)
+        n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
+        report = cyclic.verify_cyclic_dilation(bundle, ch, n_max=n_max, tol=args.tol)
         report_doc["period"] = bundle.period
     elif bundle.mode == "control":
         if not args.second:
@@ -159,6 +181,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import control, cyclic, semigroup
+
     # usage errors first, before any file is read
     if (args.steps is None) == (args.sequence is None):
         raise ChannelFormatError("provide exactly one of --steps or --sequence")
@@ -181,6 +205,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_reachable(args) -> int:
+    from . import control
+
     t = _load_checked(args.channel_a, not args.no_verify)
     s = _load_checked(args.channel_b, not args.no_verify)
     rho = load_state(args.state)
@@ -194,6 +220,8 @@ def cmd_reachable(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import write_fixture_corpus
+
     written = write_fixture_corpus(args.out)
     for path in written:
         print(path, file=sys.stderr)
@@ -224,9 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate", help="build a dilation bundle")
     p.add_argument("channel")
     p.add_argument("--mode", choices=("semigroup", "cyclic", "control"), required=True)
-    p.add_argument("--steps", type=int, default=1, help="horizon N (semigroup/control)")
+    p.add_argument("--steps", type=int, default=None,
+                   help=f"horizon N (semigroup/control; default {DEFAULT_STEPS})")
     p.add_argument("--second", default=None, help="second channel file (control mode)")
-    p.add_argument("--m-max", type=int, default=16, help="cycle search bound (cyclic mode)")
+    p.add_argument("--m-max", type=int, default=None,
+                   help=f"cycle search bound (cyclic mode; default {DEFAULT_M_MAX})")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true", help="override the memory guard")
     p.add_argument("--no-verify", action="store_true")
@@ -237,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel")
     p.add_argument("second", nargs="?", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--n-max", type=int, default=50, help="powers to check (cyclic bundles)")
+    p.add_argument("--n-max", type=int, default=None,
+                   help=f"powers to check (cyclic bundles; default {DEFAULT_N_MAX})")
     p.add_argument("--out", default=None)
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(handler=cmd_verify)
@@ -285,5 +316,35 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> None:
+    """The process entry point, of the ``dilatio`` console script and of
+    ``python -m dilatio.cli``: main(), then flush stdout and stderr and end
+    the process with os._exit(code).
+
+    Tearing the interpreter down after main returns (clearing every module
+    and collecting numpy's objects) took 25-30 ms per call on a 2-core VM
+    and does nothing a call needs: every file it writes is closed by then.  So
+    nothing registered with atexit runs, and no stream but stdout and
+    stderr is flushed; code that adds one (a logging handler, say) must
+    flush it here, before os._exit.  A report that cannot be flushed (the
+    reader closed the pipe) is an input error, as a failed write in main
+    is.  In-process callers use main(), which returns the exit code.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = EXIT_INPUT
+        try:
+            print(f"input error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

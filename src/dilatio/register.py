@@ -70,7 +70,6 @@ from .linalg import (
     stored_entries,
     trace_norm,
 )
-from .stinespring import stinespring_unitary
 
 # Default tolerance for dilation-identity verification.
 DILATION_ATOL = 1e-9
@@ -307,6 +306,9 @@ def word_unitaries(
     on each cell (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, from one
     power table per channel (n_steps - 1 compositions) and k - 1
     compositions per word."""
+    # imported here, the one user, so that verify and evolve do not load it
+    from .stinespring import stinespring_unitary
+
     k = len(channels)
     # one channel's words are its powers 1..N; with more, every exponent 0..N occurs
     exponents = range(1 if k == 1 else 0, n_steps + 1)

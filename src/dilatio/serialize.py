@@ -29,6 +29,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .linalg import (
     stored_entries,
 )
 from .channels import HEISENBERG, SCHROEDINGER, KrausChannel
-from .register import BlockPermutation, RegisterDilation
+
+if TYPE_CHECKING:  # the writer only reads a bundle's attributes; see _bundle_from_doc
+    from .register import RegisterDilation
 
 FORMAT_CHANNEL = "dilatio/channel-v1"
 FORMAT_STATE = "dilatio/state-v1"
@@ -413,6 +416,10 @@ def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict
 def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
     """The bundle of a parsed document, with blob_entries(blob string) the
     _BlobEntries of each entry's blob."""
+    # imported here, the one place that builds a bundle, so that the calls
+    # that never read one (check, reachable) do not load the dilation core
+    from .register import BlockPermutation, RegisterDilation
+
     where = "bundle document"
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{where} must be a JSON object")

@@ -355,6 +355,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("kind", ["semigroup", "control"])
+    def test_n_max_of_a_non_cyclic_bundle_is_input_error(self, kind, corpus, damp_bundle5,
+                                                        tmp_path, capsys):
+        # --n-max sizes the cyclic sweep only; another sweep would ignore it
+        channels = [corpus / "channel_amplitude_damping_0.5.json"]
+        bundle = damp_bundle5
+        if kind == "control":
+            channels = [corpus / "channel_commuting_a.json", corpus / "channel_commuting_b.json"]
+            bundle = tmp_path / "ctl.bundle"
+            assert run(capsys, "dilate", channels[0], "--mode", "control", "--steps", "2",
+                       "--second", channels[1], "--out", bundle)[0] == 0
+        code, out, err = run(capsys, "verify", bundle, *channels, "--n-max", "10")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"input error: --n-max applies to cyclic bundles, not {kind}"]
 
     def test_second_channel_of_semigroup_bundle_is_input_error(self, corpus, damp_bundle5,
                                                                 tmp_path, capsys):
@@ -375,6 +389,27 @@ def test_second_channel_outside_control_mode_is_input_error(mode, corpus, tmp_pa
                        "--out", out)
     assert code == 1 and not out.exists()
     assert err.splitlines() == [f"input error: --second applies to control mode, not {mode}"]
+
+
+@pytest.mark.parametrize("mode, flags, message", [
+    ("cyclic", ("--steps", "50"), "--steps applies to semigroup and control modes, not cyclic"),
+    ("semigroup", ("--m-max", "8"), "--m-max applies to cyclic mode, not semigroup"),
+    ("control", ("--m-max", "8"), "--m-max applies to cyclic mode, not control"),
+])
+def test_option_of_another_mode_is_refused_before_any_read(mode, flags, message, corpus,
+                                                          tmp_path, capsys, monkeypatch):
+    # the option would be silently ignored by the mode's build
+    from dilatio import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the arguments were checked")
+
+    monkeypatch.setattr(cli, "load_channel", refuse)
+    out = tmp_path / "unused.bundle"
+    code, stdout, err = run(capsys, "dilate", corpus / "channel_rotation_m4.json",
+                            "--mode", mode, *flags, "--out", out)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.splitlines() == [f"input error: {message}"]
 
 
 @pytest.mark.parametrize("argv, message", [
