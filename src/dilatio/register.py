@@ -32,17 +32,17 @@ dense omega (a v1 file, a test) is reduced to psi by three O(anc^2) norms
 instead of an O(anc^3) eigendecomposition, and ``omega`` is built only on
 demand.  The reconstruction depends only on the d columns C = w J of the
 word applied to the embedding J : x -> x (x) psi:
-tr_K(w (A (x) omega) w^dag) = tr_K(C A C^dag).  ``word_columns`` applies
-the generators to J one product G @ C at a time, and ``_reduce`` takes
-the partial trace of C A C^dag in one contraction.  A word one generator
-longer than a kept one costs O(D b d) plus O(D d^2) per reduced operator,
-against (2 d^2 + 1) O(D^3) for a dense D x D power, the lifts A (x) omega
-and two D x D sandwiches per basis element.
+tr_K(w (A (x) omega) w^dag) = sum_a C_a A C_a^dag, the Kraus channel of
+the d x d pieces C_a of C (``word_channel``).  C lives on the cells of
+psi's support, one for a built bundle, held as one b x d block per cell
+(``word_columns``).  A word one generator longer than a kept one costs
+O(b^2 d) per occupied cell, against (2 d^2 + 1) O(D^3) for a dense D x D
+power, the lifts A (x) omega and two D x D sandwiches per basis element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
@@ -52,6 +52,7 @@ import numpy as np
 from .channels import (
     SCHROEDINGER,
     KrausChannel,
+    apply_channel,
     compose,
     power,
     require_accepted,
@@ -64,7 +65,6 @@ from .linalg import (
     as_complex_matrix,
     check_density_matrix,
     is_unitary,
-    kron,
     matrix_units,
     pure_state_vector,
     stored_entries,
@@ -104,11 +104,12 @@ class BlockPermutation:
     """G = sum_c B_c (x) |c><src(c)| on C^b (x) C^L, the cell index fast
     (row i * L + c): block B_c carries cell src(c) onto cell c.  ``src``
     is a permutation of the L cells, ``blocks`` is (L, b, b), both copied
-    and read-only.  Columns act in the cell-major layout (L, b, k) of a
-    (b * L, k) array."""
+    and read-only; ``dst``, the inverse of ``src``, gives the cell that
+    each cell is carried onto."""
 
     src: np.ndarray
     blocks: np.ndarray
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         src = np.array(self.src, dtype=np.intp)
@@ -119,10 +120,10 @@ class BlockPermutation:
             raise ValueError("the block sources are not a permutation of the cells")
         if not np.all(np.isfinite(blocks)):
             raise ValueError("blocks contain NaN or Inf entries")
-        src.flags.writeable = False
-        blocks.flags.writeable = False
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "blocks", blocks)
+        dst = np.argsort(src)  # the inverse permutation
+        for name, value in (("src", src), ("blocks", blocks), ("dst", dst)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dense(cls, g: np.ndarray, cells: int) -> BlockPermutation:
@@ -177,10 +178,6 @@ class BlockPermutation:
     def __matmul__(self, other: BlockPermutation) -> BlockPermutation:
         """G H for H on the same cells: (G H)_c = B_c H_src(c)."""
         return BlockPermutation(other.src[self.src], self.blocks @ other.blocks[self.src])
-
-    def apply(self, columns: np.ndarray) -> np.ndarray:
-        """G C for columns C in the cell-major layout (L, b, k)."""
-        return self.blocks @ columns[self.src]
 
     def power(self, e: int) -> BlockPermutation:
         """G^e for e >= 1, by repeated squaring: at most 2 log2(e) products."""
@@ -239,6 +236,8 @@ class RegisterDilation:
             if not is_unitary(g.blocks):
                 raise ValueError("bundle operator is not unitary within 1e-10")
             forms.append(g)
+        if len({f.blocks.shape[0] for f in forms}) > 1:  # one layout: the one-cell form
+            forms = [BlockPermutation([0], f.dense()[np.newaxis]) for f in forms]
         try:
             psi = pure_state_vector(state, anc)
         except ValueError as exc:
@@ -394,57 +393,63 @@ def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
     return rho
 
 
-def _embedding(bundle: RegisterDilation) -> np.ndarray:
-    """J = id (x) psi as a D x d array, with omega = |psi><psi|."""
-    return kron(np.eye(bundle.dim, dtype=np.complex128), bundle.psi[:, np.newaxis])
-
-
-def _apply_power(g: BlockPermutation, e: int, c: np.ndarray) -> np.ndarray:
-    """g^e @ c on the blocks: e block products with the columns while they
-    cost no more than one product of the blocks (e * columns <= b), else
-    g^e by squaring on the blocks first."""
-    cells, b = g.blocks.shape[:2]
-    k = c.shape[1]
-    if e * k > b:
+def _apply_power(g: BlockPermutation, e: int, columns):
+    """g^e on columns (cells, blocks): e steps while they cost no more than
+    one product of the blocks (e * blocks.size <= g.blocks.size), else g^e
+    by squaring on the blocks first."""
+    cells, blocks = columns
+    if e * blocks.size > g.blocks.size:
         g, e = g.power(e), 1
-    columns = c.reshape(b, cells, k).transpose(1, 0, 2)
     for _ in range(e):
-        columns = g.apply(columns)
-    return columns.transpose(1, 0, 2).reshape(b * cells, k)
+        cells = g.dst[cells]
+        blocks = g.blocks[cells] @ blocks
+    return cells, blocks
 
 
-def word_columns(bundle: RegisterDilation, exponents: Sequence[int]) -> np.ndarray:
-    """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right to left."""
-    c = _embedding(bundle)
+def word_columns(bundle: RegisterDilation, exponents: Sequence[int]):
+    """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right
+    to left, as (cells, blocks): the cells where J = id (x) psi is nonzero
+    and one (b, d) block per cell, column x of which is e_x (x) psi there."""
+    amplitudes = bundle.psi.reshape(-1, bundle.forms[0].blocks.shape[0])
+    cells = np.flatnonzero(amplitudes.any(axis=0))
+    blocks = np.einsum("xy,ac->cxay", np.eye(bundle.dim), amplitudes[:, cells])
+    columns = (cells, blocks.reshape(cells.size, -1, bundle.dim))
     for g, e in reversed(list(zip(bundle.forms, exponents))):
-        c = _apply_power(g, e, c)
-    return c
+        columns = _apply_power(g, e, columns)
+    return columns
 
 
-def _reduce(bundle: RegisterDilation, c: np.ndarray, a: np.ndarray, keep=0) -> np.ndarray:
-    """tr over the factors not in ``keep`` of c a c^dag, for columns c = w J."""
-    keep = (keep,) if isinstance(keep, int) else tuple(keep)
-    # one letter per factor; a kept factor gets a second, upper-case letter
-    # on the column side, a traced one shares its letter and is summed
-    rows = "abcdefgh"[: len(bundle.shape)]
-    cols = "".join(f.upper() if i in keep else f for i, f in enumerate(rows))
-    out = "".join(f for i, f in enumerate(rows) if i in keep)
-    tensor = bundle.shape + (bundle.dim,)
-    reduced = np.einsum(
-        f"{rows}x,{cols}x->{out}{out.upper()}",
-        (c @ a).reshape(tensor),
-        c.conj().reshape(tensor),
-    )
-    kept = int(np.prod([bundle.shape[i] for i in keep]))
-    return reduced.reshape(kept, kept)
+def word_channel(bundle: RegisterDilation, columns) -> KrausChannel:
+    """The channel A -> tr_K(C A C^dag) of columns C = (cells, blocks): row
+    (x, a) of a cell's (b, d) block is row x of the Kraus operator C_a, one
+    operator per ancilla index a and occupied cell."""
+    d = bundle.dim
+    _, blocks = columns
+    stack = blocks.reshape(len(blocks), d, -1, d).transpose(0, 2, 1, 3)
+    return KrausChannel(d, d, stack.reshape(-1, d, d))
 
 
 def reconstruct(
     bundle: RegisterDilation, exponents: Sequence[int], a: np.ndarray, keep=0
 ) -> np.ndarray:
     """tr(w (a (x) omega) w^dag) for the word with these exponents, traced
-    down to the factors ``keep`` (the system by default)."""
-    return _reduce(bundle, word_columns(bundle, exponents), a, keep)
+    down to the system (keep=0) or to every register (keep=2, or (2, 3))."""
+    registers = tuple(range(2, len(bundle.shape)))
+    keep = (keep,) if isinstance(keep, int) else tuple(keep)
+    if keep not in ((0,), registers):
+        raise ValueError(f"keep {keep}: only the system (0,) or all registers {registers}")
+    columns = word_columns(bundle, exponents)
+    if keep == (0,):
+        return apply_channel(word_channel(bundle, columns), a)
+    cells, blocks = columns
+    total = int(np.prod(bundle.registers))
+    inner = total // bundle.forms[0].blocks.shape[0]  # register cells inside one block
+    x = blocks.reshape(cells.size, -1, inner, bundle.dim)
+    gram = np.einsum("cqrz,eqsz->cres", x @ a, x.conj())
+    index = (np.arange(inner) * (total // inner) + cells[:, np.newaxis]).ravel()
+    out = np.zeros((total, total), dtype=np.complex128)
+    out[np.ix_(index, index)] = gram.reshape(index.size, index.size)
+    return out
 
 
 def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
@@ -457,7 +462,7 @@ def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
         m_power = m_power @ m
 
 
-def _advance(bundle: RegisterDilation, kept: dict, exponents: tuple[int, ...]) -> np.ndarray:
+def _advance(bundle: RegisterDilation, kept: dict, exponents: tuple[int, ...]):
     """Columns of a word, from the kept columns of a word that differs only
     by a lower exponent of the word's leftmost generator (its first nonzero
     exponent), or from J if no such word is kept."""
@@ -504,11 +509,7 @@ def verify_words(
             degree, previous, current = sum(exponents), current, {}
         columns = _advance(bundle, {**previous, **current}, exponents)
         current[exponents] = columns
-        worst = 0.0
-        for e in operators:
-            expected = unvec(oracle @ vec(e))
-            actual = _reduce(bundle, columns, e)
-            worst = max(worst, trace_norm(actual - expected))
-        residuals.append(worst)
+        gap = superoperator_matrix(word_channel(bundle, columns)) - oracle
+        residuals.append(max((trace_norm(unvec(gap @ vec(e))) for e in operators), default=0.0))
         labels.append(label)
     return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))

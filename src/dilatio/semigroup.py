@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import CPTP_ATOL, KrausChannel
-from .linalg import as_complex_matrix, hermitize
+from .channels import CPTP_ATOL, KrausChannel, apply_channel, dual
+from .linalg import hermitize
 from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments semigroup.kron
 from .register import (
     DILATION_ATOL,
@@ -33,6 +33,7 @@ from .register import (
     power_words,
     reconstruct,
     verify_words,
+    word_channel,
     word_columns,
 )
 
@@ -75,14 +76,10 @@ def evolve(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
 
 
 def heisenberg_evolve(bundle: RegisterDilation, b, n: int) -> np.ndarray:
-    """tr_omega((V^dag)^n (B (x) id) V^n) = C^dag (B (x) id) C for the
-    columns C = V^n J; the dual power S^n(B)."""
+    """tr_omega((V^dag)^n (B (x) id) V^n), the dual of the channel of V^n
+    applied to B: the dual power S^n(B)."""
     check_horizon(bundle, n)
-    m = as_complex_matrix(b)
-    if m.shape != (bundle.dim, bundle.dim):
-        raise ValueError(f"operator of shape {m.shape} does not match system dim {bundle.dim}")
-    c = word_columns(bundle, (n,))
-    return c.conj().T @ (m @ c.reshape(bundle.dim, -1)).reshape(c.shape)
+    return apply_channel(dual(word_channel(bundle, word_columns(bundle, (n,)))), b)
 
 
 def verify_dilation(
