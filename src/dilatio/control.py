@@ -40,6 +40,7 @@ from .register import (
     check_horizon,
     check_system_state,
     reconstruct,
+    require_mode,
     verify_words,
 )
 
@@ -154,12 +155,14 @@ def verify_control_dilation(
 ) -> VerificationReport:
     """Residuals of the word reconstruction for every (N, k) with
     N <= horizon, k <= N, over a full operator basis."""
+    require_mode(bundle, "control")
     return verify_words(bundle, (t, s), _word_oracles(t, s, range(bundle.horizon + 1)), tol)
 
 
 def word_shift_marginal(bundle: RegisterDilation, rho0, k: int, n_total: int) -> np.ndarray:
     """Marginal of the dilated word state on the two shift registers;
     the construction pins it to |e_N><e_N| (x) |e_k><e_k|."""
+    require_mode(bundle, "control")
     if not 0 <= k <= n_total <= bundle.horizon:
         raise HorizonError(f"word (N={n_total}, k={k}) outside the horizon {bundle.horizon}")
     rho = check_system_state(bundle, rho0)

@@ -31,6 +31,7 @@ from .register import (
     check_system_state,
     power_words,
     reconstruct,
+    require_mode,
     verify_words,
 )
 from .semigroup import DEFAULT_MAX_TOTAL_DIM
@@ -118,6 +119,7 @@ def evolve_cyclic(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:
     n == 0 returns the state unchanged (the dilation axiom E o J == id),
     matching the construction whose exponent formula starts at n == 1.
     """
+    require_mode(bundle, "cyclic")
     if n < 0:
         raise ValueError("n must be nonnegative")
     rho = check_system_state(bundle, rho0)
@@ -135,6 +137,7 @@ def verify_cyclic_dilation(
 ) -> VerificationReport:
     """Residuals of the unbounded reconstruction for n = 0..n_max over a
     full operator basis, against superoperator matrix powers."""
+    require_mode(bundle, "cyclic")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     m = bundle.period

@@ -379,8 +379,16 @@ def build_register_dilation(
     return RegisterDilation(mode, d, d * d, registers, forms, psi)
 
 
+def require_mode(bundle: RegisterDilation, *modes: str) -> None:
+    """Refuse a bundle of any other mode, naming its mode."""
+    if bundle.mode not in modes:
+        raise ValueError(f"a {bundle.mode} bundle, where a {' or '.join(modes)} bundle is needed")
+
+
 def check_horizon(bundle: RegisterDilation, n: int) -> None:
-    """Refuse a step count outside 0..horizon, where the register would wrap."""
+    """Refuse a cyclic bundle, which has no horizon, and a step count
+    outside 0..horizon, where the register would wrap."""
+    require_mode(bundle, "semigroup", "control")
     if not 0 <= n <= bundle.horizon:
         raise HorizonError(f"step {n} outside the horizon 0..{bundle.horizon}; the register wraps")
 
@@ -406,10 +414,21 @@ def _apply_power(g: BlockPermutation, e: int, columns):
     return cells, blocks
 
 
+def _exponents(bundle: RegisterDilation, exponents: Sequence[int]) -> tuple[int, ...]:
+    """A word's exponents, refused unless there is one per generator."""
+    exponents = tuple(exponents)
+    if len(exponents) != len(bundle.forms):
+        raise ValueError(
+            f"word {exponents}: a {bundle.mode} bundle takes {len(bundle.forms)} exponent(s)"
+        )
+    return exponents
+
+
 def word_columns(bundle: RegisterDilation, exponents: Sequence[int]):
     """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right
     to left, as (cells, blocks): the cells where J = id (x) psi is nonzero
     and one (b, d) block per cell, column x of which is e_x (x) psi there."""
+    exponents = _exponents(bundle, exponents)
     amplitudes = bundle.psi.reshape(-1, bundle.forms[0].blocks.shape[0])
     cells = np.flatnonzero(amplitudes.any(axis=0))
     blocks = np.einsum("xy,ac->cxay", np.eye(bundle.dim), amplitudes[:, cells])
@@ -437,7 +456,7 @@ def reconstruct(
     registers = tuple(range(2, len(bundle.shape)))
     keep = (keep,) if isinstance(keep, int) else tuple(keep)
     if keep not in ((0,), registers):
-        raise ValueError(f"keep {keep}: only the system (0,) or all registers {registers}")
+        raise ValueError(f"keep {keep}: a {bundle.mode} bundle keeps (0,) or {registers}")
     columns = word_columns(bundle, exponents)
     if keep == (0,):
         return apply_channel(word_channel(bundle, columns), a)
@@ -504,7 +523,7 @@ def verify_words(
     residuals = []
     labels = []
     for label, exponents, oracle in words:
-        exponents = tuple(exponents)
+        exponents = _exponents(bundle, exponents)
         if sum(exponents) != degree:
             degree, previous, current = sum(exponents), current, {}
         columns = _advance(bundle, {**previous, **current}, exponents)

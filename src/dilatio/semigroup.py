@@ -32,6 +32,7 @@ from .register import (
     check_system_state,
     power_words,
     reconstruct,
+    require_mode,
     verify_words,
     word_channel,
     word_columns,
@@ -87,6 +88,7 @@ def verify_dilation(
 ) -> VerificationReport:
     """Residual table of the reconstruction identity over a full operator
     basis, per power n = 0..horizon, against superoperator matrix powers."""
+    require_mode(bundle, "semigroup")
     return verify_words(bundle, [ch], power_words(ch, bundle.horizon), tol)
 
 

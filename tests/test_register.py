@@ -12,6 +12,7 @@ decision and the dense powers, and keep D x D arrays out of a cyclic
 evolve.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilatio import control, cyclic, register, semigroup
 from dilatio.channels import (
     compose,
     convex_combine,
@@ -33,7 +35,7 @@ from dilatio.channels import (
 from dilatio.control import build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
-from dilatio.fixtures import haar_unitary, rotation_channel
+from dilatio.fixtures import haar_unitary, random_commuting_pair, rotation_channel
 from dilatio.linalg import (
     is_pure_state,
     is_unitary,
@@ -563,3 +565,137 @@ def test_guard_build_composes_once_per_power_and_decomposes_no_wide_matrix(monke
     assert bundle.forms[0].dim == 4077
     assert len(calls) == 149
     assert widths and max(widths) <= 9
+
+
+MODES = ("semigroup", "cyclic", "control")
+
+
+def built_channels(mode):
+    """The channels ``built_bundle`` dilates."""
+    if mode == "semigroup":
+        return [random_channel(2, 4, seed=5)]
+    if mode == "cyclic":
+        return [rotation_channel(5)]
+    t = random_channel(2, 4, seed=6)
+    return [t, convex_combine([identity_channel(2), t], [0.3, 0.7])]
+
+
+def spy_on_word_channels(monkeypatch):
+    """Record the columns of every word read as a channel."""
+    seen = []
+
+    def spy(bundle, columns):
+        seen.append(columns)
+        return register_word_channel(bundle, columns)
+
+    register_word_channel = register.word_channel
+    for module in (register, semigroup):
+        monkeypatch.setattr(module, "word_channel", spy)
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_word_occupies_one_cell(mode, monkeypatch):
+    # verify and evolve carry each word's columns as one (d^3, d) block on
+    # one cell, so a step costs O(b^2 d), not O(D b d)
+    bundle, channels = built_bundle(mode), built_channels(mode)
+    seen = spy_on_word_channels(monkeypatch)
+    rho = np.diag([0.7, 0.3])
+    if mode == "semigroup":
+        semigroup.verify_dilation(bundle, channels[0])
+        semigroup.evolve(bundle, rho, bundle.horizon)
+        semigroup.heisenberg_evolve(bundle, rho, bundle.horizon)
+        words = bundle.horizon + 3
+    elif mode == "cyclic":
+        cyclic.verify_cyclic_dilation(bundle, channels[0], n_max=12)
+        cyclic.evolve_cyclic(bundle, rho, 7)
+        cyclic.evolve_cyclic(bundle, rho, 10**12)
+        words = 15
+    else:
+        control.verify_control_dilation(bundle, *channels)
+        control.evolve_control(bundle, rho, "TS")
+        control.verify_reachable_inclusion(bundle, *channels, rho, 2)
+        words = 6 + 1 + 3
+    assert len(seen) == words
+    for cells, blocks in seen:
+        assert cells.shape == (1,)
+        assert blocks.shape == (1, bundle.dim ** 3, bundle.dim)
+
+
+def mode_calls(bundle, mode):
+    ch, rho = built_channels(mode)[0], np.diag([0.7, 0.3])
+    return {
+        "semigroup.evolve": lambda: semigroup.evolve(bundle, rho, 1),
+        "semigroup.heisenberg_evolve": lambda: semigroup.heisenberg_evolve(bundle, rho, 1),
+        "semigroup.verify_dilation": lambda: semigroup.verify_dilation(bundle, ch),
+        "semigroup.shift_marginal": lambda: semigroup.shift_marginal(bundle, rho, 1),
+        "control.evolve_control": lambda: control.evolve_control(bundle, rho, "TS"),
+        "control.verify_control_dilation": lambda: control.verify_control_dilation(bundle, ch, ch),
+        "control.word_shift_marginal": lambda: control.word_shift_marginal(bundle, rho, 1, 1),
+        "control.verify_reachable_inclusion":
+            lambda: control.verify_reachable_inclusion(bundle, ch, ch, rho, 1),
+        "cyclic.evolve_cyclic": lambda: cyclic.evolve_cyclic(bundle, rho, 3),
+        "cyclic.verify_cyclic_dilation": lambda: cyclic.verify_cyclic_dilation(bundle, ch, 3),
+    }
+
+
+@pytest.mark.parametrize("call, mode", [
+    (call, mode) for call in mode_calls(None, "semigroup") for mode in MODES
+    if not call.startswith(mode)
+])
+def test_a_bundle_of_another_mode_is_refused_by_name(call, mode, monkeypatch):
+    bundle = built_bundle(mode)
+
+    def no_column_work(*args):
+        raise AssertionError("column work on a bundle of the wrong mode")
+
+    monkeypatch.setattr(register, "_apply_power", no_column_work)
+    with pytest.raises(ValueError, match=mode):
+        mode_calls(bundle, mode)[call]()
+
+
+def test_control_guard_verifies_every_word():
+    # N = 31 on two registers, D = 8192: the largest bundle the control guard admits
+    t, s = random_commuting_pair(2, seed=7)
+    bundle = build_control_dilation(t, s, 31)
+    assert bundle.forms[0].dim == 8192
+    report = control.verify_control_dilation(bundle, t, s)
+    assert len(report.residuals) == 32 * 33 // 2
+    assert report.passed and report.max_residual <= 1e-9
+
+
+def test_register_and_one_cell_generators_share_one_layout():
+    # a built U beside a Haar V: both are held in the one-cell form
+    rng = np.random.default_rng(50)
+    built = built_bundle("control")
+    v = haar_unitary(built.forms[0].dim, rng)
+    mixed = RegisterDilation(
+        "control", built.dim, built.ancilla_dim, built.registers, (built.forms[0], v), built.psi
+    )
+    assert [f.blocks.shape for f in mixed.forms] == [(1, 72, 72)] * 2
+    np.testing.assert_array_equal(mixed.unitary_t, built.unitary_t)
+    for exponents in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
+        assert_reconstructions_agree(mixed, exponents, rng, keeps=(0, (2, 3)))
+    t, s = built_channels("control")
+    assert_sweep_agrees(mixed, [t, s], control_words(t, s, 2))
+
+
+def test_cyclic_sweep_keeps_no_columns_per_word():
+    # only the words of two total degrees are kept, so from n_max = 200 to
+    # 2000 the peak grows by the report (a label and a residual per word),
+    # less than one word's columns per word
+    ch = rotation_channel(5)
+    bundle = build_cyclic_dilation(ch, detect_cycle(ch))
+    column_bytes = bundle.dim ** 3 * bundle.dim * 16
+
+    def peak(n_max):
+        tracemalloc.start()
+        try:
+            assert cyclic.verify_cyclic_dilation(bundle, ch, n_max=n_max).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(2000)
+    assert large - small < 1800 * column_bytes
+    assert large < 10 * small
