@@ -254,6 +254,13 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
     Eigenvectors with eigenvalue above ``tol * lambda_max`` become Kraus
     operators scaled by sqrt(eigenvalue), largest first; smaller
     eigenvalues are numerical zeros.  Raises on non-PSD input.
+
+    The default cut, ``tol = RANK_RTOL``, can drop trace that a certified
+    channel needs: the Choi matrix of ``convex_combine([identity_channel(2),
+    random_channel(2, 4, 1)], [1 - 1e-10, 1e-10])`` comes back as one
+    operator, which ``verify_cptp`` rejects at 1.02e-10.  Pass
+    ``tol=KEEP_RTOL`` to keep every eigenvalue above rounding (four
+    operators, accepted).
     """
     m = c.matrix
     scale = max(1.0, float(np.abs(m).max()))

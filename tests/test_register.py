@@ -580,26 +580,19 @@ def built_channels(mode):
     return [t, convex_combine([identity_channel(2), t], [0.3, 0.7])]
 
 
-def spy_on_word_channels(monkeypatch):
-    """Record the columns of every word read as a channel."""
-    seen = []
-
-    def spy(bundle, columns):
-        seen.append(columns)
-        return register_word_channel(bundle, columns)
-
-    register_word_channel = register.word_channel
-    for module in (register, semigroup):
-        monkeypatch.setattr(module, "word_channel", spy)
-    return seen
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_every_word_occupies_one_cell(mode, monkeypatch):
     # verify and evolve carry each word's columns as one (d^3, d) block on
     # one cell, so a step costs O(b^2 d), not O(D b d)
     bundle, channels = built_bundle(mode), built_channels(mode)
-    seen = spy_on_word_channels(monkeypatch)
+    seen, word_channel = [], register.word_channel
+
+    def spy(bundle, columns):
+        seen.append(columns)
+        return word_channel(bundle, columns)
+
+    for module in (register, semigroup):
+        monkeypatch.setattr(module, "word_channel", spy)
     rho = np.diag([0.7, 0.3])
     if mode == "semigroup":
         semigroup.verify_dilation(bundle, channels[0])
