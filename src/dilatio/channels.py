@@ -174,6 +174,14 @@ def apply_channel(ch: KrausChannel, a) -> np.ndarray:
     return np.sum(ch.weights[:, np.newaxis, np.newaxis] * terms, axis=0)
 
 
+def column_channel(columns: np.ndarray, before: int, dim_out: int) -> KrausChannel:
+    """The channel A -> tr_E(C A C^dag) of columns C = U (1 (x) psi) with rows on
+    C^before (x) C^dim_out (x) C^after, E the before and after factors."""
+    dim_in = columns.shape[1]
+    stack = columns.reshape(before, dim_out, -1, dim_in).transpose(0, 2, 1, 3)
+    return KrausChannel(dim_in, dim_out, stack.reshape(-1, dim_out, dim_in))
+
+
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization."""
     return as_complex_matrix(a).flatten(order="F")
@@ -452,6 +460,7 @@ __all__ = [
     "identity_channel",
     "unitary_channel",
     "apply_channel",
+    "column_channel",
     "vec",
     "unvec",
     "superoperator_matrix",

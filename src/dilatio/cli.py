@@ -60,7 +60,7 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(dump_document(report))
 
 
-def _load_checked(path: str, verify: bool):
+def _load_checked(path: str, verify: bool = True):
     ch = load_channel(path)
     if verify and not verify_cptp(ch).accepted:
         raise RejectedChannelError(f"channel file {path} failed CPTP certification")
@@ -116,7 +116,7 @@ def cmd_dilate(args) -> int:
         raise ChannelFormatError(f"--m-max applies to cyclic mode, not {args.mode}")
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
-    ch = _load_checked(args.channel, not args.no_verify)
+    ch = _load_checked(args.channel)
     inputs = {"channel": file_digest(args.channel)}
     if args.mode == "semigroup":
         bundle = semigroup.build_semigroup_dilation(
@@ -132,7 +132,7 @@ def cmd_dilate(args) -> int:
     else:
         if not args.second:
             raise ChannelFormatError("control mode requires --second CHANNEL")
-        second = _load_checked(args.second, not args.no_verify)
+        second = _load_checked(args.second)
         inputs["second"] = file_digest(args.second)
         bundle = control.build_control_dilation(
             ch, second, steps, max_total_dim=_guard_limit(args, control.DEFAULT_MAX_TOTAL_DIM)
@@ -207,8 +207,8 @@ def cmd_evolve(args) -> int:
 def cmd_reachable(args) -> int:
     from . import control
 
-    t = _load_checked(args.channel_a, not args.no_verify)
-    s = _load_checked(args.channel_b, not args.no_verify)
+    t = _load_checked(args.channel_a)
+    s = _load_checked(args.channel_b)
     rho = load_state(args.state)
     states = control.reachable_set(t, s, rho, args.steps)
     doc = [
@@ -259,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"cycle search bound (cyclic mode; default {DEFAULT_M_MAX})")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true", help="override the memory guard")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(handler=cmd_dilate)
 
     p = sub.add_parser("verify", help="verify a bundle against its channel(s)")
@@ -270,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None,
                    help=f"powers to check (cyclic bundles; default {DEFAULT_N_MAX})")
     p.add_argument("--out", default=None)
-    p.add_argument("--no-verify", action="store_true")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip certifying the channel file(s) as CPTP when they are read")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("evolve", help="evolve a state through a bundle")
@@ -285,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel_b")
     p.add_argument("state")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(handler=cmd_reachable)
 
     p = sub.add_parser("fixtures", help="write the canonical fixture corpus")

@@ -4,15 +4,16 @@ One construction serves every mode.  k channels T_1 .. T_k (k = 1 for
 semigroup and cyclic, 2 for a control pair) give k registers of length
 L = N + 1, whose cells c = (total, e_1, ..., e_(k-1)) carry the
 Stinespring unitary u(c) of the word T_1^e_1 ... T_k^(total - sum e)
-(``word_unitaries``; the identity off the table).  Generator j moves the
-walker by its shift vector delta: it shifts the total register and, for
-j < k, register j.  Its block at cell c is u(x) u(x - delta)^dag at
-x = c * delta, which is 0 on the registers it does not shift, and cell c
-reads cell (c - delta) mod L (``shift_generator``).  A pure omega pins the
-walker to an origin cell, so a word of generators telescopes to the
-unitary of its endpoint.  The table takes one power table per channel,
+(``word_unitaries``: one array, the identity off the table and at index
+-1 on every axis).  Generator j moves the walker by its shift vector
+delta: it shifts the total register and, for j < k, register j.  Its
+block at cell c is u(x) u(x - delta)^dag at x = c * delta, which is 0 on
+the registers it does not shift, and cell c reads cell (c - delta) mod L
+(``shift_generator``, all blocks in one batched product).  A pure omega
+pins the walker to an origin cell, so a word of generators telescopes to
+the unitary of its endpoint.  The table takes one power table per channel,
 built through one shared dict of known powers, so T^1 .. T^N cost N - 1
-compositions.  Cyclic bundles re-key the one-channel table so
+compositions.  Cyclic bundles roll the one-channel table back one cell so
 the register closes into the cycle.  Every reconstruction is
 tr_K(w (A (x) omega) w^dag) for a word w = G_1^e_1 G_2^e_2 ... in the
 generators.
@@ -33,11 +34,11 @@ instead of an O(anc^3) eigendecomposition, and ``omega`` is built only on
 demand.  The reconstruction depends only on the d columns C = w J of the
 word applied to the embedding J : x -> x (x) psi:
 tr_K(w (A (x) omega) w^dag) = sum_a C_a A C_a^dag, the Kraus channel of
-the d x d pieces C_a of C (``word_channel``).  C lives on the cells of
-psi's support, one for a built bundle, held as one b x d block per cell
-(``word_columns``).  A word one generator longer than a kept one costs
-O(b^2 d) per occupied cell, against (2 d^2 + 1) O(D^3) for a dense D x D
-power, the lifts A (x) omega and two D x D sandwiches per basis element.
+the d x d pieces C_a of C (``channels.column_channel``).  C lives on the
+cells of psi's support, one for a built bundle, held as one b x d block
+per cell (``word_columns``).  A word one generator longer than a kept one
+costs O(b^2 d) per occupied cell, against (2 d^2 + 1) O(D^3) for a dense
+D x D power, the lifts A (x) omega and two D x D sandwiches per basis element.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .channels import (
     SCHROEDINGER,
     KrausChannel,
     apply_channel,
+    column_channel,
     compose,
     power,
     require_accepted,
@@ -298,13 +300,12 @@ def guard_total_dim(total: int, limit: int) -> None:
         )
 
 
-def word_unitaries(
-    channels: Sequence[KrausChannel], n_steps: int, tol: float
-) -> dict[tuple[int, ...], np.ndarray]:
-    """The Stinespring unitary of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e)
-    on each cell (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, from one
-    power table per channel (n_steps - 1 compositions) and k - 1
-    compositions per word."""
+def word_unitaries(channels: Sequence[KrausChannel], n_steps: int, tol: float) -> np.ndarray:
+    """The table of shape (n_steps + 2,) * k + (b, b): the Stinespring unitary
+    of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e) at each cell
+    (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, the identity elsewhere
+    and at index -1 of every axis.  One power table per channel
+    (n_steps - 1 compositions) and k - 1 compositions per word."""
     # imported here, the one user, so that verify and evolve do not load it
     from .stinespring import stinespring_unitary
 
@@ -315,7 +316,8 @@ def word_unitaries(
     for ch in channels:
         known = {}  # shared by the channel's exponents: one composition each
         powers.append({e: power(ch, e, known) for e in exponents})
-    table = {}
+    eye = np.eye(channels[0].dim_in ** 3, dtype=np.complex128)
+    table = np.tile(eye, (n_steps + 2,) * k + (1, 1))  # the identity off the table
     for total in range(1, n_steps + 1):
         for head in product(range(total + 1), repeat=k - 1):
             if sum(head) <= total:
@@ -325,24 +327,17 @@ def word_unitaries(
     return table
 
 
-def shift_generator(
-    table: dict[tuple[int, ...], np.ndarray],
-    registers: tuple[int, ...],
-    shift: tuple[int, ...],
-    eye: np.ndarray,
-) -> BlockPermutation:
+def shift_generator(table: np.ndarray, registers: tuple[int, ...], shift: tuple[int, ...]):
     """The generator that moves the walker by ``shift``: cell c reads cell
     (c - shift) mod L and carries u(x) u(x - shift)^dag at x = c * shift
-    (0 on the registers it does not shift), with u from ``table`` and the
-    identity ``eye`` off it."""
+    (0 on the registers it does not shift), all blocks in one batched
+    product over the table u of ``word_unitaries``."""
     shift = np.asarray(shift)
     cells = np.indices(registers).reshape(len(registers), -1).T  # row-major
-
-    def u(x):
-        return table.get(tuple(x.tolist()), eye)
-
     src = np.ravel_multi_index(((cells - shift) % registers).T, registers)
-    return BlockPermutation(src, [u(x) @ u(x - shift).conj().T for x in cells * shift])
+    u = table[tuple((cells * shift).T)]
+    before = table[tuple((cells * shift - shift).T)]
+    return BlockPermutation(src, u @ before.conj().swapaxes(1, 2))
 
 
 def build_register_dilation(
@@ -369,10 +364,9 @@ def build_register_dilation(
     if mode == "cyclic":
         # the cycle closes, U_m = U_0 = id: cell i - 1 carries U_i and the
         # walker waits on cell m - 1, so its first step lands on U_1
-        table = {(x - 1,): u for (x,), u in table.items()}
+        table = np.roll(table, -1, axis=0)
         origin = (n_steps,)
-    eye = np.eye(d ** 3, dtype=np.complex128)
-    forms = [shift_generator(table, registers, shift, eye) for shift in SHIFTS[mode]]
+    forms = [shift_generator(table, registers, shift) for shift in SHIFTS[mode]]
     # psi = e_0 (x) e_origin on K~ (x) the registers
     psi = np.zeros(d * d * cells, dtype=np.complex128)
     psi[np.ravel_multi_index(origin, registers)] = 1.0
@@ -439,13 +433,10 @@ def word_columns(bundle: RegisterDilation, exponents: Sequence[int]):
 
 
 def word_channel(bundle: RegisterDilation, columns) -> KrausChannel:
-    """The channel A -> tr_K(C A C^dag) of columns C = (cells, blocks): row
-    (x, a) of a cell's (b, d) block is row x of the Kraus operator C_a, one
-    operator per ancilla index a and occupied cell."""
-    d = bundle.dim
-    _, blocks = columns
-    stack = blocks.reshape(len(blocks), d, -1, d).transpose(0, 2, 1, 3)
-    return KrausChannel(d, d, stack.reshape(-1, d, d))
+    """The channel A -> tr_K(C A C^dag) of columns C = (cells, blocks): the
+    blocks stacked are columns on C^cells (x) C^d (x) C^(b / d), one Kraus
+    operator per occupied cell and ancilla index."""
+    return column_channel(columns[1].reshape(-1, bundle.dim), len(columns[1]), bundle.dim)
 
 
 def reconstruct(

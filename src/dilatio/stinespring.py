@@ -8,12 +8,15 @@ state omega = |e_0><e_0| such that
 The ancilla dimension is always d^2, one universal size for every channel
 on a d-dimensional system (Kraus lists are zero padded), which is what
 lets the semigroup module stack the dilations of all powers T^n over a
-single ancilla.
+single ancilla.  Every read-back is the Kraus channel of the columns
+U (1 (x) psi) for omega = |psi><psi| (``channels.column_channel``, the rule
+of the register dilations), and every ancilla state passes one purity
+rule, ``linalg.pure_state_vector``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,21 +25,20 @@ from .channels import (
     HEISENBERG,
     SCHROEDINGER,
     KrausChannel,
+    apply_channel,
+    column_channel,
     dual,
     plain_kraus,
     require_accepted,
 )
 from .linalg import (
-    as_complex_matrix,
     basis_state,
     complete_isometry_to_unitary,
     frozen_matrix,
-    is_pure_state,
     is_unitary,
-    kron,
-    partial_trace,
-    partial_trace_state,
+    pure_state_vector,
 )
+from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments stinespring.kron
 
 
 def _frozen_unitary(u, n: int) -> np.ndarray:
@@ -49,6 +51,20 @@ def _frozen_unitary(u, n: int) -> np.ndarray:
     return u
 
 
+def _pure_state(omega, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only copy of a pure state on C^dim and its vector psi; raises ValueError otherwise."""
+    w = frozen_matrix(omega)
+    try:
+        return w, pure_state_vector(w, dim)
+    except ValueError as exc:
+        raise ValueError(f"ancilla state must be a pure state on C^{dim}: {exc}") from exc
+
+
+def _read_back(unitary: np.ndarray, psi: np.ndarray, before: int, dim_out: int) -> KrausChannel:
+    """The channel of the columns U (1 (x) psi), rows on C^before (x) C^dim_out (x) C^after."""
+    return column_channel(unitary.reshape(len(unitary), -1, psi.size) @ psi, before, dim_out)
+
+
 @dataclass(frozen=True)
 class UnitaryDilation:
     """Unitary U on H (x) K with pure ancilla omega; shape == (dim, ancilla_dim)."""
@@ -57,14 +73,13 @@ class UnitaryDilation:
     dim: int
     ancilla_dim: int
     omega: np.ndarray
+    psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = _frozen_unitary(self.unitary, self.dim * self.ancilla_dim)
-        w = frozen_matrix(self.omega)
-        if w.shape != (self.ancilla_dim, self.ancilla_dim) or not is_pure_state(w):
-            raise ValueError("ancilla state must be a pure state on K")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "omega", w)
+        w, psi = _pure_state(self.omega, self.ancilla_dim)
+        for name, value in (("unitary", u), ("omega", w), ("psi", psi)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -72,34 +87,19 @@ class UnitaryDilation:
 
     def apply(self, a) -> np.ndarray:
         """tr_K(U (a (x) omega) U^dag); reproduces the source channel."""
-        m = as_complex_matrix(a)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"operator of shape {m.shape} does not match system dim {self.dim}")
-        big = self.unitary @ kron(m, self.omega) @ self.unitary.conj().T
-        return partial_trace(big, [self.dim, self.ancilla_dim], keep=0)
+        return apply_channel(_read_back(self.unitary, self.psi, 1, self.dim), a)
 
     def apply_heisenberg(self, b) -> np.ndarray:
         """tr_omega(U^dag (b (x) id_K) U); reproduces the dual channel."""
-        m = as_complex_matrix(b)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"operator of shape {m.shape} does not match system dim {self.dim}")
-        lifted = kron(m, np.eye(self.ancilla_dim, dtype=np.complex128))
-        big = self.unitary.conj().T @ lifted @ self.unitary
-        return partial_trace_state(big, [self.dim, self.ancilla_dim], self.omega)
+        return apply_channel(dual(_read_back(self.unitary, self.psi, 1, self.dim)), b)
 
 
 def _spread_embedding_columns(completed: np.ndarray, dim: int, ancilla_dim: int) -> np.ndarray:
     # complete_isometry_to_unitary leaves the isometry in the first `dim`
-    # columns; on H (x) K those images belong to the basis vectors
-    # x (x) e_0 at composite index h * ancilla_dim.  Shuffle the columns so
-    # the unitary acts on the composite indices, completion columns
-    # filling the remaining slots in order.
-    n = dim * ancilla_dim
-    targets = [h * ancilla_dim for h in range(dim)]
-    targets += [j for j in range(n) if j % ancilla_dim != 0]
-    u = np.empty((n, n), dtype=np.complex128)
-    u[:, targets] = completed
-    return u
+    # columns, the images of x (x) e_0 at composite index h * ancilla_dim:
+    # column i goes to slot slots[i], completion columns filling the rest in order.
+    slots = np.argsort(np.arange(dim * ancilla_dim) % ancilla_dim != 0, kind="stable")
+    return completed[:, np.argsort(slots)]
 
 
 def stinespring_unitary(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDilation:
@@ -140,24 +140,24 @@ class GeneralDilation:
     ancilla_dim: int
     omega_out: np.ndarray
     omega_anc: np.ndarray
+    psi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.dim_in * self.dim_out * self.ancilla_dim
-        object.__setattr__(self, "unitary", _frozen_unitary(self.unitary, n))
-        object.__setattr__(self, "omega_out", frozen_matrix(self.omega_out))
-        object.__setattr__(self, "omega_anc", frozen_matrix(self.omega_anc))
+        u = _frozen_unitary(self.unitary, self.dim_in * self.dim_out * self.ancilla_dim)
+        w_out, psi_out = _pure_state(self.omega_out, self.dim_out)
+        w_anc, psi_anc = _pure_state(self.omega_anc, self.ancilla_dim)
+        psi = np.outer(psi_out, psi_anc).ravel()
+        psi.flags.writeable = False
+        for name, value in (("unitary", u), ("omega_out", w_out), ("omega_anc", w_anc),
+                            ("psi", psi)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.dim_in, self.dim_out, self.ancilla_dim)
 
     def apply(self, a) -> np.ndarray:
-        m = as_complex_matrix(a)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"operator of shape {m.shape} does not match input dim {self.dim_in}")
-        big = kron(m, kron(self.omega_out, self.omega_anc))
-        rotated = self.unitary @ big @ self.unitary.conj().T
-        return partial_trace(rotated, list(self.shape), keep=1)
+        return apply_channel(_read_back(self.unitary, self.psi, self.dim_in, self.dim_out), a)
 
 
 def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDilation:

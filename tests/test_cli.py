@@ -243,6 +243,22 @@ class TestDilate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["dilate", "reachable"])
+    def test_no_verify_is_a_usage_error(self, command, corpus, tmp_path, capsys):
+        # the builders and reachable_set certify every channel themselves,
+        # so only verify offers to skip the certification at load
+        argv = {
+            "dilate": ("dilate", corpus / "channel_amplitude_damping_0.5.json",
+                       "--mode", "semigroup", "--out", tmp_path / "x.bundle"),
+            "reachable": ("reachable", corpus / "channel_commuting_a.json",
+                          corpus / "channel_commuting_b.json", corpus / "state_ground.json",
+                          "--steps", "2"),
+        }[command]
+        code, out, err = run(capsys, *argv, "--no-verify")
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "--no-verify" in err
+        assert not (tmp_path / "x.bundle").exists()
+
     def test_cyclic_negative_m_max_is_input_error(self, corpus, tmp_path, capsys):
         code, out, err = run(
             capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode", "cyclic",

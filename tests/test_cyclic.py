@@ -5,6 +5,7 @@ from dilatio.channels import (
     identity_channel,
     power,
     superoperator_matrix,
+    unitary_channel,
 )
 from dilatio.cyclic import (
     CyclePeriod,
@@ -131,6 +132,18 @@ class TestBuildCyclicDilation:
             step = stinespring_unitary(power(ch, nu)).unitary
             rhs = kron(step @ kron(a, inner_omega) @ step.conj().T, basis_state(nu - 1, m))
             assert trace_norm(lhs - rhs) <= 1e-9
+
+    @pytest.mark.parametrize("ch, m", [
+        (rotation_channel(4), 4),
+        (rotation_channel(16), 16),
+        (unitary_channel(np.diag(np.exp(2j * np.pi * np.arange(3) / 15))), 16),
+    ], ids=["rotation-4", "rotation-16", "qutrit-16"])
+    def test_cycle_closes_on_the_stored_blocks(self, ch, m):
+        # V^m is the identity: every cell returns home, carrying I
+        bundle = build_cyclic_dilation(ch, detect_cycle(ch, m_max=m))
+        closed = bundle.forms[0].power(m)
+        np.testing.assert_array_equal(closed.src, np.arange(m))
+        assert np.abs(closed.blocks - np.eye(closed.blocks.shape[1])).max() <= 1e-12
 
     def test_refuses_non_cyclic_channel(self):
         with pytest.raises(NotCyclicError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dilatio import linalg, stinespring
 from dilatio.channels import (
     KrausChannel,
     dual,
@@ -10,7 +11,7 @@ from dilatio.channels import (
 )
 from dilatio.errors import RejectedChannelError
 from dilatio.fixtures import amplitude_damping, haar_unitary, transpose_channel
-from dilatio.linalg import kron, matrix_units, partial_trace, trace_norm
+from dilatio.linalg import basis_state, kron, matrix_units, partial_trace, trace_norm
 from dilatio.stinespring import (
     GeneralDilation,
     UnitaryDilation,
@@ -197,6 +198,39 @@ class TestDilationValidation:
             make(np.diag([1.0, 1.0, 1.0, 0.5]))
         with pytest.raises(ValueError, match=r"unitary of shape \(2, 2\), expected \(4, 4\)"):
             make(np.eye(2))
+
+    @pytest.mark.parametrize("omega", [np.eye(2), np.diag([1.0, -1.0]), basis_state(0, 3)],
+                             ids=["trace-two", "not-positive", "wrong-dimension"])
+    @pytest.mark.parametrize("make", [
+        lambda w: UnitaryDilation(np.eye(4), 2, 2, w),
+        lambda w: GeneralDilation(np.eye(4), 1, 2, 2, w, np.diag([1.0, 0.0])),
+        lambda w: GeneralDilation(np.eye(4), 1, 2, 2, np.diag([1.0, 0.0]), w),
+    ], ids=["unitary", "general-output", "general-ancilla"])
+    def test_one_purity_rule_for_every_ancilla_state(self, make, omega):
+        with pytest.raises(ValueError, match="ancilla state must be a pure state"):
+            make(omega)
+
+
+class TestOneReadBack:
+    def test_no_dense_lift_or_partial_trace(self, monkeypatch):
+        # every read-back is the Kraus channel of the columns U (1 (x) psi)
+        ch = random_channel(2, rank=3, seed=15)
+        unitary, general = stinespring_unitary(ch), general_stinespring(ch)
+        heisenberg = heisenberg_dilation(dual(ch))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a read-back reached a dense lift or partial trace")
+
+        for module in (linalg, stinespring):
+            for name in ("kron", "partial_trace", "partial_trace_state"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert reconstruction_residual(unitary, ch) <= 1e-10
+        assert reconstruction_residual(general, ch) <= 1e-10
+        worst = max(
+            trace_norm(heisenberg.apply_heisenberg(e) - kraus_apply_dual(ch.kraus, e))
+            for e in matrix_units(2)
+        )
+        assert worst <= 1e-10
 
 
 class TestHeisenbergDilation:
