@@ -54,6 +54,9 @@ RANK_RTOL = 1e-10
 # dropped eigenvalue is trace the Kraus sum loses (a cut at RANK_RTOL sheds
 # up to CPTP_ATOL per composition), and Choi sums round near 1e-16 * largest.
 KEEP_RTOL = 1e-13
+# detect_unitary_conjugation: Choi eigenvalues at or below CONJUGATION_TOL *
+# (largest) count as zero, and the one operator left must be unitary within it.
+CONJUGATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -409,18 +412,19 @@ def dual(t: KrausChannel) -> KrausChannel:
                         coefficients=t.coefficients)
 
 
-def detect_unitary_conjugation(t: KrausChannel, tol: float = 1e-9) -> np.ndarray | None:
+def detect_unitary_conjugation(t: KrausChannel) -> np.ndarray | None:
     """Return U (phase normalized: first significant entry in row-major
     order made positive real) when the channel acts as A -> U A U^dag,
-    i.e. when the Choi rank is one and the extracted operator is unitary
-    within tol; otherwise None."""
+    i.e. when the Choi rank is one and the extracted operator is unitary,
+    both within CONJUGATION_TOL; otherwise None."""
     if t.picture != SCHROEDINGER or not t.is_square:
         raise ValueError("unitary detection is defined for square schroedinger channels")
     eigenvalues, vectors = np.linalg.eigh(hermitize(choi(t).matrix))
     if eigenvalues[-1] <= 0.0:
         return None
-    stack = _top_kraus(eigenvalues, vectors, tol, (t.dim_out, t.dim_in))
-    if len(stack) != 1 or np.linalg.norm(stack[0].conj().T @ stack[0] - np.eye(t.dim_in)) > tol:
+    stack = _top_kraus(eigenvalues, vectors, CONJUGATION_TOL, (t.dim_out, t.dim_in))
+    residual = np.linalg.norm(stack[0].conj().T @ stack[0] - np.eye(t.dim_in))
+    if len(stack) != 1 or residual > CONJUGATION_TOL:
         return None
     return stack[0]
 
@@ -439,9 +443,10 @@ def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
     return KrausChannel(dim, dim, q.reshape(rank, dim, dim))
 
 
-def require_accepted(ch: KrausChannel, tol: float = CPTP_ATOL) -> None:
-    """Raise RejectedChannelError unless verify_cptp accepts the channel."""
-    report = verify_cptp(ch, tol)
+def require_accepted(ch: KrausChannel) -> None:
+    """Raise RejectedChannelError unless verify_cptp accepts the channel
+    at CPTP_ATOL."""
+    report = verify_cptp(ch)
     if not report.accepted:
         raise RejectedChannelError(
             f"channel rejected: cp={report.cp}, tp_or_unital={report.tp_or_unital}, "

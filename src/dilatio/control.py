@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import (
-    CPTP_ATOL,
     SCHROEDINGER,
     KrausChannel,
     apply_channel,
@@ -47,35 +46,33 @@ from .register import (
 # Control dilations live on L^2 shift cells; guard the total dimension.
 DEFAULT_MAX_TOTAL_DIM = 8192
 COMMUTATION_ATOL = 1e-9
+# reachable_set lists a state unless it lies within this trace distance of a listed one.
+DEDUP_ATOL = 1e-9
 
 
-def check_commuting(t: KrausChannel, s: KrausChannel, tol: float = COMMUTATION_ATOL) -> bool:
-    """True iff the superoperator commutator vanishes within tol (Frobenius)."""
+def check_commuting(t: KrausChannel, s: KrausChannel) -> bool:
+    """True iff the superoperator commutator vanishes within COMMUTATION_ATOL (Frobenius)."""
     if t.dim_in != s.dim_in or t.dim_out != s.dim_out or t.picture != s.picture:
         raise ValueError("commutation check needs channels of equal shape and picture")
     require_accepted(t)
     require_accepted(s)
     mt = superoperator_matrix(t)
     ms = superoperator_matrix(s)
-    return float(np.linalg.norm(mt @ ms - ms @ mt)) <= tol
+    return float(np.linalg.norm(mt @ ms - ms @ mt)) <= COMMUTATION_ATOL
 
 
-def _require_commuting_pair(t: KrausChannel, s: KrausChannel, tol: float) -> None:
+def _require_commuting_pair(t: KrausChannel, s: KrausChannel) -> None:
     if t.picture != SCHROEDINGER or not t.is_square:
         raise ValueError("control systems need square schroedinger channels")
-    if not check_commuting(t, s, tol):
+    if not check_commuting(t, s):
         raise NotCommutingError("the control channels do not commute within tolerance")
 
 
 def reachable_set(
-    t: KrausChannel,
-    s: KrausChannel,
-    rho0,
-    n_steps: int,
-    commute_tol: float = COMMUTATION_ATOL,
-    dedup_tol: float = 1e-9,
+    t: KrausChannel, s: KrausChannel, rho0, n_steps: int
 ) -> list[tuple[int, np.ndarray]]:
-    """States T^k S^(N-k)(rho0), k = 0..N, deduplicated by trace distance.
+    """States T^k S^(N-k)(rho0), k = 0..N, deduplicated by trace distance
+    (DEDUP_ATOL).
 
     Every length-N word over {T, S} lands on one of these because the
     generators commute; non-commuting input is refused since the collapse
@@ -83,22 +80,17 @@ def reachable_set(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    _require_commuting_pair(t, s, commute_tol)
+    _require_commuting_pair(t, s)
     states: list[tuple[int, np.ndarray]] = []
     for k in range(n_steps + 1):
         out = apply_word(t, s, rho0, "S" * (n_steps - k) + "T" * k)
-        if all(trace_distance(out, seen) > dedup_tol for _, seen in states):
+        if all(trace_distance(out, seen) > DEDUP_ATOL for _, seen in states):
             states.append((k, out))
     return states
 
 
 def build_control_dilation(
-    t: KrausChannel,
-    s: KrausChannel,
-    n_steps: int,
-    tol: float = CPTP_ATOL,
-    commute_tol: float = COMMUTATION_ATOL,
-    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
+    t: KrausChannel, s: KrausChannel, n_steps: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 ) -> RegisterDilation:
     """Assemble U and V over Z_L (x) Z_L, L = N + 1.
 
@@ -110,8 +102,8 @@ def build_control_dilation(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    _require_commuting_pair(t, s, commute_tol)
-    return build_register_dilation("control", [t, s], n_steps, tol, max_total_dim)
+    _require_commuting_pair(t, s)
+    return build_register_dilation("control", [t, s], n_steps, max_total_dim)
 
 
 def normalize_sequence(sequence: str | Iterable[str]) -> list[str]:
@@ -175,9 +167,8 @@ def verify_reachable_inclusion(
     s: KrausChannel,
     rho0,
     n_steps: int,
-    tol: float = DILATION_ATOL,
 ) -> VerificationReport:
-    """Check R_N(rho0) against the projected closed-system words.
+    """Check R_N(rho0) against the projected closed-system words, within DILATION_ATOL.
 
     For each k, T^k S^(N-k)(rho0) must match the partial trace of
     U^k V^(N-k) applied to rho0 (x) omega.  Only this inclusion direction
@@ -185,7 +176,8 @@ def verify_reachable_inclusion(
     """
     check_horizon(bundle, n_steps)
     rho = check_system_state(bundle, rho0)
-    return verify_words(bundle, (t, s), _word_oracles(t, s, [n_steps]), tol, operators=[rho])
+    words = _word_oracles(t, s, [n_steps])
+    return verify_words(bundle, (t, s), words, DILATION_ATOL, operators=[rho])
 
 
 def apply_word(t: KrausChannel, s: KrausChannel, rho0, sequence: Sequence[str]) -> np.ndarray:

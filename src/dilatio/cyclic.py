@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CPTP_ATOL, KrausChannel, require_accepted, superoperator_matrix
+from .channels import KrausChannel, require_accepted, superoperator_matrix
 from .errors import NotCyclicError
 from .linalg import hermitize
 from .register import (
@@ -64,10 +64,8 @@ def wrap_count(m: int, n: int) -> int:
     return (n - reduced_exponent(m, n)) // (m - 1)
 
 
-def detect_cycle(
-    ch: KrausChannel, m_max: int = 16, tol: float = CYCLE_DETECTION_ATOL
-) -> CyclePeriod | None:
-    """Smallest m in 2..m_max with ||M(T^m) - M(T)||_F <= tol, else None."""
+def detect_cycle(ch: KrausChannel, m_max: int = 16) -> CyclePeriod | None:
+    """Smallest m in 2..m_max with ||M(T^m) - M(T)||_F <= CYCLE_DETECTION_ATOL, else None."""
     if m_max < 2:
         raise ValueError(f"m_max must be at least 2, got {m_max}")
     if not ch.is_square:
@@ -77,7 +75,7 @@ def detect_cycle(
     accumulated = m1.copy()
     for m in range(2, m_max + 1):
         accumulated = accumulated @ m1
-        if np.linalg.norm(accumulated - m1) <= tol:
+        if np.linalg.norm(accumulated - m1) <= CYCLE_DETECTION_ATOL:
             return CyclePeriod(m)
     return None
 
@@ -88,11 +86,7 @@ def reduce_power(period: CyclePeriod, n: int) -> int:
 
 
 def build_cyclic_dilation(
-    ch: KrausChannel,
-    period: CyclePeriod,
-    tol: float = CPTP_ATOL,
-    cycle_tol: float = CYCLE_DETECTION_ATOL,
-    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
+    ch: KrausChannel, period: CyclePeriod, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 ) -> RegisterDilation:
     """Assemble the finite dilation of a cyclic channel.
 
@@ -105,12 +99,12 @@ def build_cyclic_dilation(
     m = period.m
     m1 = superoperator_matrix(ch)
     drift = np.linalg.norm(np.linalg.matrix_power(m1, m) - m1)
-    if drift > cycle_tol:
+    if drift > CYCLE_DETECTION_ATOL:
         raise NotCyclicError(
             f"channel is not cyclic with period {m}: ||M(T^{m}) - M(T)||_F = {drift:.3e}"
         )
     # the steps U_1 .. U_(m-1) of the semigroup table, closed by U_m := id
-    return build_register_dilation("cyclic", [ch], m - 1, tol, max_total_dim)
+    return build_register_dilation("cyclic", [ch], m - 1, max_total_dim)
 
 
 def evolve_cyclic(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:

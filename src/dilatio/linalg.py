@@ -168,13 +168,13 @@ def is_hermitian(a, tol: float = HERMITIAN_ATOL) -> bool:
     return float(np.linalg.norm(m - m.conj().T)) <= tol
 
 
-def is_psd(a, tol: float = PSD_ATOL) -> bool:
-    """True iff a is Hermitian within tol and its minimum eigenvalue >= -tol."""
+def is_psd(a) -> bool:
+    """True iff a is Hermitian within PSD_ATOL and its minimum eigenvalue >= -PSD_ATOL."""
     m = as_complex_matrix(a)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m, PSD_ATOL):
         return False
     eigenvalues = np.linalg.eigvalsh(hermitize(m))
-    return bool(eigenvalues.min() >= -tol)
+    return bool(eigenvalues.min() >= -PSD_ATOL)
 
 
 def _density_spectrum(rho, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -300,7 +300,7 @@ def guard_total_dim(total: int, limit: int) -> None:
         )
 
 
-def word_unitaries(channels: Sequence[KrausChannel], n_steps: int, tol: float) -> np.ndarray:
+def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray:
     """The table of shape (n_steps + 2,) * k + (b, b): the Stinespring unitary
     of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e) at each cell
     (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, the identity elsewhere
@@ -323,7 +323,7 @@ def word_unitaries(channels: Sequence[KrausChannel], n_steps: int, tol: float) -
             if sum(head) <= total:
                 word = head + (total - sum(head),)
                 channel = reduce(compose, (p[e] for p, e in zip(powers, word)))
-                table[(total,) + head] = stinespring_unitary(channel, tol).unitary
+                table[(total,) + head] = stinespring_unitary(channel).unitary
     return table
 
 
@@ -341,11 +341,7 @@ def shift_generator(table: np.ndarray, registers: tuple[int, ...], shift: tuple[
 
 
 def build_register_dilation(
-    mode: str,
-    channels: Sequence[KrausChannel],
-    n_steps: int,
-    tol: float,
-    max_total_dim: int,
+    mode: str, channels: Sequence[KrausChannel], n_steps: int, max_total_dim: int
 ) -> RegisterDilation:
     """The dilation of ``channels`` on registers of length n_steps + 1: one
     word-unitary table, one generator per shift vector of the mode, and
@@ -353,13 +349,13 @@ def build_register_dilation(
     for ch in channels:
         if ch.picture != SCHROEDINGER or not ch.is_square:
             raise ValueError(f"{mode} dilation needs square schroedinger channels")
-        require_accepted(ch, tol)
+        require_accepted(ch)
     d = channels[0].dim_in
     registers = (n_steps + 1,) * len(channels)
     cells = int(np.prod(registers))
     guard_total_dim(d ** 3 * cells, max_total_dim)
 
-    table = word_unitaries(channels, n_steps, tol)
+    table = word_unitaries(channels, n_steps)
     origin = (0,) * len(registers)
     if mode == "cyclic":
         # the cycle closes, U_m = U_0 = id: cell i - 1 carries U_i and the

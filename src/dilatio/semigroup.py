@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import CPTP_ATOL, KrausChannel, apply_channel, dual
+from .channels import KrausChannel, apply_channel, dual
 from .linalg import hermitize
 from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments semigroup.kron
 from .register import (
@@ -53,10 +53,7 @@ def DilationBundle(
 
 
 def build_semigroup_dilation(
-    ch: KrausChannel,
-    n_steps: int,
-    tol: float = CPTP_ATOL,
-    max_total_dim: int = DEFAULT_MAX_TOTAL_DIM,
+    ch: KrausChannel, n_steps: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
 ) -> RegisterDilation:
     """Assemble V = U W for the first n_steps powers of an accepted channel.
 
@@ -67,7 +64,7 @@ def build_semigroup_dilation(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    return build_register_dilation("semigroup", [ch], n_steps, tol, max_total_dim)
+    return build_register_dilation("semigroup", [ch], n_steps, max_total_dim)
 
 
 def evolve(bundle: RegisterDilation, rho0, n: int) -> np.ndarray:

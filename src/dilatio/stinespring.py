@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    CPTP_ATOL,
     HEISENBERG,
     SCHROEDINGER,
     KrausChannel,
@@ -102,7 +101,7 @@ def _spread_embedding_columns(completed: np.ndarray, dim: int, ancilla_dim: int)
     return completed[:, np.argsort(slots)]
 
 
-def stinespring_unitary(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDilation:
+def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
     """Dilate an accepted square Schroedinger channel to a unitary on H (x) K.
 
     The isometry x (x) e_0 -> sum_i (K_i x) (x) e_i (Kraus list zero padded
@@ -114,7 +113,7 @@ def stinespring_unitary(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDila
         raise ValueError("stinespring_unitary dilates schroedinger channels")
     if not ch.is_square:
         raise ValueError("stinespring_unitary needs a square channel")
-    require_accepted(ch, tol)
+    require_accepted(ch)
 
     d = ch.dim_in
     ancilla_dim = d * d
@@ -160,7 +159,7 @@ class GeneralDilation:
         return apply_channel(_read_back(self.unitary, self.psi, self.dim_in, self.dim_out), a)
 
 
-def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDilation:
+def general_stinespring(ch: KrausChannel) -> GeneralDilation:
     """Dilation of a rectangular Schroedinger channel T : B^1(H) -> B^1(G).
 
     Follows the composite X(.) := omega_H (x) T(tr_G(.)) on H (x) G, which
@@ -169,7 +168,7 @@ def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDila
     """
     if ch.picture != SCHROEDINGER:
         raise ValueError("general_stinespring dilates schroedinger channels")
-    require_accepted(ch, tol)
+    require_accepted(ch)
 
     d_in, d_out = ch.dim_in, ch.dim_out
     ops = plain_kraus(ch)
@@ -181,7 +180,7 @@ def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDila
     composite = np.zeros((r * d_out, n, n), dtype=np.complex128)
     composite[:, :d_out, :] = traced.reshape(r * d_out, d_out, n)
     square = KrausChannel(n, n, composite)
-    inner = stinespring_unitary(square, tol)
+    inner = stinespring_unitary(square)
     return GeneralDilation(
         unitary=inner.unitary,
         dim_in=d_in,
@@ -192,16 +191,16 @@ def general_stinespring(ch: KrausChannel, tol: float = CPTP_ATOL) -> GeneralDila
     )
 
 
-def heisenberg_dilation(ch: KrausChannel, tol: float = CPTP_ATOL) -> UnitaryDilation:
+def heisenberg_dilation(ch: KrausChannel) -> UnitaryDilation:
     """Dilation of a unital Heisenberg channel S in the form
     S(B) == tr_omega(U^dag (B (x) id_K) U).
 
     Built on the unique Schroedinger pre-dual (same Kraus family, flipped
-    picture); apply_heisenberg evaluates the reconstruction.
+    picture), which stinespring_unitary certifies: its Choi matrix has the
+    eigenvalues of this one's.  apply_heisenberg evaluates the reconstruction.
     """
     if ch.picture != HEISENBERG:
         raise ValueError("heisenberg_dilation expects a heisenberg channel")
     if not ch.is_square:
         raise ValueError("heisenberg_dilation needs a square channel")
-    require_accepted(ch, tol)
-    return stinespring_unitary(dual(ch), tol)
+    return stinespring_unitary(dual(ch))

@@ -8,6 +8,7 @@ before ``os._exit`` would still arrive.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -113,6 +114,20 @@ class TestPackageNames:
 
     def test_submodules_stay_attributes(self):
         assert dilatio.cyclic is importlib.import_module("dilatio.cyclic")
+
+    def test_only_the_verifiers_take_a_tolerance(self):
+        # every other check runs at its module's constant
+        taken = {
+            (name, param)
+            for name in dilatio.__all__
+            if inspect.isfunction(getattr(dilatio, name))
+            for param in inspect.signature(getattr(dilatio, name)).parameters
+            if param.endswith("tol")
+        }
+        assert taken == {
+            (name, "tol") for name in ("verify_cptp", "kraus_from_choi", "verify_dilation",
+                                       "verify_cyclic_dilation", "verify_control_dilation")
+        }
 
     def test_unknown_name_is_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilatio import linalg, stinespring
+from dilatio import channels, linalg, stinespring
 from dilatio.channels import (
     KrausChannel,
     dual,
@@ -273,3 +273,17 @@ class TestHeisenbergDilation:
     def test_requires_heisenberg_picture(self):
         with pytest.raises(ValueError):
             heisenberg_dilation(identity_channel(2))
+
+    def test_certifies_the_channel_once(self, monkeypatch):
+        calls = []
+        certify = channels.verify_cptp
+        monkeypatch.setattr(channels, "verify_cptp",
+                            lambda ch, *tol: calls.append(ch) or certify(ch, *tol))
+        heisenberg_dilation(dual(amplitude_damping(0.3)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ch", [transpose_channel(), KrausChannel(2, 2, [1.1 * np.eye(2)])],
+                             ids=["not-cp", "not-unital"])
+    def test_refuses_a_dual_that_is_not_a_channel(self, ch):
+        with pytest.raises(RejectedChannelError):
+            heisenberg_dilation(dual(ch))
