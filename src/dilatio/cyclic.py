@@ -32,6 +32,7 @@ from .register import (
     power_words,
     reconstruct,
     require_mode,
+    require_square,
     verify_words,
 )
 from .semigroup import DEFAULT_MAX_TOTAL_DIM
@@ -96,6 +97,7 @@ def build_cyclic_dilation(
     with the wrap e_m -> e_1, and omega sits at cell m-1 so the first
     shift lands on the dilation of T^1.
     """
+    require_square("cyclic", [ch])
     m = period.m
     m1 = superoperator_matrix(ch)
     drift = np.linalg.norm(np.linalg.matrix_power(m1, m) - m1)

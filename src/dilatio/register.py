@@ -183,6 +183,8 @@ class BlockPermutation:
 
     def power(self, e: int) -> BlockPermutation:
         """G^e for e >= 1, by repeated squaring: at most 2 log2(e) products."""
+        if e < 1:
+            raise ValueError(f"block permutation power {e}: the exponent must be at least 1")
         result, base = None, self
         while True:
             if e & 1:
@@ -340,15 +342,20 @@ def shift_generator(table: np.ndarray, registers: tuple[int, ...], shift: tuple[
     return BlockPermutation(src, u @ before.conj().swapaxes(1, 2))
 
 
+def require_square(mode: str, channels: Sequence[KrausChannel]) -> None:
+    """Refuse a channel that is not square or not in the schroedinger picture."""
+    if any(ch.picture != SCHROEDINGER or not ch.is_square for ch in channels):
+        raise ValueError(f"{mode} dilation needs square schroedinger channels")
+
+
 def build_register_dilation(
     mode: str, channels: Sequence[KrausChannel], n_steps: int, max_total_dim: int
 ) -> RegisterDilation:
     """The dilation of ``channels`` on registers of length n_steps + 1: one
     word-unitary table, one generator per shift vector of the mode, and
     omega on the origin cell, (0, ..., 0) unless the register is a cycle."""
+    require_square(mode, channels)
     for ch in channels:
-        if ch.picture != SCHROEDINGER or not ch.is_square:
-            raise ValueError(f"{mode} dilation needs square schroedinger channels")
         require_accepted(ch)
     d = channels[0].dim_in
     registers = (n_steps + 1,) * len(channels)
@@ -405,12 +412,15 @@ def _apply_power(g: BlockPermutation, e: int, columns):
 
 
 def _exponents(bundle: RegisterDilation, exponents: Sequence[int]) -> tuple[int, ...]:
-    """A word's exponents, refused unless there is one per generator."""
+    """A word's exponents, refused unless there is one per generator and
+    none is negative."""
     exponents = tuple(exponents)
     if len(exponents) != len(bundle.forms):
         raise ValueError(
             f"word {exponents}: a {bundle.mode} bundle takes {len(bundle.forms)} exponent(s)"
         )
+    if min(exponents) < 0:
+        raise ValueError(f"word {exponents}: exponents must be nonnegative")
     return exponents
 
 

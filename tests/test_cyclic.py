@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dilatio import cyclic
 from dilatio.channels import (
+    KrausChannel,
+    dual,
     identity_channel,
     power,
     superoperator_matrix,
@@ -99,6 +102,19 @@ class TestReducePower:
 
 
 class TestBuildCyclicDilation:
+    @pytest.mark.parametrize(
+        "ch",
+        [KrausChannel(2, 3, [np.eye(3, 2)]), dual(rotation_channel(3))],
+        ids=["non-square", "heisenberg"],
+    )
+    def test_refuses_a_channel_before_the_drift(self, ch, monkeypatch):
+        def drift(_):
+            raise AssertionError("the drift M(T^m) - M(T) was computed")
+
+        monkeypatch.setattr(cyclic, "superoperator_matrix", drift)
+        with pytest.raises(ValueError, match="cyclic dilation needs square schroedinger channels"):
+            build_cyclic_dilation(ch, CyclePeriod(3))
+
     def test_identity_channel_period_two(self):
         ch = identity_channel(2)
         bundle = build_cyclic_dilation(ch, CyclePeriod(2))

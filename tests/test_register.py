@@ -412,6 +412,24 @@ def test_block_powers_match_matrix_power():
         np.testing.assert_allclose(form.power(e).dense(), np.linalg.matrix_power(v, e), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: built_bundle("cyclic").forms[0].power(0), r"power 0: the exponent"),
+        (lambda: built_bundle("cyclic").forms[0].power(-1), r"power -1: the exponent"),
+        (lambda: reconstruct(built_bundle("semigroup"), (-1,), np.eye(2) / 2),
+         r"word \(-1,\): exponents must be nonnegative"),
+        (lambda: reconstruct(built_bundle("control"), (-1, 2), np.eye(2) / 2),
+         r"word \(-1, 2\): exponents must be nonnegative"),
+    ],
+    ids=["power-0", "power-minus-1", "semigroup-word", "control-word"],
+)
+def test_negative_exponents_are_refused(refused, match):
+    # power(-1) shifted -1 >> 1 == -1 forever; a negative word exponent read as 0
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
 def test_block_product_matches_dense_product():
     # the register shifts all commute; random cell permutations do not
     rng = np.random.default_rng(8)
