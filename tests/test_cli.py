@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dilatio.channels import KrausChannel
 from dilatio.cli import main
 from dilatio.fixtures import write_fixture_corpus
 from dilatio.serialize import load_state, save_channel
@@ -92,6 +93,37 @@ class TestCheck:
         code, out, _ = run(capsys, "check", path)
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+class TestCertificationBoundary:
+    """K = sqrt(1 + eps) I_2 misses trace preservation by ||K^dag K - I||_F =
+    sqrt(2) eps, just inside or just outside CPTP_ATOL = 1e-10."""
+
+    @staticmethod
+    def channel(tmp_path, violation):
+        path = tmp_path / "scaled_identity.json"
+        k = np.sqrt(1 + violation / np.sqrt(2)) * np.eye(2)
+        save_channel(path, KrausChannel(2, 2, [k]))
+        return path
+
+    def test_inside_the_tolerance(self, tmp_path, capsys):
+        path = self.channel(tmp_path, 0.9e-10)
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0
+        assert json.loads(out)["residuals"][0] == pytest.approx(9.0e-11, rel=1e-3)
+        dilate = ("dilate", path, "--mode", "semigroup", "--out", tmp_path / "x.bundle")
+        assert run(capsys, *dilate, "--steps", "1")[0] == 0
+        # T^2 misses by twice as much: the build refuses it rather than hide it
+        code, _, err = run(capsys, *dilate, "--steps", "2")
+        assert code == 3
+        assert "channel rejected: cp=True, tp_or_unital=False, max_violation=1.800e-10" in err
+
+    def test_outside_the_tolerance(self, tmp_path, capsys):
+        path = self.channel(tmp_path, 1.1e-10)
+        assert run(capsys, "check", path)[0] == 2
+        dilate = ("dilate", path, "--mode", "semigroup", "--out", tmp_path / "x.bundle")
+        assert run(capsys, *dilate, "--steps", "1")[0] == 3
+        assert not (tmp_path / "x.bundle").exists()
 
 
 class TestDilate:
