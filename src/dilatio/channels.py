@@ -41,6 +41,7 @@ from .linalg import (
     frozen_matrix,
     hermitize,
     is_unitary,
+    unitarity_residual,
 )
 
 SCHROEDINGER = "schroedinger"
@@ -423,8 +424,7 @@ def detect_unitary_conjugation(t: KrausChannel) -> np.ndarray | None:
     if eigenvalues[-1] <= 0.0:
         return None
     stack = _top_kraus(eigenvalues, vectors, CONJUGATION_TOL, (t.dim_out, t.dim_in))
-    residual = np.linalg.norm(stack[0].conj().T @ stack[0] - np.eye(t.dim_in))
-    if len(stack) != 1 or residual > CONJUGATION_TOL:
+    if len(stack) != 1 or unitarity_residual(stack[0]) > CONJUGATION_TOL:
         return None
     return stack[0]
 
