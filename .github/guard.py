@@ -43,8 +43,8 @@ def semigroup():
             ["evolve", "guard.bundle", "guard_state.json", "--steps", "150"],
         ),
         "items": 151,
-        # 5.4e-13 at the guard: precision lost there must not pass on the 1e-9 tolerance alone
-        "residual": 1e-11,
+        # 5.6e-14 at the guard: precision lost there must not pass on the 1e-9 tolerance alone
+        "residual": 1e-12,
         "evolved": evolved,
     }
 
@@ -58,11 +58,11 @@ def cyclic():
 
     def evolved(out):
         un = np.linalg.matrix_power(u, 1000)
-        # 3.6e-12 at this size
+        # 1.5e-13 at this size
         miss = np.linalg.svd(out - un @ rho @ un.conj().T, compute_uv=False).sum()
-        if not miss < 1e-10:
+        if not miss < 1e-11:
             return (f"evolved state misses U^n rho U^-n by {miss:.3g} in trace norm, "
-                    f"expected below 1e-10")
+                    f"expected below 1e-11")
 
     return {
         "bundle": "cyclic.bundle",
@@ -73,8 +73,8 @@ def cyclic():
             ["evolve", "cyclic.bundle", "cyclic_state.json", "--steps", "1000"],
         ),
         "items": 301,
-        # 1.7e-12 at this size
-        "residual": 1e-10,
+        # 6.7e-14 at this size
+        "residual": 1e-12,
         "evolved": evolved,
     }
 

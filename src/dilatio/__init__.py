@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "errors": (
         "ChannelFormatError",
-        "CompletionError",
         "HorizonError",
         "MemoryGuardError",
         "NotCommutingError",

@@ -28,7 +28,3 @@ class HorizonError(ValueError):
 
 class MemoryGuardError(RuntimeError):
     """A dilation build would exceed the configured total-dimension guard."""
-
-
-class CompletionError(RuntimeError):
-    """Unitary completion of an isometry did not reach full rank."""

@@ -16,15 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CompletionError
-
 # Frobenius tolerance for Hermiticity / isometry / unitarity checks.
 HERMITIAN_ATOL = 1e-10
 # Eigenvalues above -PSD_ATOL count as nonnegative.
 PSD_ATOL = 1e-10
-# Residual below which a candidate basis vector is treated as already
-# spanned during unitary completion.
-COMPLETION_SKIP_TOL = 1e-8
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -177,56 +172,56 @@ def is_psd(a) -> bool:
     return bool(eigenvalues.min() >= -PSD_ATOL)
 
 
-def _density_spectrum(rho, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """A validated state (Hermitian, PSD, unit trace, all within tol) and
-    the ascending eigenvalues of its Hermitian part."""
+def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+    """A validated state (Hermitian, PSD, unit trace, all within
+    HERMITIAN_ATOL) and the ascending eigenvalues of its Hermitian part."""
     m = as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"a state must be square, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("state is not Hermitian within tolerance")
     eigenvalues = np.linalg.eigvalsh(hermitize(m))
-    if eigenvalues.min() < -tol:
+    if eigenvalues.min() < -HERMITIAN_ATOL:
         raise ValueError(f"state has negative eigenvalue {eigenvalues.min():.3e}")
-    if abs(np.trace(m) - 1.0) > tol:
+    if abs(np.trace(m) - 1.0) > HERMITIAN_ATOL:
         raise ValueError(f"state trace {np.trace(m):.12g} differs from 1")
     return m, eigenvalues
 
 
-def check_density_matrix(rho, tol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate a state: Hermitian, PSD, and unit trace, all within tol."""
-    return _density_spectrum(rho, tol)[0]
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a state: Hermitian, PSD, and unit trace, all within HERMITIAN_ATOL."""
+    return _density_spectrum(rho)[0]
 
 
-def is_pure_state(rho, tol: float = HERMITIAN_ATOL) -> bool:
-    """Rank-one test: second largest eigenvalue at most tol, from the one
-    eigendecomposition that validates the state."""
-    m, eigenvalues = _density_spectrum(rho, tol)
-    return m.shape[0] == 1 or bool(eigenvalues[-2] <= tol)
+def is_pure_state(rho) -> bool:
+    """Rank-one test: second largest eigenvalue at most HERMITIAN_ATOL, from
+    the one eigendecomposition that validates the state."""
+    m, eigenvalues = _density_spectrum(rho)
+    return m.shape[0] == 1 or bool(eigenvalues[-2] <= HERMITIAN_ATOL)
 
 
-def pure_state_vector(state, dim: int, tol: float = HERMITIAN_ATOL) -> np.ndarray:
+def pure_state_vector(state, dim: int) -> np.ndarray:
     """A read-only psi with |psi><psi| the given pure state on C^dim.
 
-    ``state`` is either psi itself, which must have unit norm within tol,
-    or a dense omega.  omega is reduced to its column at its largest
-    diagonal entry, divided by the square root of that entry (psi up to a
-    global phase), and accepted when ||omega - omega^dag||_F,
-    |tr omega - 1| and ||omega - psi psi^dag||_F are each at most tol.
-    By Weyl's inequality the last bounds every eigenvalue of the Hermitian
-    part of omega but the largest by tol, so this O(dim^2) check is no
-    weaker than is_pure_state's eigendecomposition.
+    ``state`` is either psi itself, which must have unit norm within
+    HERMITIAN_ATOL, or a dense omega.  omega is reduced to its column at
+    its largest diagonal entry, divided by the square root of that entry
+    (psi up to a global phase), and accepted when ||omega - omega^dag||_F,
+    |tr omega - 1| and ||omega - psi psi^dag||_F are each at most
+    HERMITIAN_ATOL.  By Weyl's inequality the last bounds every eigenvalue
+    of the Hermitian part of omega but the largest by HERMITIAN_ATOL, so
+    this O(dim^2) check is no weaker than is_pure_state's eigendecomposition.
     """
     a = np.asarray(state, dtype=np.complex128)
     if not np.all(np.isfinite(a)):
         raise ValueError("state contains NaN or Inf entries")
     if a.shape == (dim, dim):
-        return pure_state_from_entries(*stored_entries(a), dim, tol)
+        return pure_state_from_entries(*stored_entries(a), dim)
     if a.shape != (dim,):
         raise ValueError(f"state of shape {a.shape}, expected ({dim},) or ({dim}, {dim})")
     psi = a.copy()
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > HERMITIAN_ATOL:
         raise ValueError(f"state vector has norm {norm:.12g}, not 1")
     psi.flags.writeable = False
     return psi
@@ -241,7 +236,7 @@ def stored_entries(a) -> tuple[np.ndarray, np.ndarray]:
     return index, flat[index]
 
 
-def pure_state_from_entries(index, values, dim: int, tol: float = HERMITIAN_ATOL) -> np.ndarray:
+def pure_state_from_entries(index, values, dim: int) -> np.ndarray:
     """pure_state_vector of the dim x dim omega whose row-major entries are
     ``values`` at the sorted, distinct flat ``index`` and 0 elsewhere, with
     its three norms taken over the entries: O(entries + s^2) for a psi with
@@ -258,10 +253,10 @@ def pure_state_from_entries(index, values, dim: int, tol: float = HERMITIAN_ATOL
     paired[paired] = index[at[paired]] == twin[paired]
     skew = values.copy()
     skew[paired] -= values[at[paired]].conj()
-    if _norm_sq(skew) + _norm_sq(values[~paired]) > tol * tol:
+    if _norm_sq(skew) + _norm_sq(values[~paired]) > HERMITIAN_ATOL ** 2:
         raise ValueError("state is not Hermitian within tolerance")
     trace = values[row == col].sum()
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > HERMITIAN_ATOL:
         raise ValueError(f"state trace {trace:.12g} differs from 1")
     diagonal = np.zeros(dim)
     diagonal[row[row == col]] = values[row == col].real
@@ -276,7 +271,7 @@ def pure_state_from_entries(index, values, dim: int, tol: float = HERMITIAN_ATOL
     inside = (place[row] >= 0) & (place[col] >= 0)
     block = -np.outer(psi[support], psi[support].conj())
     block[place[row[inside]], place[col[inside]]] += values[inside]
-    if _norm_sq(values[~inside]) + _norm_sq(block) > tol * tol:
+    if _norm_sq(values[~inside]) + _norm_sq(block) > HERMITIAN_ATOL ** 2:
         raise ValueError("state is not pure within tolerance")
     psi.flags.writeable = False
     return psi
@@ -301,42 +296,30 @@ def unitarity_residual(a) -> float:
     return float(np.linalg.norm(gram - np.eye(m.shape[1])))
 
 
-def is_unitary(a, tol: float = HERMITIAN_ATOL) -> bool:
-    """unitarity_residual(a) <= tol, for a matrix or a stack of blocks."""
-    return unitarity_residual(a) <= tol
+def is_unitary(a) -> bool:
+    """unitarity_residual(a) <= HERMITIAN_ATOL, for a matrix or a stack of blocks."""
+    return unitarity_residual(a) <= HERMITIAN_ATOL
 
 
 def complete_isometry_to_unitary(v) -> np.ndarray:
-    """Deterministically extend an isometry to a square unitary.
+    """Deterministically extend an isometry, or each of a (W, rows, cols)
+    stack of them, to a square unitary.
 
-    The input must have orthonormal columns (V^dag V == id within 1e-10).
-    The output's first ``cols`` columns equal the input columns bit for
-    bit.  Completion rule, fixed so dilations are reproducible: walk the
-    standard basis vectors in index order; skip any whose residual after
-    orthogonal projection onto the current span has norm below 1e-8;
-    orthonormalize the accepted ones in order (a second projection pass
-    keeps the Gram residual at rounding level).
+    The input must have orthonormal columns (||V^dag V - I||_F, over the
+    whole stack, within 1e-10).  The output's first ``cols`` columns equal
+    the input columns bit for bit.  Completion rule, fixed so dilations are
+    reproducible: the last rows - cols columns of the complete Householder
+    QR of the input, whose first ``cols`` columns span the input's range.
     """
-    m = as_complex_matrix(v)
-    rows, cols = m.shape
+    m = np.asarray(v, dtype=np.complex128)
+    if m.ndim not in (2, 3) or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected a finite matrix or stack of them, got shape {m.shape}")
+    rows, cols = m.shape[-2:]
     if rows < cols:
         raise ValueError(f"isometry must be tall, got shape {m.shape}")
-    gram = m.conj().T @ m
+    gram = m.conj().swapaxes(-1, -2) @ m
     if np.linalg.norm(gram - np.eye(cols)) > HERMITIAN_ATOL:
         raise ValueError("input columns are not orthonormal within 1e-10")
-
-    q = m.copy()
-    for i in range(rows):
-        if q.shape[1] == rows:
-            break
-        e = np.zeros(rows, dtype=np.complex128)
-        e[i] = 1.0
-        r = e - q @ (q.conj().T @ e)
-        if np.linalg.norm(r) < COMPLETION_SKIP_TOL:
-            continue
-        r = r - q @ (q.conj().T @ r)
-        r = r / np.linalg.norm(r)
-        q = np.column_stack([q, r])
-    if q.shape[1] != rows:
-        raise CompletionError("unitary completion did not reach full rank")
+    q = np.linalg.qr(m, mode="complete").Q
+    q[..., :cols] = m
     return q

@@ -13,10 +13,10 @@ the registers it does not shift, and cell c reads cell (c - delta) mod L
 pins the walker to an origin cell, so a word of generators telescopes to
 the unitary of its endpoint.  The table takes one power table per channel,
 built through one shared dict of known powers, so T^1 .. T^N cost N - 1
-compositions.  Cyclic bundles roll the one-channel table back one cell so
-the register closes into the cycle.  Every reconstruction is
-tr_K(w (A (x) omega) w^dag) for a word w = G_1^e_1 G_2^e_2 ... in the
-generators.
+compositions, and dilates all its words in one batched completion.
+Cyclic bundles roll the one-channel table back one cell so the register
+closes into the cycle.  Every reconstruction is tr_K(w (A (x) omega) w^dag)
+for a word w = G_1^e_1 G_2^e_2 ... in the generators.
 
 Every generator is therefore a block permutation
 G = sum_c B_c (x) |c><src(c)| of b x b blocks on the L^k register cells
@@ -307,9 +307,11 @@ def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray
     of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e) at each cell
     (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, the identity elsewhere
     and at index -1 of every axis.  One power table per channel
-    (n_steps - 1 compositions) and k - 1 compositions per word."""
+    (n_steps - 1 compositions), k - 1 compositions and one certification
+    per word past total 1 (those are the channels, which the caller
+    certifies), and one ``stinespring_unitaries`` for all words."""
     # imported here, the one user, so that verify and evolve do not load it
-    from .stinespring import stinespring_unitary
+    from .stinespring import stinespring_unitaries
 
     k = len(channels)
     # one channel's words are its powers 1..N; with more, every exponent 0..N occurs
@@ -318,14 +320,19 @@ def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray
     for ch in channels:
         known = {}  # shared by the channel's exponents: one composition each
         powers.append({e: power(ch, e, known) for e in exponents})
-    eye = np.eye(channels[0].dim_in ** 3, dtype=np.complex128)
-    table = np.tile(eye, (n_steps + 2,) * k + (1, 1))  # the identity off the table
+    cells, words = [], []
     for total in range(1, n_steps + 1):
         for head in product(range(total + 1), repeat=k - 1):
             if sum(head) <= total:
                 word = head + (total - sum(head),)
                 channel = reduce(compose, (p[e] for p, e in zip(powers, word)))
-                table[(total,) + head] = stinespring_unitary(channel).unitary
+                if total > 1:
+                    require_accepted(channel)
+                cells.append((total,) + head)
+                words.append(channel)
+    eye = np.eye(channels[0].dim_in ** 3, dtype=np.complex128)
+    table = np.tile(eye, (n_steps + 2,) * k + (1, 1))  # the identity off the table
+    table[tuple(np.transpose(cells))] = stinespring_unitaries(words)
     return table
 
 

@@ -8,15 +8,18 @@ state omega = |e_0><e_0| such that
 The ancilla dimension is always d^2, one universal size for every channel
 on a d-dimensional system (Kraus lists are zero padded), which is what
 lets the semigroup module stack the dilations of all powers T^n over a
-single ancilla.  Every read-back is the Kraus channel of the columns
-U (1 (x) psi) for omega = |psi><psi| (``channels.column_channel``, the rule
-of the register dilations), and every ancilla state passes one purity
-rule, ``linalg.pure_state_vector``.
+single ancilla.  One rule, ``stinespring_unitaries``, completes every
+isometry, of one channel or of a table of words: its polar factor,
+completed by a complete Householder QR.  Every read-back is the
+Kraus channel of the columns U (1 (x) psi) for omega = |psi><psi|
+(``channels.column_channel``, the rule of the register dilations), and
+every ancilla state passes one purity rule, ``linalg.pure_state_vector``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -93,37 +96,44 @@ class UnitaryDilation:
         return apply_channel(dual(_read_back(self.unitary, self.psi, 1, self.dim)), b)
 
 
-def _spread_embedding_columns(completed: np.ndarray, dim: int, ancilla_dim: int) -> np.ndarray:
-    # complete_isometry_to_unitary leaves the isometry in the first `dim`
-    # columns, the images of x (x) e_0 at composite index h * ancilla_dim:
-    # column i goes to slot slots[i], completion columns filling the rest in order.
-    slots = np.argsort(np.arange(dim * ancilla_dim) % ancilla_dim != 0, kind="stable")
-    return completed[:, np.argsort(slots)]
+def stinespring_unitaries(channels: Sequence[KrausChannel]) -> np.ndarray:
+    """The (W, d^3, d^3) Stinespring unitaries of W accepted square channels.
+
+    The families ``channels.plain_kraus`` gives, zero padded to d^2, make the
+    isometries V : x -> sum_i (K_i x) (x) e_i, and each is replaced by its
+    polar factor V S^(-1/2), S = V^dag V (one batched eigh): orthonormal to
+    rounding, and within ||S - I||_F <= CPTP_ATOL of V.  One
+    linalg.complete_isometry_to_unitary completes them all; V's columns go
+    to the images of x (x) e_0, index x d^2, the others fill the rest in
+    order.  Each unitary depends on its own family only.
+    """
+    d = channels[0].dim_in
+    ancilla_dim = d * d
+    kraus = np.zeros((len(channels), ancilla_dim, d, d), dtype=np.complex128)
+    for w, ch in enumerate(channels):
+        ops = plain_kraus(ch)
+        kraus[w, :len(ops)] = ops
+    iso = kraus.transpose(0, 2, 1, 3).reshape(len(channels), d * ancilla_dim, d)
+    s, v = np.linalg.eigh(iso.conj().swapaxes(1, 2) @ iso)
+    iso = iso @ (v / np.sqrt(s)[:, np.newaxis]) @ v.conj().swapaxes(1, 2)
+    completed = complete_isometry_to_unitary(iso)
+    slots = np.argsort(np.arange(d * ancilla_dim) % ancilla_dim != 0, kind="stable")
+    return completed[..., np.argsort(slots)]
 
 
 def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
     """Dilate an accepted square Schroedinger channel to a unitary on H (x) K.
 
     The isometry x (x) e_0 -> sum_i (K_i x) (x) e_i (Kraus list zero padded
-    to length d^2) is extended by the deterministic completion rule of
-    linalg.complete_isometry_to_unitary, so repeated builds give identical
-    matrices.
+    to length d^2) is made exact and completed by ``stinespring_unitaries``.
     """
     if ch.picture != SCHROEDINGER:
         raise ValueError("stinespring_unitary dilates schroedinger channels")
     if not ch.is_square:
         raise ValueError("stinespring_unitary needs a square channel")
     require_accepted(ch)
-
     d = ch.dim_in
-    ancilla_dim = d * d
-    ops = plain_kraus(ch)
-
-    iso = np.zeros((d, ancilla_dim, d), dtype=np.complex128)
-    iso[:, :len(ops), :] = ops.transpose(1, 0, 2)
-    completed = complete_isometry_to_unitary(iso.reshape(d * ancilla_dim, d))
-    unitary = _spread_embedding_columns(completed, d, ancilla_dim)
-    return UnitaryDilation(unitary, d, ancilla_dim, basis_state(0, ancilla_dim))
+    return UnitaryDilation(stinespring_unitaries([ch])[0], d, d * d, basis_state(0, d * d))
 
 
 @dataclass(frozen=True)

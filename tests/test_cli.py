@@ -118,6 +118,26 @@ class TestCertificationBoundary:
         assert code == 3
         assert "channel rejected: cp=True, tp_or_unital=False, max_violation=1.800e-10" in err
 
+    @pytest.mark.parametrize("steps, calls", [(1, 2), (2, 3)])
+    def test_each_channel_is_certified_once_per_build(self, corpus, tmp_path, capsys,
+                                                      monkeypatch, steps, calls):
+        # the load-time check, the build's, and one per power past T itself
+        from dilatio import channels, cli
+
+        seen = []
+        certify = channels.verify_cptp
+
+        def spy(ch, *tol):
+            seen.append(ch)
+            return certify(ch, *tol)
+
+        monkeypatch.setattr(channels, "verify_cptp", spy)
+        monkeypatch.setattr(cli, "verify_cptp", spy)
+        code, _, _ = run(capsys, "dilate", corpus / "channel_amplitude_damping_0.5.json",
+                         "--mode", "semigroup", "--steps", steps, "--out", tmp_path / "x.bundle")
+        assert code == 0
+        assert len(seen) == calls
+
     def test_outside_the_tolerance(self, tmp_path, capsys):
         path = self.channel(tmp_path, 1.1e-10)
         assert run(capsys, "check", path)[0] == 2
@@ -254,20 +274,6 @@ class TestDilate:
         assert code == 4
         assert err.startswith("resource guard:") and err.count("\n") == 1
 
-    def test_failed_completion_is_precondition_failure(self, corpus, tmp_path, capsys, monkeypatch):
-        from dilatio import linalg
-
-        # every candidate basis vector counts as spanned, so the completion
-        # of the Stinespring isometry cannot reach full rank
-        monkeypatch.setattr(linalg, "COMPLETION_SKIP_TOL", 10.0)
-        code, _, err = run(
-            capsys, "dilate", corpus / "channel_amplitude_damping_0.5.json",
-            "--mode", "semigroup", "--steps", "2", "--out", tmp_path / "x.bundle",
-        )
-        assert code == 3
-        assert err == "precondition failed: unitary completion did not reach full rank\n"
-        assert not (tmp_path / "x.bundle").exists()
-
     def test_rejected_channel_is_precondition_failure(self, corpus, tmp_path, capsys):
         code, _, _ = run(
             capsys, "dilate", corpus / "channel_transpose.json",
@@ -310,6 +316,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is True
         assert report["horizon"] == 5
+        assert report["tolerance"] == 1e-9
         assert len(report["residuals"]) == 6
         assert all(r <= 1e-9 for r in report["residuals"])
 

@@ -216,33 +216,45 @@ class TestStates:
         assert len(calls) == 1
 
 
+def matrix_and_stack(rows, cols, seed):
+    """A random isometry, and a (3, rows, cols) stack of them: each case of
+    the completion runs on both."""
+    rng = np.random.default_rng(seed)
+    return [random_isometry(rows, cols, rng),
+            np.stack([random_isometry(rows, cols, rng) for _ in range(3)])]
+
+
 class TestUnitaryCompletion:
     def test_square_unitary_passes_through(self):
-        rng = np.random.default_rng(19)
-        u = random_isometry(4, 4, rng)
-        np.testing.assert_array_equal(complete_isometry_to_unitary(u), u)
+        for u in matrix_and_stack(4, 4, 19):
+            np.testing.assert_array_equal(complete_isometry_to_unitary(u), u)
 
     def test_first_identity_column(self):
         v = np.eye(2, 1, dtype=complex)
         np.testing.assert_array_equal(complete_isometry_to_unitary(v), np.eye(2))
+        completed = complete_isometry_to_unitary(np.tile(v, (3, 1, 1)))
+        np.testing.assert_array_equal(completed, np.tile(np.eye(2), (3, 1, 1)))
 
     def test_random_tall_isometry(self):
-        rng = np.random.default_rng(20)
-        v = random_isometry(8, 2, rng)
-        u = complete_isometry_to_unitary(v)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10
-        np.testing.assert_array_equal(u[:, :2], v)  # bit for bit
+        for v in matrix_and_stack(8, 2, 20):
+            u = complete_isometry_to_unitary(v)
+            assert np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(8)) <= 1e-10
+            np.testing.assert_array_equal(u[..., :2], v)  # bit for bit
+        for w in range(3):  # each member of a stack is completed as it would be alone
+            np.testing.assert_array_equal(u[w], complete_isometry_to_unitary(v[w]))
 
     def test_completion_is_deterministic(self):
-        rng = np.random.default_rng(21)
-        v = random_isometry(6, 3, rng)
-        np.testing.assert_array_equal(
-            complete_isometry_to_unitary(v), complete_isometry_to_unitary(v.copy())
-        )
+        for v in matrix_and_stack(6, 3, 21):
+            np.testing.assert_array_equal(
+                complete_isometry_to_unitary(v), complete_isometry_to_unitary(v.copy())
+            )
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            complete_isometry_to_unitary(np.ones((3, 2)))
+        bad = np.ones((3, 2))
+        good = random_isometry(3, 2, np.random.default_rng(22))
+        for v in (bad, np.stack([good, bad, good])):  # one bad member spoils a stack
+            with pytest.raises(ValueError):
+                complete_isometry_to_unitary(v)
 
 
 def test_matrix_units_form_a_basis():

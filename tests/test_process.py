@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import dilatio
+from dilatio.channels import random_channel
 from dilatio.cli import main
 from dilatio.fixtures import write_fixture_corpus
+from dilatio.serialize import save_channel
 
 SRC = Path(dilatio.__file__).resolve().parent.parent
 
@@ -159,6 +161,28 @@ def test_process_matches_main(code, argv, corpus, damp_bundle, tmp_path, capsys)
         assert json.loads(proc.stdout)["pass"] is (code == 0)
     else:
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "control"])
+def test_bundles_do_not_depend_on_the_blas_threads(mode, corpus, tmp_path):
+    # the README promises byte-deterministic bundles
+    save_channel(tmp_path / "qutrit.json", random_channel(3, 9, 1))
+    argv = {
+        "semigroup": (tmp_path / "qutrit.json", "--mode", "semigroup", "--steps", "8"),
+        "control": (corpus / "channel_commuting_a.json", "--mode", "control", "--steps", "4",
+                    "--second", corpus / "channel_commuting_b.json"),
+    }[mode]
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bundle"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dilatio.cli", "dilate", *map(str, argv), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 def test_reader_closing_the_pipe_is_one_input_error(corpus):
