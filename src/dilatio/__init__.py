@@ -63,15 +63,12 @@ _EXPORTS = {
         "complete_isometry_to_unitary",
         "is_psd",
         "kron",
-        "partial_trace",
-        "partial_trace_state",
         "trace",
         "trace_distance",
         "trace_norm",
     ),
     "register": ("RegisterDilation", "VerificationReport"),
     "semigroup": (
-        "DilationBundle",
         "build_semigroup_dilation",
         "evolve",
         "heisenberg_evolve",

@@ -12,8 +12,6 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 # Frobenius tolerance for Hermiticity / isometry / unitarity checks.
@@ -87,73 +85,6 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     e = np.zeros((dim, dim), dtype=np.complex128)
     e[index, index] = 1.0
     return e
-
-
-def _check_factor_shape(m: np.ndarray, dims: Sequence[int]) -> list[int]:
-    dims = [int(d) for d in dims]
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(
-            f"matrix of shape {m.shape} inconsistent with factors {dims} "
-            f"(product {total})"
-        )
-    return dims
-
-
-def partial_trace(a, dims: Sequence[int], keep: int | Iterable[int]) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``a`` is an operator on the big-endian product of ``dims``; the result
-    acts on the kept factors in their original order.  This realizes the
-    adjoint of B -> B (x) id on the discarded factors: for every test
-    operator B on the kept space,
-
-        tr(B . partial_trace(a, dims, keep)) == tr((B (x) id) . a).
-    """
-    m = as_complex_matrix(a)
-    dims = _check_factor_shape(m, dims)
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    kept = sorted({int(i) for i in keep})
-    if any(i < 0 or i >= len(dims) for i in kept):
-        raise ValueError(f"keep indices {kept} out of range for {len(dims)} factors")
-    if not kept or len(kept) == len(dims):
-        raise ValueError("keep must be a nonempty proper subset of the factors")
-
-    n = len(dims)
-    tens = m.reshape(dims + dims)
-    row_labels = list(range(n))
-    # traced column factors share their row label, kept ones get fresh labels
-    col_labels = [n + i if i in kept else i for i in range(n)]
-    out_labels = kept + [n + i for i in kept]
-    reduced = np.einsum(tens, row_labels + col_labels, out_labels)
-    d_kept = int(np.prod([dims[i] for i in kept]))
-    return reduced.reshape(d_kept, d_kept)
-
-
-def partial_trace_state(b, dims: Sequence[int], omega) -> np.ndarray:
-    """Partial trace against a fixed ancilla state.
-
-    For an operator ``b`` on H (x) K (``dims == [dim_H, dim_K]``) and a
-    density matrix ``omega`` on K this returns the unique X with
-
-        tr(X A) == tr(b . (A (x) omega))    for every A on H,
-
-    computed as tr_K((id (x) omega) . b).  For pure omega = |y><y| it
-    coincides with V_y^dag b V_y, where V_y embeds x -> x (x) y.
-    """
-    m = as_complex_matrix(b)
-    if len(dims) != 2:
-        raise ValueError(f"expected two factors [dim_H, dim_K], got {list(dims)}")
-    d0, d1 = (int(d) for d in dims)
-    _check_factor_shape(m, [d0, d1])
-    w = check_density_matrix(omega)
-    if w.shape != (d1, d1):
-        raise ValueError(f"omega of shape {w.shape} does not live on a factor of dimension {d1}")
-    tens = m.reshape(d0, d1, d0, d1)
-    return np.einsum("ijkl,lj->ik", tens, w)
 
 
 def is_hermitian(a, tol: float = HERMITIAN_ATOL) -> bool:
@@ -278,8 +209,9 @@ def pure_state_from_entries(index, values, dim: int) -> np.ndarray:
 
 
 def _norm_sq(a: np.ndarray) -> float:
-    """||a||_F^2."""
-    return float(np.vdot(a, a).real)
+    """||a||_F^2 of a complex array, by ufunc reductions: on the small
+    arrays of a tolerance check a BLAS call costs far more than the sums."""
+    return float(np.square(a.real).sum() + np.square(a.imag).sum())
 
 
 def unitarity_residual(a) -> float:
@@ -293,7 +225,7 @@ def unitarity_residual(a) -> float:
     if m.shape[1] != m.shape[2]:
         return np.inf
     gram = m.conj().transpose(0, 2, 1) @ m
-    return float(np.linalg.norm(gram - np.eye(m.shape[1])))
+    return float(np.sqrt(_norm_sq(gram - np.eye(m.shape[1]))))
 
 
 def is_unitary(a) -> bool:
@@ -318,7 +250,7 @@ def complete_isometry_to_unitary(v) -> np.ndarray:
     if rows < cols:
         raise ValueError(f"isometry must be tall, got shape {m.shape}")
     gram = m.conj().swapaxes(-1, -2) @ m
-    if np.linalg.norm(gram - np.eye(cols)) > HERMITIAN_ATOL:
+    if _norm_sq(gram - np.eye(cols)) > HERMITIAN_ATOL ** 2:
         raise ValueError("input columns are not orthonormal within 1e-10")
     q = np.linalg.qr(m, mode="complete").Q
     q[..., :cols] = m

@@ -20,18 +20,14 @@ for a word w = G_1^e_1 G_2^e_2 ... in the generators.
 
 Every generator is therefore a block permutation
 G = sum_c B_c (x) |c><src(c)| of b x b blocks on the L^k register cells
-(b = d^3), and the library holds and runs it in that form
-(``BlockPermutation``): the unitarity check is per block, O(L b^3)
+(b = d^3), and that form (``BlockPermutation``) is the only one the
+library holds and runs: the unitarity check is per block, O(L b^3)
 instead of O(D^3), and powers and products stay block permutations, so
-a register generator never needs a D x D product.  A generator outside
-that pattern is the one-cell form L = 1, b = D, which runs through the
-same code.
+no path builds a D x D matrix.
 
 omega = |psi><psi| is pure, and a bundle holds psi, not the anc x anc
-matrix (anc = d^2 L^k): a build passes the basis vector e_0 (x) e_origin, a
-dense omega (a v1 file, a test) is reduced to psi by three O(anc^2) norms
-instead of an O(anc^3) eigendecomposition, and ``omega`` is built only on
-demand.  The reconstruction depends only on the d columns C = w J of the
+matrix (anc = d^2 L^k): a build passes the basis vector e_0 (x) e_origin.
+The reconstruction depends only on the d columns C = w J of the
 word applied to the embedding J : x -> x (x) psi:
 tr_K(w (A (x) omega) w^dag) = sum_a C_a A C_a^dag, the Kraus channel of
 the d x d pieces C_a of C (``channels.column_channel``).  C lives on the
@@ -59,18 +55,14 @@ from .channels import (
     power,
     require_accepted,
     superoperator_matrix,
-    unvec,
     vec,
 )
 from .errors import HorizonError, MemoryGuardError
 from .linalg import (
-    as_complex_matrix,
     check_density_matrix,
     is_unitary,
     matrix_units,
     pure_state_vector,
-    stored_entries,
-    trace_norm,
 )
 
 # Default tolerance for dilation-identity verification.
@@ -128,18 +120,12 @@ class BlockPermutation:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_dense(cls, g: np.ndarray, cells: int) -> BlockPermutation:
-        """The form of a D x D generator on C^(D / cells) (x) C^cells (see
-        ``from_entries``), in O(D^2)."""
-        return cls.from_entries(*stored_entries(g), g.shape[0], cells)
-
-    @classmethod
     def from_entries(cls, index, values, total: int, cells: int) -> BlockPermutation:
         """The form of the total x total generator whose row-major entries
         are ``values`` at the flat ``index`` and 0 elsewhere, on
         C^(total / cells) (x) C^cells, read off the exact pattern of its
         nonzero entries: entry (i L + c, j L + s) lies in the block from cell
-        s to cell c.  A pattern that is no permutation gives the one-cell form."""
+        s to cell c.  A pattern that is no block permutation is refused."""
         b = total // cells
         row, col = np.divmod(index, total)
         i, c = np.divmod(row, cells)
@@ -147,14 +133,12 @@ class BlockPermutation:
         nonzero = values != 0
         src = np.full(cells, -1)
         src[c[nonzero]] = s[nonzero]  # the permutation, if the nonzero entries hold one
-        if (src[c[nonzero]] == s[nonzero]).all() and np.array_equal(np.sort(src), np.arange(cells)):
-            inside = s == src[c]
-            blocks = np.zeros((cells, b, b), dtype=np.complex128)
-            blocks[c[inside], i[inside], j[inside]] = values[inside]
-            return cls(src, blocks)
-        g = np.zeros(total * total, dtype=np.complex128)
-        g[index] = values
-        return cls([0], g.reshape(1, total, total))
+        if not (src[c[nonzero]] == s[nonzero]).all():
+            raise ValueError(f"generator is no block permutation of its {cells} register cells")
+        inside = s == src[c]
+        blocks = np.zeros((cells, b, b), dtype=np.complex128)
+        blocks[c[inside], i[inside], j[inside]] = values[inside]
+        return cls(src, blocks)
 
     @property
     def dim(self) -> int:
@@ -169,13 +153,6 @@ class BlockPermutation:
         cols = np.arange(b)[:, np.newaxis] * cells + self.src  # (b, L): j L + src(c)
         index = rows[:, :, np.newaxis] * self.dim + cols.T[np.newaxis]
         return index.reshape(-1), self.blocks.transpose(1, 0, 2).reshape(-1)
-
-    def dense(self) -> np.ndarray:
-        """The D x D matrix: ``entries`` scattered into zeros."""
-        g = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        index, values = self.entries()
-        g[index] = values
-        return g.reshape(self.dim, self.dim)
 
     def __matmul__(self, other: BlockPermutation) -> BlockPermutation:
         """G H for H on the same cells: (G H)_c = B_c H_src(c)."""
@@ -197,15 +174,10 @@ class BlockPermutation:
 
 @dataclass(frozen=True, init=False)
 class RegisterDilation:
-    """Generators (V,), or (U, V) for a control pair (T, S), and a pure
-    state omega = |psi><psi| on K~ (x) registers.  ``registers`` is
-    (N + 1,) for horizon N, (m,) for period m, or (N + 1, N + 1) for a
-    control bundle.  The generators come dense or as block permutations and
-    are held as block permutations (``forms``); ``generators`` and the
-    ``unitary`` properties build the dense D x D matrices on demand.  The
-    state comes as the vector psi or as a dense omega, which is reduced to
-    psi (``linalg.pure_state_vector``); ``omega`` builds the dense matrix
-    on demand."""
+    """Generators (V,), or (U, V) for a control pair (T, S), each a block
+    permutation on the register cells, and the vector psi of the pure state
+    omega = |psi><psi| on K~ (x) registers.  ``registers`` is (N + 1,) for
+    horizon N, (m,) for period m, or (N + 1, N + 1) for a control bundle."""
 
     mode: str
     dim: int
@@ -214,36 +186,31 @@ class RegisterDilation:
     forms: tuple[BlockPermutation, ...]
     psi: np.ndarray
 
-    def __init__(self, mode, dim, ancilla_dim, registers, generators, state):
+    def __init__(self, mode, dim, ancilla_dim, registers, forms, psi):
         if mode not in SHIFTS:
             raise ValueError(f"unknown dilation mode {mode!r}")
         count = len(SHIFTS[mode])
         registers = tuple(int(r) for r in registers)
-        if len(registers) != count or len(set(registers)) != 1 or len(generators) != count:
+        if len(registers) != count or len(set(registers)) != 1 or len(forms) != count:
             raise ValueError(f"{mode} bundles need {count} equal registers and generators")
         if mode == "cyclic" and registers[0] < 2:
             raise ValueError("period must be at least 2")
         cells = int(np.prod(registers))
         anc = ancilla_dim * cells
         n = dim * anc
-        forms = []
-        for g in generators:
-            if not isinstance(g, BlockPermutation):
-                # the form copies what it keeps, so a decoded blob is not copied twice
-                g = as_complex_matrix(g)
-                if g.shape != (n, n):
-                    raise ValueError(f"unitary of shape {g.shape}, expected {(n, n)}")
-                g = BlockPermutation.from_dense(g, cells)
-            elif g.dim != n:
-                raise ValueError(f"unitary of shape {(g.dim, g.dim)}, expected {(n, n)}")
+        for g in forms:
+            if g.blocks.shape[0] != cells or g.dim != n:
+                raise ValueError(
+                    f"generator of {g.blocks.shape[0]} cells and dimension {g.dim}, "
+                    f"expected {cells} cells and dimension {n}"
+                )
             # ||G^dag G - I||_F over the blocks: O(L b^3), not O(D^3)
             if not is_unitary(g.blocks):
                 raise ValueError("bundle operator is not unitary within 1e-10")
-            forms.append(g)
-        if len({f.blocks.shape[0] for f in forms}) > 1:  # one layout: the one-cell form
-            forms = [BlockPermutation([0], f.dense()[np.newaxis]) for f in forms]
+        if np.shape(psi) != (anc,):
+            raise ValueError(f"bundle ancilla state of shape {np.shape(psi)}, expected ({anc},)")
         try:
-            psi = pure_state_vector(state, anc)
+            psi = pure_state_vector(psi, anc)
         except ValueError as exc:
             raise ValueError(f"bundle ancilla state on K~ (x) the registers: {exc}") from exc
         for name, value in (
@@ -251,11 +218,6 @@ class RegisterDilation:
             ("registers", registers), ("forms", tuple(forms)), ("psi", psi),
         ):
             object.__setattr__(self, name, value)
-
-    @property
-    def omega(self) -> np.ndarray:
-        """The dense ancilla state |psi><psi|."""
-        return np.outer(self.psi, self.psi.conj())
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -274,23 +236,6 @@ class RegisterDilation:
     def period(self) -> int | None:
         """The cycle length m of a cyclic bundle; None for the other modes."""
         return self.registers[0] if self.mode == "cyclic" else None
-
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        """The dense D x D generators."""
-        return tuple(f.dense() for f in self.forms)
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """V, the last generator, dense."""
-        return self.forms[-1].dense()
-
-    @property
-    def unitary_t(self) -> np.ndarray:
-        """U, the generator of T in a control pair (V in the other modes), dense."""
-        return self.forms[0].dense()
-
-    unitary_s = unitary  # the generator of S in a control pair
 
 
 def guard_total_dim(total: int, limit: int) -> None:
@@ -436,7 +381,7 @@ def word_columns(bundle: RegisterDilation, exponents: Sequence[int]):
     to left, as (cells, blocks): the cells where J = id (x) psi is nonzero
     and one (b, d) block per cell, column x of which is e_x (x) psi there."""
     exponents = _exponents(bundle, exponents)
-    amplitudes = bundle.psi.reshape(-1, bundle.forms[0].blocks.shape[0])
+    amplitudes = bundle.psi.reshape(bundle.ancilla_dim, -1)
     cells = np.flatnonzero(amplitudes.any(axis=0))
     blocks = np.einsum("xy,ac->cxay", np.eye(bundle.dim), amplitudes[:, cells])
     columns = (cells, blocks.reshape(cells.size, -1, bundle.dim))
@@ -466,12 +411,8 @@ def reconstruct(
         return apply_channel(word_channel(bundle, columns), a)
     cells, blocks = columns
     total = int(np.prod(bundle.registers))
-    inner = total // bundle.forms[0].blocks.shape[0]  # register cells inside one block
-    x = blocks.reshape(cells.size, -1, inner, bundle.dim)
-    gram = np.einsum("cqrz,eqsz->cres", x @ a, x.conj())
-    index = (np.arange(inner) * (total // inner) + cells[:, np.newaxis]).ravel()
     out = np.zeros((total, total), dtype=np.complex128)
-    out[np.ix_(index, index)] = gram.reshape(index.size, index.size)
+    out[np.ix_(cells, cells)] = np.einsum("cqz,eqz->ce", blocks @ a, blocks.conj())
     return out
 
 
@@ -523,6 +464,8 @@ def verify_words(
             )
     if operators is None:
         operators = matrix_units(bundle.dim)
+    # one column vec(e) per operator, so that one product maps them all
+    stacked = np.stack([vec(e) for e in operators], axis=1)
     degree, previous, current = None, {}, {}
     residuals = []
     labels = []
@@ -533,6 +476,9 @@ def verify_words(
         columns = _advance(bundle, {**previous, **current}, exponents)
         current[exponents] = columns
         gap = superoperator_matrix(word_channel(bundle, columns)) - oracle
-        residuals.append(max((trace_norm(unvec(gap @ vec(e))) for e in operators), default=0.0))
+        # unvec of each image (column-stacking); the transposes have the
+        # same trace norms, but not to the last bit
+        images = (gap @ stacked).T.reshape(-1, bundle.dim, bundle.dim).transpose(0, 2, 1)
+        residuals.append(float(np.linalg.svd(images, compute_uv=False).sum(axis=1).max()))
         labels.append(label)
     return VerificationReport(tolerance=tol, residuals=tuple(residuals), labels=tuple(labels))

@@ -13,7 +13,8 @@ anything past the horizon is refused instead of silently wrapping.
 
 V is the one-channel register build: cell n carries the Stinespring
 unitary u(n) of T^n (the identity at cell 0) and V the block
-u(n) u(n-1)^dag, shift vector (1,).
+u(n) u(n-1)^dag, shift vector (1,).  V is held as those blocks and the
+shift (``register.BlockPermutation``), never as a D x D matrix.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ from .register import (
 
 # Builders refuse a total dimension d * d^2 * L beyond this unless overridden.
 DEFAULT_MAX_TOTAL_DIM = 4096
-
-
-def DilationBundle(
-    dim: int, ancilla_dim: int, shift_dim: int, unitary, omega, horizon: int
-) -> RegisterDilation:
-    """V, the ancilla state (the vector psi or a dense pure omega) and the
-    validity horizon of a semigroup dilation."""
-    if horizon != shift_dim - 1:
-        raise ValueError("horizon must equal shift_dim - 1")
-    return RegisterDilation("semigroup", dim, ancilla_dim, (shift_dim,), (unitary,), omega)
 
 
 def build_semigroup_dilation(

@@ -459,8 +459,8 @@ def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
             dim=shape[0],
             ancilla_dim=shape[1],
             registers=tuple(shape[2:]),
-            generators=forms,
-            state=pure_state_from_entries(*entries("omega", anc), anc),
+            forms=forms,
+            psi=pure_state_from_entries(*entries("omega", anc), anc),
         )
     except ValueError as exc:
         raise ChannelFormatError(f"{where}: {exc}") from exc

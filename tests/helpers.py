@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's code paths for the
 operations they check: Kraus sandwiches are spelled out with plain numpy,
 superoperator powers use numpy matrix powers, and pairings evaluate both
-sides of the defining identities directly.
+sides of the defining identities directly.  The one dense D x D
+reference of a register bundle (``dense``, ``omega``, ``partial_trace``)
+lives here too: the library holds no dense generator or state.
 """
 
 import numpy as np
@@ -64,3 +66,29 @@ def fro(a):
 def tn(a):
     """Trace norm via singular values, local to the tests."""
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def dense(form):
+    """The D x D matrix of a block permutation: its entries scattered into zeros."""
+    index, values = form.entries()
+    g = np.zeros(form.dim * form.dim, dtype=np.complex128)
+    g[index] = values
+    return g.reshape(form.dim, form.dim)
+
+
+def omega(bundle):
+    """The dense ancilla state |psi><psi| of a register bundle."""
+    return np.outer(bundle.psi, bundle.psi.conj())
+
+
+def partial_trace(a, dims, keep):
+    """Trace out every factor of the big-endian product ``dims`` that
+    ``keep`` (one index or several) does not list; the kept factors stay
+    in their order."""
+    keep = sorted({keep} if isinstance(keep, int) else set(keep))
+    n = len(dims)
+    columns = [n + i if i in keep else i for i in range(n)]
+    out = np.einsum(np.reshape(a, list(dims) * 2), list(range(n)) + columns,
+                    keep + [n + i for i in keep])
+    size = int(np.prod([dims[i] for i in keep]))
+    return out.reshape(size, size)

@@ -43,7 +43,6 @@ from dilatio.linalg import (
     basis_state,
     kron,
     matrix_units,
-    partial_trace,
     trace_norm,
 )
 from dilatio.semigroup import (
@@ -54,7 +53,14 @@ from dilatio.semigroup import (
 )
 from dilatio.stinespring import stinespring_unitary
 
-from helpers import fro, kraus_apply, kraus_apply_dual, random_density, random_matrix
+from helpers import (
+    fro,
+    kraus_apply,
+    kraus_apply_dual,
+    partial_trace,
+    random_density,
+    random_matrix,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

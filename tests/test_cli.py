@@ -680,3 +680,23 @@ def test_round_trip_matches_in_memory_verification(corpus, tmp_path, capsys):
     reloaded = load_bundle(out)
     from_disk = verify_dilation(reloaded, ch)
     assert from_disk.residuals == in_memory.residuals
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_generator_outside_the_register_form_is_input_error(command, corpus, damp_bundle5,
+                                                              tmp_path, capsys):
+    # a v1 file whose V is a Haar unitary: no block permutation of the cells
+    from dilatio.fixtures import haar_unitary
+    from dilatio.serialize import matrix_to_blob
+
+    doc = json.loads(damp_bundle5.read_text())
+    doc["V"]["blob"] = matrix_to_blob(haar_unitary(doc["V"]["rows"], np.random.default_rng(3)))
+    path = tmp_path / "haar.bundle"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "verify": (corpus / "channel_amplitude_damping_0.5.json",),
+        "evolve": (corpus / "state_excited.json", "--steps", "1"),
+    }[command]
+    code, out, err = run(capsys, command, path, *argv)
+    assert code == 1 and out == ""
+    assert "no block permutation of its 6 register cells" in err

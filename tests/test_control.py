@@ -18,7 +18,7 @@ from dilatio.errors import HorizonError, MemoryGuardError, NotCommutingError
 from dilatio.fixtures import PAULI_X, PAULI_Z, haar_unitary, random_commuting_pair
 from dilatio.linalg import basis_state, kron, trace_distance, trace_norm
 
-from helpers import random_density
+from helpers import dense, random_density
 
 
 class TestCheckCommuting:
@@ -230,7 +230,8 @@ class TestReachableInclusion:
         # only the reconstruction words are asserted; U V != V U is expected
         t, s = random_commuting_pair(2, seed=29)
         bundle = build_control_dilation(t, s, 2)
-        commutator = bundle.unitary_t @ bundle.unitary_s - bundle.unitary_s @ bundle.unitary_t
+        u, v = (dense(form) for form in bundle.forms)
+        commutator = u @ v - v @ u
         assert np.linalg.norm(commutator) > 1e-6
 
 

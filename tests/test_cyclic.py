@@ -24,7 +24,7 @@ from dilatio.errors import NotCyclicError
 from dilatio.fixtures import amplitude_damping, rotation_channel
 from dilatio.linalg import basis_state, kron, trace_distance, trace_norm
 
-from helpers import fro, kraus_apply, random_density, random_matrix
+from helpers import dense, fro, kraus_apply, omega, random_density, random_matrix
 
 
 class TestModuloFunctions:
@@ -143,8 +143,8 @@ class TestBuildCyclicDilation:
         for n in range(1, 12):
             nu = reduced_exponent(m, n)
             exponent = n + wrap_count(m, n)
-            vn = np.linalg.matrix_power(bundle.unitary, exponent)
-            lhs = vn @ kron(a, bundle.omega) @ vn.conj().T
+            vn = np.linalg.matrix_power(dense(bundle.forms[0]), exponent)
+            lhs = vn @ kron(a, omega(bundle)) @ vn.conj().T
             step = stinespring_unitary(power(ch, nu)).unitary
             rhs = kron(step @ kron(a, inner_omega) @ step.conj().T, basis_state(nu - 1, m))
             assert trace_norm(lhs - rhs) <= 1e-9

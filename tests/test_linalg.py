@@ -8,13 +8,11 @@ from dilatio.linalg import (
     check_density_matrix,
     kron,
     matrix_units,
-    partial_trace,
-    partial_trace_state,
     trace,
     trace_norm,
 )
 
-from helpers import random_density, random_hermitian, random_isometry, random_matrix
+from helpers import partial_trace, random_density, random_hermitian, random_isometry, random_matrix
 
 
 class TestTrace:
@@ -89,6 +87,8 @@ class TestKron:
 
 
 class TestPartialTrace:
+    """The dense reference of tests/helpers.py; the library has none."""
+
     def test_product_state_marginal(self):
         rng = np.random.default_rng(10)
         rho, omega = random_density(2, rng), random_density(3, rng)
@@ -120,54 +120,6 @@ class TestPartialTrace:
         rho, omega = random_density(2, rng), random_density(3, rng)
         out = partial_trace(kron(rho, omega), [2, 3], keep=1)
         np.testing.assert_allclose(out, omega, atol=1e-13)
-
-    def test_errors(self):
-        a = np.eye(6)
-        with pytest.raises(ValueError):
-            partial_trace(a, [2, 2], keep=0)  # inconsistent shape
-        with pytest.raises(ValueError):
-            partial_trace(a, [2, 3], keep=())  # empty keep
-        with pytest.raises(ValueError):
-            partial_trace(a, [2, 3], keep=(0, 1))  # full keep
-        with pytest.raises(ValueError):
-            partial_trace(a, [2, 3], keep=5)
-
-
-class TestPartialTraceState:
-    def test_product_case(self):
-        rng = np.random.default_rng(14)
-        x, y = random_matrix(2, rng), random_matrix(3, rng)
-        omega = random_density(3, rng)
-        out = partial_trace_state(kron(x, y), [2, 3], omega)
-        np.testing.assert_allclose(out, x * np.trace(y @ omega), atol=1e-12)
-
-    def test_pure_state_is_isometry_conjugation(self):
-        rng = np.random.default_rng(15)
-        y = random_matrix(1, rng, rows=3).reshape(3)
-        y = y / np.linalg.norm(y)
-        omega = np.outer(y, y.conj())
-        b = random_matrix(6, rng)
-        v = np.kron(np.eye(2), y.reshape(3, 1))  # x -> x (x) y
-        np.testing.assert_allclose(
-            partial_trace_state(b, [2, 3], omega), v.conj().T @ b @ v, atol=1e-12
-        )
-
-    def test_defining_identity_random_tests(self):
-        rng = np.random.default_rng(16)
-        b = random_matrix(6, rng)
-        omega = random_density(3, rng)
-        reduced = partial_trace_state(b, [2, 3], omega)
-        for _ in range(20):
-            a = random_matrix(2, rng)
-            lhs = np.trace(reduced @ a)
-            rhs = np.trace(b @ kron(a, omega))
-            assert abs(lhs - rhs) <= 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            partial_trace_state(np.eye(6), [2, 2], np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            partial_trace_state(np.eye(6), [2, 3], np.eye(3))  # trace 3, not a state
 
 
 class TestPsd:

@@ -1,15 +1,16 @@
 """Differential tests: the column path against the dense reconstruction.
 
 The reference is the definition itself: the word w = G_1^e_1 G_2^e_2 ...
-as a dense D x D matrix, the lift A (x) omega, the sandwich
-w (A (x) omega) w^dag and its partial trace.  The column path must agree
-with it on every mode, on bundles that are not in register form, and on
-a sabotaged bundle that must still fail verification.  The generators
-written cell by cell into the register view must equal the dense
-assembly (sum_c B_c (x) P_c)(id (x) shift) they replace.  The block
-permutation form must give the dense Gram residual, the dense unitarity
-decision and the dense powers, and keep D x D arrays out of a cyclic
-evolve.
+as a dense D x D matrix (``helpers.dense`` of each generator), the lift
+A (x) omega, the sandwich w (A (x) omega) w^dag and its partial trace.
+The column path must agree with it on every mode, on random block
+permutations that are not in register form, and on a sabotaged bundle
+that must still fail verification.  The generators written cell by cell
+into the register view must equal the dense assembly
+(sum_c B_c (x) P_c)(id (x) shift) they replace.  The block permutation
+form must give the dense Gram residual, the dense unitarity decision and
+the dense powers, and keep D x D arrays out of a load, a cyclic evolve
+and the control guard's build, verify and evolve.
 """
 
 import tracemalloc
@@ -40,9 +41,8 @@ from dilatio.linalg import (
     is_pure_state,
     is_unitary,
     matrix_units,
-    partial_trace,
-    partial_trace_state,
     pure_state_vector,
+    stored_entries,
     trace_norm,
     unitarity_residual,
 )
@@ -55,10 +55,16 @@ from dilatio.register import (
     verify_words,
 )
 from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
-from dilatio.serialize import load_bundle, save_bundle
+from dilatio.serialize import (
+    bundle_from_dict,
+    bundle_to_dict,
+    load_bundle,
+    matrix_to_blob,
+    save_bundle,
+)
 from dilatio.stinespring import stinespring_unitary
 
-from helpers import random_density, random_matrix
+from helpers import dense, omega, partial_trace, random_density, random_matrix
 
 # residuals and reconstructions sit near 1e-14; the two paths sum in
 # different orders, so they agree to rounding, far inside this bound
@@ -73,13 +79,13 @@ channel_params = st.integers(1, 3).flatmap(
 
 
 def dense_word(bundle, exponents):
-    powers = [np.linalg.matrix_power(g, e) for g, e in zip(bundle.generators, exponents)]
+    powers = [np.linalg.matrix_power(dense(g), e) for g, e in zip(bundle.forms, exponents)]
     return reduce(np.matmul, powers)
 
 
 def dense_reconstruct(bundle, exponents, a, keep=0):
     w = dense_word(bundle, exponents)
-    big = w @ np.kron(a, bundle.omega) @ w.conj().T
+    big = w @ np.kron(a, omega(bundle)) @ w.conj().T
     return partial_trace(big, list(bundle.shape), keep=keep)
 
 
@@ -116,8 +122,12 @@ def assert_sweep_agrees(bundle, channels, words, operators=None):
 
 def random_pure_state(dim, rng):
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    return psi / np.linalg.norm(psi)
+
+
+def random_block_permutation(cells, b, rng):
+    """Haar blocks on a random permutation of the cells: no register shift."""
+    return BlockPermutation(rng.permutation(cells), [haar_unitary(b, rng) for _ in range(cells)])
 
 
 def control_words(t, s, horizon):
@@ -142,7 +152,8 @@ def test_semigroup_columns_match_dense(params, horizon):
         assert_reconstructions_agree(bundle, (n,), rng, keeps=(0, 2))
         b = random_matrix(d, rng)
         w = dense_word(bundle, (n,))
-        dual = partial_trace_state(w.conj().T @ np.kron(b, np.eye(env)) @ w, [d, env], bundle.omega)
+        lifted = np.kron(np.eye(d), omega(bundle)) @ w.conj().T @ np.kron(b, np.eye(env)) @ w
+        dual = partial_trace(lifted, [d, env], keep=0)
         np.testing.assert_allclose(heisenberg_evolve(bundle, b, n), dual, atol=AGREE)
     assert assert_sweep_agrees(bundle, [ch], power_words(ch, horizon)).passed
 
@@ -158,7 +169,7 @@ def test_cyclic_columns_match_dense(d, order, seed):
     bundle = build_cyclic_dilation(ch, period)
     m = period.m
     # exponents past D / d reach the generator through one matrix power
-    for n in (1, m, 3 * m + 1, bundle.unitary.shape[0]):
+    for n in (1, m, 3 * m + 1, bundle.forms[0].dim):
         assert_reconstructions_agree(bundle, (n + wrap_count(m, n),), rng, keeps=(0, 2))
     words = power_words(ch, 2 * m + 1, lambda n: n + wrap_count(m, n) if n else 0)
     assert assert_sweep_agrees(bundle, [ch], words).passed
@@ -189,20 +200,19 @@ def test_control_columns_match_dense(params, horizon, weight):
 @small
 @given(channel_params, st.integers(2, 3))
 def test_unitaries_outside_register_form_match_dense(params, cells):
-    # Haar-random generators and a pure omega that is no basis state: the
-    # column path may rely on nothing but unitarity and purity
+    # Haar blocks on random cell permutations and a pure omega that is no
+    # basis state: the column path may rely on nothing but unitarity and purity
     d, rank, seed = params
     rng = np.random.default_rng(seed)
     anc = d * d * cells
-    v = haar_unitary(d * anc, rng)
+    v = random_block_permutation(cells, d ** 3, rng)
     bundle = RegisterDilation("semigroup", d, d * d, (cells,), (v,), random_pure_state(anc, rng))
     ch = random_channel(d, rank, seed)
     for n in range(cells):
         assert_reconstructions_agree(bundle, (n,), rng, keeps=(0, 2))
     assert_sweep_agrees(bundle, [ch], power_words(ch, cells - 1))
 
-    u = haar_unitary(d * anc * cells, rng)
-    v = haar_unitary(d * anc * cells, rng)
+    u, v = (random_block_permutation(cells * cells, d ** 3, rng) for _ in range(2))
     pair = RegisterDilation(
         "control", d, d * d, (cells, cells), (u, v), random_pure_state(anc * cells, rng)
     )
@@ -217,8 +227,9 @@ def test_identity_generator_still_fails(params, horizon):
     d, rank, seed = params
     ch = random_channel(d, rank, seed)
     good = build_semigroup_dilation(ch, horizon)
-    eye = np.eye(good.unitary.shape[0], dtype=complex)
-    sabotaged = RegisterDilation("semigroup", d, d * d, good.registers, (eye,), good.omega)
+    cells, b = good.forms[0].blocks.shape[:2]
+    eye = BlockPermutation(np.arange(cells), np.broadcast_to(np.eye(b), (cells, b, b)))
+    sabotaged = RegisterDilation("semigroup", d, d * d, good.registers, (eye,), good.psi)
     report = assert_sweep_agrees(sabotaged, [ch], power_words(ch, horizon))
     assert report.residuals[0] <= AGREE
     # a unitary channel (rank 1 at d = 1) is the identity, which V = id reproduces
@@ -279,7 +290,7 @@ def test_semigroup_generator_matches_dense_assembly(d, horizon):
     bundle = build_semigroup_dilation(ch, horizon)
     # array_equal identifies -0.0 with 0.0: the product with the shift
     # may flip the sign of a zero entry, nothing else
-    assert np.array_equal(bundle.unitary, walk_reference(steps[:1] + steps))
+    assert np.array_equal(dense(bundle.forms[0]), walk_reference(steps[:1] + steps))
 
 
 @pytest.mark.parametrize("period", [2, 3, 5])
@@ -288,7 +299,7 @@ def test_cyclic_generator_matches_dense_assembly(period):
     steps = step_unitaries(ch, period - 1)
     bundle = build_cyclic_dilation(ch, detect_cycle(ch))
     assert bundle.period == period
-    assert np.array_equal(bundle.unitary, walk_reference(steps + steps[:1]))
+    assert np.array_equal(dense(bundle.forms[0]), walk_reference(steps + steps[:1]))
 
 
 @pytest.mark.parametrize("d, horizon", [(1, 2), (2, 1), (2, 3)])
@@ -310,8 +321,8 @@ def test_control_generators_match_dense_assembly(d, horizon):
     bundle = build_control_dilation(t, s, horizon)
     shift_t = np.kron(step(length), step(length))
     shift_s = np.kron(step(length), eye)
-    assert np.array_equal(bundle.unitary_t, dense_assemble(cells_t, shift_t, b))
-    assert np.array_equal(bundle.unitary_s, dense_assemble(cells_s, shift_s, b))
+    assert np.array_equal(dense(bundle.forms[0]), dense_assemble(cells_t, shift_t, b))
+    assert np.array_equal(dense(bundle.forms[1]), dense_assemble(cells_s, shift_s, b))
 
 
 def built_bundle(mode):
@@ -328,9 +339,9 @@ def dense_gram_residual(g):
     return float(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])))
 
 
-def rebuilt(bundle, generators):
+def rebuilt(bundle, forms):
     return RegisterDilation(
-        bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers, generators, bundle.omega
+        bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers, forms, bundle.psi
     )
 
 
@@ -338,17 +349,16 @@ def rebuilt(bundle, generators):
 def test_block_residual_matches_dense_gram(mode):
     bundle = built_bundle(mode)
     cells = int(np.prod(bundle.registers))
-    for form, g in zip(bundle.forms, bundle.generators):
-        # register form: one d^3 x d^3 block per cell, not the one-cell fallback
+    for form in bundle.forms:
+        # register form: one d^3 x d^3 block per cell
         assert form.blocks.shape == (cells, bundle.dim ** 3, bundle.dim ** 3)
-        assert abs(unitarity_residual(form.blocks) - dense_gram_residual(g)) <= 1e-14
-        np.testing.assert_array_equal(BlockPermutation.from_dense(g, cells).dense(), g)
+        assert abs(unitarity_residual(form.blocks) - dense_gram_residual(dense(form))) <= 1e-14
         # a non-unitary perturbation of one block: residuals of order one
         off = form.blocks.copy()
         off[1] *= 1.5
         far = BlockPermutation(form.src, off)
         assert unitarity_residual(far.blocks) == pytest.approx(
-            dense_gram_residual(far.dense()), rel=1e-12
+            dense_gram_residual(dense(far)), rel=1e-12
         )
 
 
@@ -361,15 +371,14 @@ def test_block_check_decides_as_the_dense_check(mode, target):
     form = bundle.forms[0]
     blocks = form.blocks.copy()
     blocks[0] *= 1 + target / (2 * np.sqrt(blocks.shape[1]))
-    g = BlockPermutation(form.src, blocks).dense()
-    dense_accepts = is_unitary(g)
+    scaled = BlockPermutation(form.src, blocks)
+    dense_accepts = is_unitary(dense(scaled))
     assert dense_accepts is (target < 1e-10)
-    for generator in (g, BlockPermutation(form.src, blocks)):
-        if dense_accepts:
-            rebuilt(bundle, (generator,) + bundle.generators[1:])
-        else:
-            with pytest.raises(ValueError, match="not unitary"):
-                rebuilt(bundle, (generator,) + bundle.generators[1:])
+    if dense_accepts:
+        rebuilt(bundle, (scaled,) + bundle.forms[1:])
+    else:
+        with pytest.raises(ValueError, match="not unitary"):
+            rebuilt(bundle, (scaled,) + bundle.forms[1:])
 
 
 def test_two_cells_reading_one_source_are_not_unitary():
@@ -384,9 +393,9 @@ def test_two_cells_reading_one_source_are_not_unitary():
     view = g.reshape(b, cells, b, cells)
     for c in range(cells):
         view[:, c, :, src[c]] = form.blocks[c]
-    assert BlockPermutation.from_dense(g, cells).blocks.shape == (1, b * cells, b * cells)
-    with pytest.raises(ValueError, match="not unitary"):
-        rebuilt(bundle, (g,))
+    # read from a v1 file's entries, the same generator is refused
+    with pytest.raises(ValueError, match="not a permutation"):
+        BlockPermutation.from_entries(*stored_entries(g), b * cells, cells)
 
 
 def test_blocks_are_copies():
@@ -397,19 +406,14 @@ def test_blocks_are_copies():
     view[0, 0, 0] = 5.0
     assert form.blocks[0, 0, 0] == 1.0
     assert blocks.flags.writeable
-    # a dense generator is read into fresh blocks and left as it was
-    bundle = built_bundle("semigroup")
-    v = bundle.unitary
-    again = rebuilt(bundle, (v,))
-    v[0, 0] += 1.0
-    assert np.array_equal(again.unitary, bundle.unitary)
 
 
 def test_block_powers_match_matrix_power():
     bundle = built_bundle("cyclic")
-    v, form = bundle.unitary, bundle.forms[0]
+    form = bundle.forms[0]
+    v = dense(form)
     for e in (1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 100, 511, 999, 1000):
-        np.testing.assert_allclose(form.power(e).dense(), np.linalg.matrix_power(v, e), atol=1e-12)
+        np.testing.assert_allclose(dense(form.power(e)), np.linalg.matrix_power(v, e), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -437,24 +441,28 @@ def test_block_product_matches_dense_product():
         BlockPermutation(rng.permutation(5), [haar_unitary(3, rng) for _ in range(5)])
         for _ in range(2)
     )
-    np.testing.assert_allclose((a @ b).dense(), a.dense() @ b.dense(), atol=1e-14)
-    np.testing.assert_allclose((b @ a).dense(), b.dense() @ a.dense(), atol=1e-14)
+    np.testing.assert_allclose(dense(a @ b), dense(a) @ dense(b), atol=1e-14)
+    np.testing.assert_allclose(dense(b @ a), dense(b) @ dense(a), atol=1e-14)
     columns = random_matrix(2, rng, rows=15)
     cell_major = columns.reshape(3, 5, 2).transpose(1, 0, 2)
     cells, blocks = _apply_power(a, 1, (np.arange(5), cell_major))
     moved = np.zeros_like(cell_major)
     moved[cells] = blocks
     np.testing.assert_allclose(
-        moved.transpose(1, 0, 2).reshape(15, 2), a.dense() @ columns, atol=1e-14
+        moved.transpose(1, 0, 2).reshape(15, 2), dense(a) @ columns, atol=1e-14
     )
 
 
-def test_haar_generators_take_the_one_cell_form():
+def test_haar_generators_are_refused():
+    # a Haar unitary is no block permutation of the register cells: its
+    # entries are refused, and so is its one-cell form
     rng = np.random.default_rng(7)
-    v = haar_unitary(2 * 4 * 3, rng)
-    bundle = RegisterDilation("semigroup", 2, 4, (3,), (v,), random_pure_state(12, rng))
-    assert bundle.forms[0].blocks.shape == (1, 24, 24)
-    np.testing.assert_array_equal(bundle.unitary, v)
+    bundle = built_bundle("semigroup")
+    v = haar_unitary(bundle.forms[0].dim, rng)
+    with pytest.raises(ValueError, match="no block permutation"):
+        BlockPermutation.from_entries(*stored_entries(v), v.shape[0], bundle.shift_dim)
+    with pytest.raises(ValueError, match="expected 5 cells"):
+        rebuilt(bundle, (BlockPermutation([0], v[np.newaxis]),))
 
 
 def test_load_and_large_cyclic_evolve_form_no_dense_square(tmp_path, monkeypatch):
@@ -482,30 +490,26 @@ def test_load_and_large_cyclic_evolve_form_no_dense_square(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("mode", ["semigroup", "cyclic", "control"])
 def test_built_state_is_a_basis_vector(mode):
-    # psi = e_0 (x) e_origin, and omega the dense kron it replaces, bit for bit
+    # psi = e_0 (x) e_origin, bit for bit
     bundle = built_bundle(mode)
     origin = bundle.registers[0] - 1 if mode == "cyclic" else 0
     cells = int(np.prod(bundle.registers))
     expected = np.kron(np.eye(bundle.ancilla_dim)[0], np.eye(cells)[origin])
     np.testing.assert_array_equal(bundle.psi, expected)
     assert not bundle.psi.flags.writeable
-    np.testing.assert_array_equal(bundle.omega, np.outer(expected, expected).astype(complex))
 
 
 def test_state_vector_and_dense_omega_give_one_bundle():
+    # a v1 file holds the dense omega, which reads back as psi
     rng = np.random.default_rng(47)
     d, cells = 2, 3
-    anc = d * d * cells
-    v = haar_unitary(d * anc, rng)
-    psi = rng.standard_normal(anc) + 1j * rng.standard_normal(anc)
-    psi /= np.linalg.norm(psi)
-    omega = np.outer(psi, psi.conj())
+    psi = random_pure_state(d * d * cells, rng)
+    v = random_block_permutation(cells, d ** 3, rng)
     from_psi = RegisterDilation("semigroup", d, d * d, (cells,), (v,), psi)
-    from_omega = RegisterDilation("semigroup", d, d * d, (cells,), (v,), omega)
+    from_omega = bundle_from_dict(bundle_to_dict(from_psi))
     np.testing.assert_array_equal(from_psi.psi, psi)
     # the reduction keeps psi up to a global phase, which omega cancels
-    np.testing.assert_allclose(from_psi.omega, omega, atol=1e-15)
-    np.testing.assert_allclose(from_omega.omega, omega, atol=1e-15)
+    np.testing.assert_allclose(omega(from_omega), np.outer(psi, psi.conj()), atol=1e-15)
     for n in range(cells):
         for a in matrix_units(d) + [random_density(d, rng)]:
             for keep in (0, 2):
@@ -539,8 +543,13 @@ def test_impure_or_unnormalised_states_are_refused(defect, message):
         "shape": psi[1:],
     }[defect]
     with pytest.raises(ValueError, match=message):
-        RegisterDilation("semigroup", bundle.dim, bundle.ancilla_dim, bundle.registers,
-                         bundle.forms, state)
+        if state.ndim == 1:
+            RegisterDilation("semigroup", bundle.dim, bundle.ancilla_dim, bundle.registers,
+                             bundle.forms, state)
+        else:  # a dense omega reaches the library only from a v1 file
+            doc = bundle_to_dict(bundle)
+            doc["omega"]["blob"] = matrix_to_blob(state)
+            bundle_from_dict(doc)
 
 
 @pytest.mark.parametrize("weight", [0.0, 1e-12, 0.5e-10, 2e-10, 1e-6, 0.3])
@@ -675,20 +684,20 @@ def test_control_guard_verifies_every_word():
     assert report.passed and report.max_residual <= 1e-9
 
 
-def test_register_and_one_cell_generators_share_one_layout():
-    # a built U beside a Haar V: both are held in the one-cell form
-    rng = np.random.default_rng(50)
-    built = built_bundle("control")
-    v = haar_unitary(built.forms[0].dim, rng)
-    mixed = RegisterDilation(
-        "control", built.dim, built.ancilla_dim, built.registers, (built.forms[0], v), built.psi
-    )
-    assert [f.blocks.shape for f in mixed.forms] == [(1, 72, 72)] * 2
-    np.testing.assert_array_equal(mixed.unitary_t, built.unitary_t)
-    for exponents in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-        assert_reconstructions_agree(mixed, exponents, rng, keeps=(0, (2, 3)))
-    t, s = built_channels("control")
-    assert_sweep_agrees(mixed, [t, s], control_words(t, s, 2))
+def test_control_guard_stays_far_below_one_dense_generator():
+    # build, verify and evolve at D = 8192, where one dense D x D array
+    # would take 1 GiB; the blocks of both generators take 2 MiB
+    t, s = random_commuting_pair(2, seed=7)
+    tracemalloc.start()
+    try:
+        bundle = build_control_dilation(t, s, 31)
+        assert control.verify_control_dilation(bundle, t, s).passed
+        control.evolve_control(bundle, np.diag([0.5, 0.5]), "TS" * 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.forms[0].dim == 8192
+    assert peak < 16 << 20
 
 
 def test_cyclic_sweep_keeps_no_columns_per_word():

@@ -11,7 +11,6 @@ from dilatio.errors import HorizonError, MemoryGuardError
 from dilatio.fixtures import amplitude_damping, haar_unitary
 from dilatio.linalg import basis_state, matrix_units, trace_distance, trace_norm
 from dilatio.semigroup import (
-    DilationBundle,
     build_semigroup_dilation,
     evolve,
     heisenberg_evolve,
@@ -19,7 +18,17 @@ from dilatio.semigroup import (
     verify_dilation,
 )
 
-from helpers import kraus_apply, kraus_apply_dual, random_density, random_matrix
+from dilatio.register import BlockPermutation, RegisterDilation
+
+from helpers import (
+    dense,
+    kraus_apply,
+    kraus_apply_dual,
+    omega,
+    partial_trace,
+    random_density,
+    random_matrix,
+)
 
 
 class TestBuild:
@@ -69,8 +78,8 @@ class TestBuild:
         a = random_matrix(2, rng)
         inner_omega = basis_state(0, 4)
         for n in range(5):
-            vn = np.linalg.matrix_power(bundle.unitary, n)
-            lhs = vn @ kron(a, bundle.omega) @ vn.conj().T
+            vn = np.linalg.matrix_power(dense(bundle.forms[0]), n)
+            lhs = vn @ kron(a, omega(bundle)) @ vn.conj().T
             step = np.eye(8, dtype=complex) if n == 0 else stinespring_unitary(power(ch, n)).unitary
             rhs = kron(step @ kron(a, inner_omega) @ step.conj().T, basis_state(n, 5))
             assert trace_norm(lhs - rhs) <= 1e-9
@@ -142,13 +151,10 @@ class TestVerify:
     def test_negative_control_identity_operator(self):
         ch = amplitude_damping(0.5)
         good = build_semigroup_dilation(ch, 3)
-        sabotaged = DilationBundle(
-            dim=good.dim,
-            ancilla_dim=good.ancilla_dim,
-            shift_dim=good.shift_dim,
-            unitary=np.eye(good.unitary.shape[0], dtype=complex),
-            omega=good.omega,
-            horizon=good.horizon,
+        cells, b = good.forms[0].blocks.shape[:2]
+        eye = BlockPermutation(np.arange(cells), np.broadcast_to(np.eye(b), (cells, b, b)))
+        sabotaged = RegisterDilation(
+            "semigroup", good.dim, good.ancilla_dim, good.registers, (eye,), good.psi
         )
         report = verify_dilation(sabotaged, ch, tol=1e-9)
         assert not report.passed
@@ -242,8 +248,6 @@ def test_verify_against_superoperator_is_independent_of_kraus_path():
 
 def evolve_like(bundle, operator, n):
     """Evolve an arbitrary operator (not just a state) through the bundle."""
-    from dilatio.linalg import kron, partial_trace
-
-    vn = np.linalg.matrix_power(bundle.unitary, n)
-    big = vn @ kron(operator, bundle.omega) @ vn.conj().T
+    vn = np.linalg.matrix_power(dense(bundle.forms[0]), n)
+    big = vn @ np.kron(operator, omega(bundle)) @ vn.conj().T
     return partial_trace(big, list(bundle.shape), keep=0)

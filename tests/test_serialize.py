@@ -42,7 +42,7 @@ from dilatio.serialize import (
     write_json_atomic,
 )
 
-from helpers import fro, random_density, random_matrix
+from helpers import dense, fro, omega, random_density, random_matrix
 
 
 class TestMatrixEncodings:
@@ -323,12 +323,13 @@ def _writer_bundle(mode, length):
         psi[2::5] = complex(-0.0, 0.5)
         return RegisterDilation(bundle.mode, bundle.dim, bundle.ancilla_dim, bundle.registers,
                                 bundle.forms, psi / np.linalg.norm(psi))
-    # Haar generators take the one-cell form; psi is no basis state
+    # one register cell (horizon 0) whose one block is a Haar unitary, so
+    # the blob holds no zero group; psi is no basis state
     rng = np.random.default_rng(length)
     anc = 4 * length
     psi = rng.standard_normal(anc) + 1j * rng.standard_normal(anc)
-    v = haar_unitary(2 * anc, rng)
-    return RegisterDilation("semigroup", 2, 4, (length,), (v,), psi / np.linalg.norm(psi))
+    v = BlockPermutation([0], haar_unitary(2 * anc, rng)[np.newaxis])
+    return RegisterDilation("semigroup", 2, anc, (1,), (v,), psi / np.linalg.norm(psi))
 
 
 WRITER_CASES = [
@@ -348,7 +349,7 @@ def test_streamed_bundle_is_the_dumped_document(tmp_path, mode, length):
     save_bundle(path, bundle, {"channel": "digest"})
     doc = bundle_to_dict(bundle, {"channel": "digest"})
     assert path.read_bytes() == dump_document(doc).encode("ascii")
-    blobs = [matrix_to_blob(bundle.omega)] + [matrix_to_blob(f.dense()) for f in bundle.forms]
+    blobs = [matrix_to_blob(omega(bundle))] + [matrix_to_blob(dense(f)) for f in bundle.forms]
     names = ["omega"] + ["U", "V"][-len(bundle.forms):]
     assert [doc[name]["blob"] for name in names] == blobs
 
@@ -356,12 +357,19 @@ def test_streamed_bundle_is_the_dumped_document(tmp_path, mode, length):
 def test_save_bundle_builds_no_dense_matrix(tmp_path, monkeypatch):
     bundle = build_control_dilation(*random_commuting_pair(2, seed=4), 2)
     expected = dump_document(bundle_to_dict(bundle))
+    square = bundle.forms[0].dim ** 2
 
-    def refuse(self):
-        raise AssertionError("a dense D x D matrix was built")
+    def refusing(fn):
+        # the ways a dense generator or omega would be built
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.size >= square:
+                raise AssertionError("a dense D x D matrix was built")
+            return out
+        return wrapper
 
-    monkeypatch.setattr(BlockPermutation, "dense", refuse)
-    monkeypatch.setattr(RegisterDilation, "omega", property(refuse))
+    for name in ("zeros", "outer"):
+        monkeypatch.setattr(np, name, refusing(getattr(np, name)))
     save_bundle(tmp_path / "b.bundle", bundle)
     assert (tmp_path / "b.bundle").read_text(encoding="ascii") == expected
 
@@ -393,7 +401,7 @@ def test_entries_invert_from_entries(mode, length):
         # B_c[i, j] at row i L + c, column j L + src(c)
         layout = np.zeros((b, cells, b, cells), dtype=np.complex128)
         layout[:, np.arange(cells), :, form.src] = form.blocks
-        assert form.dense().tobytes() == layout.tobytes()
+        assert dense(form).tobytes() == layout.tobytes()
 
 
 def test_signed_psi_case_has_signed_zeros_off_the_support():
@@ -401,8 +409,8 @@ def test_signed_psi_case_has_signed_zeros_off_the_support():
     bundle = _writer_bundle("signed-psi", 20)
     support = bundle.psi != 0
     off = ~np.outer(support, support)
-    omega = bundle.omega
-    assert any((np.signbit(part) & (part == 0) & off).any() for part in (omega.real, omega.imag))
+    w = omega(bundle)
+    assert any((np.signbit(part) & (part == 0) & off).any() for part in (w.real, w.imag))
 
 
 @pytest.mark.parametrize("mode, length",
@@ -421,7 +429,7 @@ def test_only_groups_holding_entries_are_encoded(tmp_path, monkeypatch, mode, le
 
     monkeypatch.setattr(binascii, "b2a_base64", counting)
     save_bundle(tmp_path / "b.bundle", bundle)
-    blobs = [(stored_entries(bundle.omega)[0], bundle.psi.size ** 2)]
+    blobs = [(stored_entries(omega(bundle))[0], bundle.psi.size ** 2)]
     blobs += [(form.entries()[0], form.dim ** 2) for form in bundle.forms]
     expected = 0
     for index, count in blobs:
