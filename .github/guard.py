@@ -1,6 +1,8 @@
 """Memory guards of the command line: dilate, verify and evolve one large
 bundle, each as a child process that must peak below PEAK_MB of RSS, and
-check the reports the calls print.
+check the reports the calls print.  Each call's stderr must hold its one
+expected line (`dilate`'s `wrote <mode> bundle to <path>`) and nothing
+else, so that a warning fails the guard.
 
 Run it from an empty directory, with the `dilatio` console script on the
 PATH, naming one guard:
@@ -88,9 +90,12 @@ def run(name: str) -> list[str]:
     failures = []
     for argv in guard["calls"]:
         start = time.perf_counter()
-        with open(f"{argv[0]}.out", "wb") as out:
-            child = subprocess.Popen(["dilatio", *argv], stdout=out)
+        # stderr goes to a file: a pipe nobody reads while waiting could fill
+        with open(f"{argv[0]}.out", "wb") as out, open(f"{argv[0]}.err", "w+b") as err:
+            child = subprocess.Popen(["dilatio", *argv], stdout=out, stderr=err)
             _, status, usage = os.wait4(child.pid, 0)
+            err.seek(0)
+            stderr = err.read().decode(errors="replace")
         wall = time.perf_counter() - start
         peak_mb = usage.ru_maxrss / 1024
         print(f"dilatio {argv[0]} at the {name} guard: {wall:.2f} s, peak RSS {peak_mb:.0f} MB")
@@ -100,6 +105,12 @@ def run(name: str) -> list[str]:
             failures.append(
                 f"dilatio {argv[0]} peak RSS {peak_mb:.0f} MB is not below {PEAK_MB} MB"
             )
+        expected = ""
+        if argv[0] == "dilate":
+            mode, path = argv[argv.index("--mode") + 1], argv[argv.index("--out") + 1]
+            expected = f"wrote {mode} bundle to {path}\n"
+        if stderr != expected:
+            failures.append(f"dilatio {argv[0]} wrote {stderr!r} to stderr, expected {expected!r}")
     # the two reports must arrive whole: a lost flush would cut them short
     try:
         report = json.load(open("verify.out"))

@@ -241,17 +241,26 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
 
 def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport:
     """Certify complete positivity (Choi PSD) and trace preservation or
-    unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id)."""
+    unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id).
+    A channel whose Choi matrix or Kraus sum overflows certifies nothing:
+    the violation of each that is not finite reads inf."""
     weights = ch.weights
-    choi_matrix = _choi_of(_acting(ch), weights)
-    herm_violation = float(np.linalg.norm(choi_matrix - choi_matrix.conj().T))
-    eigenvalues = np.linalg.eigvalsh(hermitize(choi_matrix))
-    cp_violation = max(herm_violation, max(0.0, float(-eigenvalues.min())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        choi_matrix = _choi_of(_acting(ch), weights)
+        herm_violation = float(np.linalg.norm(choi_matrix - choi_matrix.conj().T))
+        hermitian = hermitize(choi_matrix)
 
-    # sum_i c_i K_i^dag K_i over the rows of every K_i, one product
-    rows = ch.stack.reshape(-1, ch.dim_in)
-    ksum = (rows.conj().T * np.repeat(weights, ch.dim_out)) @ rows
-    tp_violation = float(np.linalg.norm(ksum - np.eye(ch.dim_in)))
+        # sum_i c_i K_i^dag K_i over the rows of every K_i, one product
+        rows = ch.stack.reshape(-1, ch.dim_in)
+        ksum = (rows.conj().T * np.repeat(weights, ch.dim_out)) @ rows
+        tp_violation = float(np.linalg.norm(ksum - np.eye(ch.dim_in)))
+    if np.isfinite(hermitian).all():
+        eigenvalues = np.linalg.eigvalsh(hermitian)
+        cp_violation = max(herm_violation, max(0.0, float(-eigenvalues.min())))
+    else:
+        cp_violation = math.inf
+    if math.isnan(tp_violation):
+        tp_violation = math.inf
 
     return CertificationReport(
         cp=cp_violation <= tol,

@@ -99,15 +99,6 @@ def matrix_to_blob(a) -> str:
     return base64.b64encode(m).decode("ascii")
 
 
-def blob_to_matrix(blob: str, rows: int, cols: int, field: str) -> np.ndarray:
-    """The dense read-only matrix of a blob, through the bundle reader's decoder."""
-    index, values = _decode_blob(blob).entries(rows, cols, field)
-    m = np.zeros(rows * cols, dtype=np.complex128)
-    m[index] = values
-    m.flags.writeable = False
-    return m.reshape(rows, cols)
-
-
 _JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
 
 
@@ -376,15 +367,6 @@ def _stored(first: np.ndarray, count: int, raw: bytes):
     return first[local // count] + local % count, values
 
 
-def _decode_blob(blob: str) -> _BlobEntries:
-    entries = _BlobEntries()
-    try:
-        entries.feed(blob.encode("ascii"))
-    except UnicodeEncodeError as exc:
-        entries.error = binascii.Error(str(exc))
-    return entries
-
-
 def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
     """The bundle document with a placeholder in place of each blob (see
     _PLACEHOLDER), and the base64 pieces of each blob by field name."""
@@ -406,16 +388,10 @@ def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
     return doc, blobs
 
 
-def bundle_to_dict(bundle: RegisterDilation, inputs: dict | None = None) -> dict:
-    doc, blobs = _bundle_document(bundle, inputs)
-    for name, pieces in blobs.items():
-        doc[name]["blob"] = b"".join(pieces).decode("ascii")
-    return doc
-
-
-def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
-    """The bundle of a parsed document, with blob_entries(blob string) the
-    _BlobEntries of each entry's blob."""
+def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> RegisterDilation:
+    """The bundle of the parsed header of the file at path, in which each
+    entry's blob is the placeholder of its number in blobs; each of blobs
+    must be claimed by one entry."""
     # imported here, the one place that builds a bundle, so that the calls
     # that never read one (check, reachable) do not load the dilation core
     from .register import BlockPermutation, RegisterDilation
@@ -436,13 +412,18 @@ def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
     cells = int(np.prod(shape[2:]))
     anc = shape[1] * cells
     total = shape[0] * anc
+    claimed = set()
 
     def entries(field: str, side: int):
         entry = _require(doc, field, dict, where)
         rows = _require(entry, "rows", int, f"{where} '{field}'")
         cols = _require(entry, "cols", int, f"{where} '{field}'")
-        blob = _require(entry, "blob", str, f"{where} '{field}'")
-        index, values = blob_entries(blob).entries(rows, cols, field)
+        match = _READ_PLACEHOLDER.fullmatch(_require(entry, "blob", str, f"{where} '{field}'"))
+        number = int(match[1]) if match else len(blobs)
+        if number >= len(blobs) or number in claimed:
+            raise ChannelFormatError(f"bundle file {path}: a blob is not a plain base64 string")
+        claimed.add(number)
+        index, values = blobs[number].entries(rows, cols, field)
         if (rows, cols) != (side, side):
             kind = "unitary" if field != "omega" else "ancilla state"
             raise ChannelFormatError(
@@ -462,20 +443,22 @@ def _bundle_from_doc(doc, blob_entries) -> RegisterDilation:
             forms=forms,
             psi=pure_state_from_entries(*entries("omega", anc), anc),
         )
+    except ChannelFormatError:
+        raise
     except ValueError as exc:
         raise ChannelFormatError(f"{where}: {exc}") from exc
     if getattr(bundle, scalar) != value:
         raise ChannelFormatError(f"{where} field 'shape' {shape} does not match {scalar} {value}")
+    if len(claimed) != len(blobs):
+        raise ChannelFormatError(f"bundle file {path}: a \"blob\" key outside a bundle entry")
     return bundle
 
 
-def bundle_from_dict(doc: dict) -> RegisterDilation:
-    return _bundle_from_doc(doc, _decode_blob)
-
-
 def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None = None) -> None:
-    """Write dump_document(bundle_to_dict(bundle, inputs)) to path, with each
-    blob streamed from the blocks and psi between the pieces of the header."""
+    """Write the v1 bundle file of bundle to path: the JSON document with
+    sorted keys and fixed separators (see dump_document) whose blob fields
+    hold omega and the dense generators, each blob streamed from psi or the
+    blocks into the file between the pieces of the dumped header."""
     doc, blobs = _bundle_document(bundle, inputs)
     header = dump_document(doc)
     parts = _PLACEHOLDER.split(header)
@@ -563,20 +546,7 @@ def load_bundle(path: str | Path, digest=None) -> RegisterDilation:
         raise ChannelFormatError(f"cannot read {path}: {exc}") from exc
     if len(_NUL_ESCAPE.findall(header)) != 2 * len(blobs):
         raise ChannelFormatError(f"bundle file {path}: a string holds a NUL character")
-    doc = _parse_json(header, path)
-    claimed = set()
-
-    def placeholder(blob: str) -> _BlobEntries:
-        match = _READ_PLACEHOLDER.fullmatch(blob)
-        if match is None or int(match[1]) >= len(blobs) or int(match[1]) in claimed:
-            raise ChannelFormatError(f"bundle file {path}: a blob is not a plain base64 string")
-        claimed.add(int(match[1]))
-        return blobs[int(match[1])]
-
-    bundle = _bundle_from_doc(doc, placeholder)
-    if len(claimed) != len(blobs):
-        raise ChannelFormatError(f"bundle file {path}: a \"blob\" key outside a bundle entry")
-    return bundle
+    return _bundle_from_doc(_parse_json(header, path), blobs, path)
 
 
 def _load_json(path: str | Path) -> dict:

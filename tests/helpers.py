@@ -5,10 +5,17 @@ operations they check: Kraus sandwiches are spelled out with plain numpy,
 superoperator powers use numpy matrix powers, and pairings evaluate both
 sides of the defining identities directly.  The one dense D x D
 reference of a register bundle (``dense``, ``omega``, ``partial_trace``)
-lives here too: the library holds no dense generator or state.
+lives here too: the library holds no dense generator or state.  A bundle
+reaches a parsed v1 document and back only through the files that
+``save_bundle`` writes and ``load_bundle`` reads (``bundle_document``,
+``load_document``).
 """
 
+import json
+
 import numpy as np
+
+from dilatio.serialize import load_bundle, save_bundle
 
 
 def random_matrix(dim, rng, rows=None):
@@ -92,3 +99,17 @@ def partial_trace(a, dims, keep):
                     keep + [n + i for i in keep])
     size = int(np.prod([dims[i] for i in keep]))
     return out.reshape(size, size)
+
+
+def bundle_document(bundle, tmp_path, inputs=None):
+    """The parsed JSON document of the file save_bundle writes."""
+    path = tmp_path / "saved.bundle"
+    save_bundle(path, bundle, inputs)
+    return json.loads(path.read_text(encoding="ascii"))
+
+
+def load_document(doc, tmp_path):
+    """load_bundle of a bundle document dumped to a file."""
+    path = tmp_path / "document.bundle"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    return load_bundle(path)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,22 @@ class TestCertificationBoundary:
         dilate = ("dilate", path, "--mode", "semigroup", "--out", tmp_path / "x.bundle")
         assert run(capsys, *dilate, "--steps", "1")[0] == 3
         assert not (tmp_path / "x.bundle").exists()
+
+
+    @pytest.mark.parametrize("coefficient", [1e200, 1e308])
+    def test_overflowing_channel_fails_certification(self, tmp_path, capsys, coefficient):
+        # the Kraus sum of c I_2 overflows its norm at 1e200, the Choi
+        # matrix its hermitization at 1e308; a numpy warning is an error here
+        path = tmp_path / "huge.json"
+        save_channel(path, KrausChannel(2, 2, [np.eye(2)], coefficients=[coefficient]))
+        code, out, err = run(capsys, "check", path)
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert report["residuals"] == [math.inf] and report["tp_or_unital"] is False
+        code, _, err = run(capsys, "dilate", path, "--mode", "semigroup",
+                           "--out", tmp_path / "x.bundle")
+        assert (code, err) == (3, f"precondition failed: channel file {path} failed CPTP "
+                                  "certification\n")
 
 
 class TestDilate:
@@ -362,6 +379,24 @@ class TestVerify:
         save_channel(tmp_path / "qutrit.json", identity_channel(3))
         code, _, _ = run(capsys, "verify", damp_bundle5, tmp_path / "qutrit.json")
         assert code == 1
+
+    @pytest.mark.parametrize("defect, message", [
+        ("shape", "bundle document: unitary of shape (32, 32), expected (792, 792)"),
+        ("rows", "bundle document 'V' is missing field 'rows'"),
+    ])
+    def test_bundle_error_is_prefixed_once(self, corpus, tmp_path, capsys, defect, message):
+        bundle = tmp_path / "rot.bundle"
+        run(capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode", "cyclic",
+            "--out", bundle)
+        doc = json.loads(bundle.read_text())
+        if defect == "shape":
+            doc["shape"] = [2, 4, 99]
+        else:
+            del doc["V"]["rows"]
+        bundle.write_text(json.dumps(doc))
+        for argv in (("verify", bundle, corpus / "channel_rotation_m4.json"),
+                     ("evolve", bundle, corpus / "state_plus.json", "--steps", "1")):
+            assert run(capsys, *argv) == (1, "", f"input error: {message}\n")
 
     def test_cyclic_verify(self, corpus, tmp_path, capsys):
         bundle = tmp_path / "rot.bundle"

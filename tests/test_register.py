@@ -56,15 +56,21 @@ from dilatio.register import (
 )
 from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
 from dilatio.serialize import (
-    bundle_from_dict,
-    bundle_to_dict,
     load_bundle,
     matrix_to_blob,
     save_bundle,
 )
 from dilatio.stinespring import stinespring_unitary
 
-from helpers import dense, omega, partial_trace, random_density, random_matrix
+from helpers import (
+    bundle_document,
+    dense,
+    load_document,
+    omega,
+    partial_trace,
+    random_density,
+    random_matrix,
+)
 
 # residuals and reconstructions sit near 1e-14; the two paths sum in
 # different orders, so they agree to rounding, far inside this bound
@@ -499,14 +505,15 @@ def test_built_state_is_a_basis_vector(mode):
     assert not bundle.psi.flags.writeable
 
 
-def test_state_vector_and_dense_omega_give_one_bundle():
+def test_state_vector_and_dense_omega_give_one_bundle(tmp_path):
     # a v1 file holds the dense omega, which reads back as psi
     rng = np.random.default_rng(47)
     d, cells = 2, 3
     psi = random_pure_state(d * d * cells, rng)
     v = random_block_permutation(cells, d ** 3, rng)
     from_psi = RegisterDilation("semigroup", d, d * d, (cells,), (v,), psi)
-    from_omega = bundle_from_dict(bundle_to_dict(from_psi))
+    save_bundle(tmp_path / "b.bundle", from_psi)
+    from_omega = load_bundle(tmp_path / "b.bundle")
     np.testing.assert_array_equal(from_psi.psi, psi)
     # the reduction keeps psi up to a global phase, which omega cancels
     np.testing.assert_allclose(omega(from_omega), np.outer(psi, psi.conj()), atol=1e-15)
@@ -526,7 +533,7 @@ def test_state_vector_and_dense_omega_give_one_bundle():
     ("norm", "norm"),
     ("shape", "shape"),
 ])
-def test_impure_or_unnormalised_states_are_refused(defect, message):
+def test_impure_or_unnormalised_states_are_refused(defect, message, tmp_path):
     rng = np.random.default_rng(48)
     bundle = built_bundle("semigroup")
     anc = bundle.ancilla_dim * bundle.shift_dim
@@ -547,9 +554,9 @@ def test_impure_or_unnormalised_states_are_refused(defect, message):
             RegisterDilation("semigroup", bundle.dim, bundle.ancilla_dim, bundle.registers,
                              bundle.forms, state)
         else:  # a dense omega reaches the library only from a v1 file
-            doc = bundle_to_dict(bundle)
+            doc = bundle_document(bundle, tmp_path)
             doc["omega"]["blob"] = matrix_to_blob(state)
-            bundle_from_dict(doc)
+            load_document(doc, tmp_path)
 
 
 @pytest.mark.parametrize("weight", [0.0, 1e-12, 0.5e-10, 2e-10, 1e-6, 0.3])
