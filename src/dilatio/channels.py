@@ -239,34 +239,57 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(_choi_of(ch.stack, ch.weights), ch.dim_in, ch.dim_out)
 
 
+def certify_chois(chois: np.ndarray):
+    """Certify W maps from their Choi matrices, a (W, out, in, out, in) stack:
+    the CP violation max(||C - C^dag||_F, -lambda_min) and the TP violation
+    ||tr_out C - id||_F = ||sum_i c_i K_i^dag K_i - id||_F of each (inf if
+    not finite), and the spectra of the Hermitian parts, from one batched eigh."""
+    count, rows, cols = chois.shape[:3]
+    flat = chois.reshape(count, rows * cols, rows * cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.linalg.norm(flat - flat.conj().swapaxes(1, 2), axis=(1, 2))
+        hermitian = hermitize(flat)
+        tp = np.linalg.norm(np.trace(chois, axis1=1, axis2=3) - np.eye(cols), axis=(1, 2))
+    finite = np.isfinite(hermitian).all(axis=(1, 2))
+    eigenvalues, vectors = np.linalg.eigh(np.where(finite[:, None, None], hermitian, 0.0))
+    cp = np.where(finite, np.maximum(herm, -eigenvalues[:, 0]), np.inf)
+    return cp, np.where(np.isnan(tp), np.inf, tp), eigenvalues, vectors
+
+
+def _report(cp: float, tp: float, tol: float) -> CertificationReport:
+    return CertificationReport(bool(cp <= tol), bool(tp <= tol), float(max(cp, tp)))
+
+
+def _require(report: CertificationReport, word: str = "") -> None:
+    if not report.accepted:
+        raise RejectedChannelError(
+            f"channel rejected: cp={report.cp}, tp_or_unital={report.tp_or_unital}, "
+            f"max_violation={report.max_violation:.3e}{word}"
+        )
+
+
 def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport:
     """Certify complete positivity (Choi PSD) and trace preservation or
-    unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id).
-    A channel whose Choi matrix or Kraus sum overflows certifies nothing:
-    the violation of each that is not finite reads inf."""
-    weights = ch.weights
+    unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id) by
+    ``certify_chois`` of the stored family, whose Choi matrix has the
+    spectrum of the K_i^dag's."""
     with np.errstate(over="ignore", invalid="ignore"):
-        choi_matrix = _choi_of(_acting(ch), weights)
-        herm_violation = float(np.linalg.norm(choi_matrix - choi_matrix.conj().T))
-        hermitian = hermitize(choi_matrix)
+        matrix = _choi_of(ch.stack, ch.weights)
+    cp, tp, _, _ = certify_chois(matrix.reshape(1, *ch.stack.shape[1:] * 2))
+    return _report(cp[0], tp[0], tol)
 
-        # sum_i c_i K_i^dag K_i over the rows of every K_i, one product
-        rows = ch.stack.reshape(-1, ch.dim_in)
-        ksum = (rows.conj().T * np.repeat(weights, ch.dim_out)) @ rows
-        tp_violation = float(np.linalg.norm(ksum - np.eye(ch.dim_in)))
-    if np.isfinite(hermitian).all():
-        eigenvalues = np.linalg.eigvalsh(hermitian)
-        cp_violation = max(herm_violation, max(0.0, float(-eigenvalues.min())))
-    else:
-        cp_violation = math.inf
-    if math.isnan(tp_violation):
-        tp_violation = math.inf
 
-    return CertificationReport(
-        cp=cp_violation <= tol,
-        tp_or_unital=tp_violation <= tol,
-        max_violation=max(cp_violation, tp_violation),
-    )
+def kraus_of_superoperators(superoperators: np.ndarray, labels) -> np.ndarray:
+    """The zero-padded Kraus families (W, d^2, d, d) of W square maps from
+    their superoperators, certified and cut at KEEP_RTOL by ``certify_chois``
+    of the reshuffle M[(b, a), (j, i)] == C[(a, i), (b, j)] (Watrous 2018,
+    ch. 2).  A refused map raises RejectedChannelError naming its label."""
+    d = math.isqrt(superoperators.shape[1])
+    chois = superoperators.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
+    cp, tp, eigenvalues, vectors = certify_chois(chois)
+    for w in np.flatnonzero((cp > CPTP_ATOL) | (tp > CPTP_ATOL))[:1]:
+        _require(_report(cp[w], tp[w], CPTP_ATOL), f", word {labels[w]}")
+    return _top_kraus(eigenvalues, vectors, KEEP_RTOL, (d, d))[0]
 
 
 def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
@@ -274,7 +297,8 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
 
     Eigenvectors with eigenvalue above ``tol * lambda_max`` become Kraus
     operators scaled by sqrt(eigenvalue), largest first; smaller
-    eigenvalues are numerical zeros.  Raises on non-PSD input.
+    eigenvalues are numerical zeros.  Raises unless ``certify_chois``'s CP
+    violation is at most ``tol * max(1, lambda_max)``, or if none is kept.
 
     The default cut, ``tol = RANK_RTOL``, can drop trace that a certified
     channel needs: the Choi matrix of ``convex_combine([identity_channel(2),
@@ -283,39 +307,36 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausChannel:
     ``tol=KEEP_RTOL`` to keep every eigenvalue above rounding (four
     operators, accepted).
     """
-    m = c.matrix
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.linalg.norm(m - m.conj().T) > tol * scale:
-        raise ValueError("Choi matrix is not Hermitian within tolerance")
-    eigenvalues, vectors = np.linalg.eigh(hermitize(m))
-    top = float(eigenvalues.max())
-    if float(eigenvalues.min()) < -tol * max(1.0, top):
-        raise ValueError(f"Choi matrix is not PSD (min eigenvalue {eigenvalues.min():.3e})")
-    if top <= 0.0:
-        raise ValueError("Choi matrix is zero; no Kraus family exists")
-    stack = _top_kraus(eigenvalues, vectors, tol, (c.dim_out, c.dim_in))
-    return KrausChannel(c.dim_in, c.dim_out, stack)
+    shape = (c.dim_out, c.dim_in)
+    cp, _, eigenvalues, vectors = certify_chois(c.matrix.reshape(1, *shape * 2))
+    if cp[0] > tol * max(1.0, eigenvalues[0, -1]):
+        raise ValueError(f"Choi matrix is not Hermitian and PSD (violation {cp[0]:.3e})")
+    stack, kept = _top_kraus(eigenvalues[0], vectors[0], tol, shape)
+    return KrausChannel(c.dim_in, c.dim_out, stack[:kept])
 
 
-def _top_kraus(eigenvalues, vectors, rtol: float, shape) -> np.ndarray:
+def _top_kraus(eigenvalues, vectors, rtol: float, shape):
     """sqrt(lambda) v, shaped (dim_out, dim_in), of every Choi eigenpair above
-    rtol * lambda_max, largest first (eigh's eigenvalues ascend), each with
-    one phase rule: its first entry in row-major order whose modulus exceeds
-    1e-8 times its largest is made real positive, so the family does not
-    depend on the phase the eigensolver picks."""
-    kept = np.flatnonzero(eigenvalues > rtol * eigenvalues[-1])[::-1]
-    rows = (vectors[:, kept] * np.sqrt(eigenvalues[kept])).T
+    rtol * lambda_max, largest first (eigh's eigenvalues ascend), zero padded
+    along a stack (..., n) of spectra, and the number kept.  Each operator's
+    first entry in row-major order whose modulus exceeds 1e-8 times its
+    largest is made real positive, so no eigensolver phase reaches it."""
+    eigenvalues, vectors = eigenvalues[..., ::-1], vectors[..., ::-1]
+    kept = eigenvalues > rtol * eigenvalues[..., :1]
+    rows = np.swapaxes(vectors * np.sqrt(np.where(kept, eigenvalues, 0.0))[..., None, :], -1, -2)
     size = np.abs(rows)
-    first = np.argmax(size > 1e-8 * size.max(axis=1, keepdims=True), axis=1)
-    lead = rows[np.arange(len(rows)), first]
-    return (rows * (lead.conj() / np.abs(lead))[:, np.newaxis]).reshape(-1, *shape)
+    first = np.argmax(size > 1e-8 * size.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(rows, first[..., None], axis=-1)
+    phase = lead.conj() / np.where(kept[..., None], np.abs(lead), 1.0)
+    return (rows * phase).reshape(*rows.shape[:-1], *shape), kept.sum(axis=-1)
 
 
-def _reextract(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _reextract(stack: np.ndarray, weights: np.ndarray, rtol: float = KEEP_RTOL) -> np.ndarray:
     """At most dim_in * dim_out operators with the map of a CP family (in
-    either picture: stored families agree in one iff in the other)."""
+    either picture: stored families agree in one iff in the other), cut at rtol."""
     eigenvalues, vectors = np.linalg.eigh(hermitize(_choi_of(stack, weights)))
-    return _top_kraus(eigenvalues, vectors, KEEP_RTOL, stack.shape[1:])
+    family, kept = _top_kraus(eigenvalues, vectors, rtol, stack.shape[1:])
+    return family[:kept]
 
 
 def plain_kraus(ch: KrausChannel) -> np.ndarray:
@@ -367,16 +388,13 @@ def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
     return _family(stack, np.outer(left.weights, right.weights).ravel(), t1.picture)
 
 
-def power(t: KrausChannel, n: int, known: dict[int, KrausChannel] | None = None) -> KrausChannel:
+def power(t: KrausChannel, n: int) -> KrausChannel:
     """The n-th iterate of a square channel; n == 0 is the identity channel.
 
-    Repeated squaring: T^n = T^(n - h) T^h for the top bit h of n, and
-    T^2h = T^h T^h, so one call makes floor(log2 n) + popcount(n) - 1
-    compositions.  ``known`` maps exponents to powers of t already formed;
-    it is read and filled, so a caller tabulating T^1 .. T^N through one
-    dict makes one composition per exponent, and every entry is the same
-    channel, bit for bit, as a fresh ``power(t, e)``.  All factors are
-    powers of t and commute, so only rounding depends on the order.
+    Repeated squaring, T^2h = T^h T^h, with the squares of the set bits of
+    n composed lowest first: floor(log2 n) + popcount(n) - 1 compositions.
+    All factors are powers of t and commute, so only rounding depends on
+    the order.
     """
     if not t.is_square:
         raise ValueError("powers need a square channel")
@@ -384,17 +402,14 @@ def power(t: KrausChannel, n: int, known: dict[int, KrausChannel] | None = None)
         raise ValueError("negative powers are not defined for channels")
     if n == 0:
         return identity_channel(t.dim_in, picture=t.picture)
-    known = {} if known is None else known
-    known.setdefault(1, t)
-
-    def walk(e: int) -> KrausChannel:
-        if e not in known:
-            h = 1 << (e.bit_length() - 1)
-            pair = (walk(h >> 1), walk(h >> 1)) if e == h else (walk(e - h), walk(h))
-            known[e] = compose(*pair)
-        return known[e]
-
-    return walk(n)
+    result, base = None, t
+    while True:
+        if n & 1:
+            result = base if result is None else compose(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = compose(base, base)
 
 
 def convex_combine(channels, weights) -> KrausChannel:
@@ -429,10 +444,7 @@ def detect_unitary_conjugation(t: KrausChannel) -> np.ndarray | None:
     both within CONJUGATION_TOL; otherwise None."""
     if t.picture != SCHROEDINGER or not t.is_square:
         raise ValueError("unitary detection is defined for square schroedinger channels")
-    eigenvalues, vectors = np.linalg.eigh(hermitize(choi(t).matrix))
-    if eigenvalues[-1] <= 0.0:
-        return None
-    stack = _top_kraus(eigenvalues, vectors, CONJUGATION_TOL, (t.dim_out, t.dim_in))
+    stack = _reextract(t.stack, t.weights, CONJUGATION_TOL)
     if len(stack) != 1 or unitarity_residual(stack[0]) > CONJUGATION_TOL:
         return None
     return stack[0]
@@ -455,12 +467,7 @@ def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
 def require_accepted(ch: KrausChannel) -> None:
     """Raise RejectedChannelError unless verify_cptp accepts the channel
     at CPTP_ATOL."""
-    report = verify_cptp(ch)
-    if not report.accepted:
-        raise RejectedChannelError(
-            f"channel rejected: cp={report.cp}, tp_or_unital={report.tp_or_unital}, "
-            f"max_violation={report.max_violation:.3e}"
-        )
+    _require(verify_cptp(ch))
 
 
 # re-exported so channel consumers need one import

@@ -39,8 +39,8 @@ def frozen_matrix(a) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average away the anti-Hermitian rounding residue of a."""
-    return 0.5 * (a + a.conj().T)
+    """Average away the anti-Hermitian rounding residue of a matrix or a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def trace(a) -> complex:

@@ -11,9 +11,8 @@ block at cell c is u(x) u(x - delta)^dag at x = c * delta, which is 0 on
 the registers it does not shift, and cell c reads cell (c - delta) mod L
 (``shift_generator``, all blocks in one batched product).  A pure omega
 pins the walker to an origin cell, so a word of generators telescopes to
-the unitary of its endpoint.  The table takes one power table per channel,
-built through one shared dict of known powers, so T^1 .. T^N cost N - 1
-compositions, and dilates all its words in one batched completion.
+the unitary of its endpoint.  One batched Choi pass certifies every word
+and gives its Kraus family, and one batched completion dilates them all.
 Cyclic bundles roll the one-channel table back one cell so the register
 closes into the cycle.  Every reconstruction is tr_K(w (A (x) omega) w^dag)
 for a word w = G_1^e_1 G_2^e_2 ... in the generators.
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,9 +49,7 @@ from .channels import (
     KrausChannel,
     apply_channel,
     column_channel,
-    compose,
-    power,
-    require_accepted,
+    kraus_of_superoperators,
     superoperator_matrix,
     vec,
 )
@@ -249,35 +245,31 @@ def guard_total_dim(total: int, limit: int) -> None:
 
 def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray:
     """The table of shape (n_steps + 2,) * k + (b, b): the Stinespring unitary
-    of T_1^e_1 ... T_(k-1)^e_(k-1) T_k^(total - sum e) at each cell
-    (total, e_1, ..., e_(k-1)), 1 <= total <= n_steps, the identity elsewhere
-    and at index -1 of every axis.  One power table per channel
-    (n_steps - 1 compositions), k - 1 compositions and one certification
-    per word past total 1 (those are the channels, which the caller
-    certifies), and one ``stinespring_unitaries`` for all words."""
+    of T_1^e_1 ... T_k^(total - sum e) at each cell (total, e_1, ...,
+    e_(k-1)), 1 <= total <= n_steps, the identity elsewhere and at index -1
+    of every axis.  One pass: one batched product of the channels'
+    superoperator powers per word, one ``kraus_of_superoperators`` for all
+    (the channels too; a refused word is named T^n or T^a S^b), and one
+    ``stinespring_unitaries``."""
     # imported here, the one user, so that verify and evolve do not load it
     from .stinespring import stinespring_unitaries
 
-    k = len(channels)
-    # one channel's words are its powers 1..N; with more, every exponent 0..N occurs
-    exponents = range(1 if k == 1 else 0, n_steps + 1)
-    powers = []
-    for ch in channels:
-        known = {}  # shared by the channel's exponents: one composition each
-        powers.append({e: power(ch, e, known) for e in exponents})
-    cells, words = [], []
-    for total in range(1, n_steps + 1):
-        for head in product(range(total + 1), repeat=k - 1):
-            if sum(head) <= total:
-                word = head + (total - sum(head),)
-                channel = reduce(compose, (p[e] for p, e in zip(powers, word)))
-                if total > 1:
-                    require_accepted(channel)
-                cells.append((total,) + head)
-                words.append(channel)
-    eye = np.eye(channels[0].dim_in ** 3, dtype=np.complex128)
-    table = np.tile(eye, (n_steps + 2,) * k + (1, 1))  # the identity off the table
-    table[tuple(np.transpose(cells))] = stinespring_unitaries(words)
+    k, d = len(channels), channels[0].dim_in
+    grid = np.indices((n_steps + 1,) * k).reshape(k, -1).T  # row-major
+    cells = grid[(grid[:, 0] >= 1) & (grid[:, 0] >= grid[:, 1:].sum(axis=1))]
+    words = np.column_stack([cells[:, 1:], cells[:, 0] - cells[:, 1:].sum(axis=1)])
+    # superoperator powers M^0 .. M^N by doubling, M^(h + j) = M^j M^h for j <= h
+    powers = np.tile(np.eye(d * d, dtype=np.complex128), (k, n_steps + 1, 1, 1))
+    powers[:, 1] = [superoperator_matrix(ch) for ch in channels]
+    h = 1
+    while h < n_steps:
+        j = min(h, n_steps - h)
+        powers[:, h + 1:h + j + 1] = powers[:, 1:j + 1] @ powers[:, h, np.newaxis]
+        h += j
+    superoperators = reduce(np.matmul, (p[e] for p, e in zip(powers, words.T)))
+    labels = [" ".join(f"{t}^{e}" for t, e in zip("TS", word)) for word in words.tolist()]
+    table = np.tile(np.eye(d ** 3, dtype=np.complex128), (n_steps + 2,) * k + (1, 1))
+    table[tuple(cells.T)] = stinespring_unitaries(kraus_of_superoperators(superoperators, labels))
     return table
 
 
@@ -307,8 +299,6 @@ def build_register_dilation(
     word-unitary table, one generator per shift vector of the mode, and
     omega on the origin cell, (0, ..., 0) unless the register is a cycle."""
     require_square(mode, channels)
-    for ch in channels:
-        require_accepted(ch)
     d = channels[0].dim_in
     registers = (n_steps + 1,) * len(channels)
     cells = int(np.prod(registers))

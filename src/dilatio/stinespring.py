@@ -19,7 +19,6 @@ every ancilla state passes one purity rule, ``linalg.pure_state_vector``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -96,24 +95,19 @@ class UnitaryDilation:
         return apply_channel(dual(_read_back(self.unitary, self.psi, 1, self.dim)), b)
 
 
-def stinespring_unitaries(channels: Sequence[KrausChannel]) -> np.ndarray:
-    """The (W, d^3, d^3) Stinespring unitaries of W accepted square channels.
+def stinespring_unitaries(kraus: np.ndarray) -> np.ndarray:
+    """The (W, d^3, d^3) Stinespring unitaries of a (W, d^2, d, d) stack of
+    certified square Kraus families, each zero padded to d^2 operators.
 
-    The families ``channels.plain_kraus`` gives, zero padded to d^2, make the
-    isometries V : x -> sum_i (K_i x) (x) e_i, and each is replaced by its
+    Each makes the isometry V : x -> sum_i (K_i x) (x) e_i, replaced by its
     polar factor V S^(-1/2), S = V^dag V (one batched eigh): orthonormal to
     rounding, and within ||S - I||_F <= CPTP_ATOL of V.  One
     linalg.complete_isometry_to_unitary completes them all; V's columns go
     to the images of x (x) e_0, index x d^2, the others fill the rest in
     order.  Each unitary depends on its own family only.
     """
-    d = channels[0].dim_in
-    ancilla_dim = d * d
-    kraus = np.zeros((len(channels), ancilla_dim, d, d), dtype=np.complex128)
-    for w, ch in enumerate(channels):
-        ops = plain_kraus(ch)
-        kraus[w, :len(ops)] = ops
-    iso = kraus.transpose(0, 2, 1, 3).reshape(len(channels), d * ancilla_dim, d)
+    count, ancilla_dim, d = kraus.shape[:3]
+    iso = kraus.transpose(0, 2, 1, 3).reshape(count, d * ancilla_dim, d)
     s, v = np.linalg.eigh(iso.conj().swapaxes(1, 2) @ iso)
     iso = iso @ (v / np.sqrt(s)[:, np.newaxis]) @ v.conj().swapaxes(1, 2)
     completed = complete_isometry_to_unitary(iso)
@@ -124,8 +118,8 @@ def stinespring_unitaries(channels: Sequence[KrausChannel]) -> np.ndarray:
 def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
     """Dilate an accepted square Schroedinger channel to a unitary on H (x) K.
 
-    The isometry x (x) e_0 -> sum_i (K_i x) (x) e_i (Kraus list zero padded
-    to length d^2) is made exact and completed by ``stinespring_unitaries``.
+    The family ``channels.plain_kraus`` gives, zero padded to length d^2,
+    is completed by ``stinespring_unitaries`` as a batch of one.
     """
     if ch.picture != SCHROEDINGER:
         raise ValueError("stinespring_unitary dilates schroedinger channels")
@@ -133,7 +127,10 @@ def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
         raise ValueError("stinespring_unitary needs a square channel")
     require_accepted(ch)
     d = ch.dim_in
-    return UnitaryDilation(stinespring_unitaries([ch])[0], d, d * d, basis_state(0, d * d))
+    ops = plain_kraus(ch)
+    kraus = np.zeros((1, d * d, d, d), dtype=np.complex128)
+    kraus[0, :len(ops)] = ops
+    return UnitaryDilation(stinespring_unitaries(kraus)[0], d, d * d, basis_state(0, d * d))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from dilatio.channels import KrausChannel
+from dilatio.channels import KrausChannel, random_channel
 from dilatio.cli import main
 from dilatio.fixtures import write_fixture_corpus
 from dilatio.serialize import load_state, save_channel
@@ -119,25 +120,36 @@ class TestCertificationBoundary:
         assert code == 3
         assert "channel rejected: cp=True, tp_or_unital=False, max_violation=1.800e-10" in err
 
+    def test_refused_word_is_named(self, tmp_path, capsys):
+        # T passes at 0.9e-10; the pass refuses T^2 and names it
+        path = self.channel(tmp_path, 0.9e-10)
+        code, _, err = run(capsys, "dilate", path, "--mode", "semigroup", "--steps", "3",
+                           "--out", tmp_path / "x.bundle")
+        assert code == 3
+        assert err == ("precondition failed: channel rejected: cp=True, tp_or_unital=False, "
+                       "max_violation=1.800e-10, word T^2\n")
+        assert not (tmp_path / "x.bundle").exists()
+
     @pytest.mark.parametrize("steps, calls", [(1, 2), (2, 3)])
     def test_each_channel_is_certified_once_per_build(self, corpus, tmp_path, capsys,
                                                       monkeypatch, steps, calls):
-        # the load-time check, the build's, and one per power past T itself
-        from dilatio import channels, cli
+        # one certification of the channel file at load, and one per word
+        # T^1 .. T^steps in the build's one batched pass, T itself included
+        from dilatio import channels
 
-        seen = []
-        certify = channels.verify_cptp
+        batches = []
+        certify = channels.certify_chois
 
-        def spy(ch, *tol):
-            seen.append(ch)
-            return certify(ch, *tol)
+        def spy(chois):
+            batches.append(len(chois))
+            return certify(chois)
 
-        monkeypatch.setattr(channels, "verify_cptp", spy)
-        monkeypatch.setattr(cli, "verify_cptp", spy)
+        monkeypatch.setattr(channels, "certify_chois", spy)
         code, _, _ = run(capsys, "dilate", corpus / "channel_amplitude_damping_0.5.json",
                          "--mode", "semigroup", "--steps", steps, "--out", tmp_path / "x.bundle")
         assert code == 0
-        assert len(seen) == calls
+        assert batches == [1, steps]
+        assert sum(batches) == calls
 
     def test_outside_the_tolerance(self, tmp_path, capsys):
         path = self.channel(tmp_path, 1.1e-10)
@@ -322,6 +334,37 @@ class TestDilate:
         assert code == 1 and out == ""
         assert err.startswith("input error:") and "m_max" in err
         assert not (tmp_path / "rot.bundle").exists()
+
+    def test_cycle_search_stops_at_the_guard(self, tmp_path, capsys):
+        # a qutrit period past 4096 // 27 = 151 would be refused by the
+        # build's guard, so the search ends there instead of running to 10^8
+        path = tmp_path / "qutrit.json"
+        save_channel(path, random_channel(3, 9, seed=1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dilate", path, "--mode", "cyclic",
+                             "--m-max", "100000000", "--out", tmp_path / "c.bundle")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == ""
+        assert err == ("resource guard: no cycle period found up to 151, the largest the guard "
+                       "4096 admits at d=3; raise the limit to search up to m_max=100000000\n")
+        assert not (tmp_path / "c.bundle").exists()
+
+    def test_period_inside_the_guard_is_still_built(self, corpus, tmp_path, capsys):
+        code, _, _ = run(capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode",
+                         "cyclic", "--m-max", "100000000", "--out", tmp_path / "rot.bundle")
+        assert code == 0
+        assert json.loads((tmp_path / "rot.bundle").read_text())["period"] == 4
+
+    @pytest.mark.parametrize("env, force, code", [("80", False, 4), ("80", True, 3),
+                                                  ("128", False, 3)])
+    def test_guard_limit_moves_the_cycle_search(self, corpus, tmp_path, capsys, monkeypatch,
+                                                env, force, code):
+        # 80 // 8 = 10 < the default --m-max 16: the guard cut the search
+        # short; --force, or a limit of 128 (16 periods), lets it run to 16
+        monkeypatch.setenv("DILATIO_MAX_DIM", env)
+        argv = ["dilate", corpus / "channel_amplitude_damping_0.3.json", "--mode", "cyclic",
+                "--out", tmp_path / "c.bundle"]
+        assert run(capsys, *argv, *["--force"] * force)[0] == code
 
 
 class TestVerify:

@@ -13,8 +13,10 @@ the dense powers, and keep D x D arrays out of a load, a cyclic evolve
 and the control guard's build, verify and evolve.
 """
 
+import re
 import tracemalloc
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from hypothesis import strategies as st
 
 from dilatio import control, cyclic, register, semigroup
 from dilatio.channels import (
+    CPTP_ATOL,
+    KrausChannel,
+    column_channel,
     compose,
     convex_combine,
     identity_channel,
@@ -32,10 +37,12 @@ from dilatio.channels import (
     unitary_channel,
     unvec,
     vec,
+    verify_cptp,
 )
 from dilatio.control import build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
+from dilatio.errors import RejectedChannelError
 from dilatio.fixtures import haar_unitary, random_commuting_pair, rotation_channel
 from dilatio.linalg import (
     is_pure_state,
@@ -60,7 +67,6 @@ from dilatio.serialize import (
     matrix_to_blob,
     save_bundle,
 )
-from dilatio.stinespring import stinespring_unitary
 
 from helpers import (
     bundle_document,
@@ -264,23 +270,19 @@ def step(length):
 
 
 def step_unitaries(ch, count):
-    """Dilation unitaries of T^0 .. T^count on the common H (x) K~ space."""
-    steps = [np.eye(ch.dim_in ** 3, dtype=complex)]
-    for n in range(1, count + 1):
-        steps.append(stinespring_unitary(power(ch, n)).unitary)
-    return steps
+    """Dilation unitaries of T^0 .. T^count on the common H (x) K~ space:
+    the identity, then the build's table of words T^1 .. T^count."""
+    return [np.eye(ch.dim_in ** 3, dtype=complex)] + list(
+        register.word_unitaries([ch], count)[1:count + 1]
+    )
 
 
 def control_word_unitaries(t, s, horizon):
     """u(M, k), the dilation unitary of T^k S^(M-k) for 1 <= M <= horizon,
-    0 <= k <= M, and the identity at every other (M, k)."""
-    table = {
-        (total, k): stinespring_unitary(compose(power(t, k), power(s, total - k))).unitary
-        for total in range(1, horizon + 1)
-        for k in range(total + 1)
-    }
-    eye = np.eye(t.dim_in ** 3, dtype=complex)
-    return lambda total, k: table.get((total, k), eye)
+    0 <= k <= M, from the build's table, and the identity at every other
+    (M, k) of the window, -1 included."""
+    table = register.word_unitaries([t, s], horizon)
+    return lambda total, k: table[total, k]
 
 
 def walk_reference(path):
@@ -573,9 +575,10 @@ def test_dense_state_check_is_no_weaker_than_the_spectrum(weight):
         assert is_pure_state(rho)
 
 
-def test_guard_build_composes_once_per_power_and_decomposes_no_wide_matrix(monkeypatch):
-    # the d = 3 N = 150 guard build (D = 4077): one composition per power
-    # T^2 .. T^150, and no eigendecomposition wider than a 9 x 9 Choi matrix
+def test_guard_build_makes_no_composition_and_decomposes_no_wide_matrix(monkeypatch):
+    # the d = 3 N = 150 guard build (D = 4077): no composition, and two
+    # batched eigendecompositions, of the 150 Choi matrices (9 x 9) and of
+    # the 150 isometries' Gram matrices (3 x 3), none wider than d^2
     from dilatio import channels, register
 
     calls, widths = [], []
@@ -592,13 +595,110 @@ def test_guard_build_composes_once_per_power_and_decomposes_no_wide_matrix(monke
         return wrapper
 
     monkeypatch.setattr(channels, "compose", counting)
-    monkeypatch.setattr(register, "compose", counting)
     monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     bundle = build_semigroup_dilation(random_channel(3, 9, 1), 150)
     assert bundle.forms[0].dim == 4077
-    assert len(calls) == 149
-    assert widths and max(widths) <= 9
+    assert calls == []
+    assert widths == [9, 3]
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["one-channel", "control-pair"])
+def test_word_table_is_one_pass(monkeypatch, pair):
+    # every word is certified and cut in one batch: no composition, no
+    # re-extraction, no channel power and no per-word verify_cptp
+    from dilatio import channels
+
+    chans = list(random_commuting_pair(2, seed=4)) if pair else [random_channel(3, 5, seed=4)]
+
+    def refusing(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"word_unitaries called {name}")
+        return refused
+
+    for name in ("compose", "_reextract", "power", "verify_cptp"):
+        monkeypatch.setattr(channels, name, refusing(name))
+    batches, certify = [], channels.certify_chois
+
+    def spy(chois):
+        batches.append(len(chois))
+        return certify(chois)
+
+    monkeypatch.setattr(channels, "certify_chois", spy)
+    table = register.word_unitaries(chans, 5)
+    # T^1 .. T^5, or T^k S^(M-k) for 1 <= M <= 5: 2 + 3 + 4 + 5 + 6 words
+    assert batches == [20 if pair else 5]
+    assert table.shape == (7,) * len(chans) + (chans[0].dim_in ** 3,) * 2
+
+
+# (d, k, N): a qubit or qutrit, one channel or a pair, horizon up to 6
+pass_shapes = st.tuples(st.sampled_from([2, 3]), st.sampled_from([1, 2]), st.integers(1, 6))
+passes = settings(max_examples=20, deadline=None, database=None, derandomize=True)
+
+
+def pass_words(k, n_steps):
+    """The exponents of every word of the pass, in its order."""
+    return [head + (total - sum(head),)
+            for total in range(1, n_steps + 1)
+            for head in product(range(total + 1), repeat=k - 1)]
+
+
+def sequential_word(chans, word):
+    """The word's channel by power and compose, and its superoperator as a
+    product of one factor M_j per letter."""
+    d = chans[0].dim_in
+    letters = [superoperator_matrix(ch) for ch, e in zip(chans, word) for _ in range(e)]
+    oracle = reduce(np.matmul, letters, np.eye(d * d, dtype=complex))
+    return reduce(compose, (power(ch, e) for ch, e in zip(chans, word))), oracle
+
+
+@passes
+@given(shape=pass_shapes, data=st.data())
+def test_pass_families_reproduce_the_sequential_products(shape, data):
+    # each word's unitary, read back on x (x) e_0, is the family of the word
+    d, k, n_steps = shape
+    ranks = data.draw(st.lists(st.integers(1, d * d), min_size=k, max_size=k))
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=k, max_size=k))
+    chans = [random_channel(d, r, seed) for r, seed in zip(ranks, seeds)]
+    table = register.word_unitaries(chans, n_steps)
+    for word in pass_words(k, n_steps):
+        channel, oracle = sequential_word(chans, word)
+        assert verify_cptp(channel).accepted
+        u = table[(sum(word),) + word[:-1]]
+        got = superoperator_matrix(column_channel(u[:, ::d * d], 1, d))
+        assert np.linalg.norm(got - oracle) <= 1e-12, word
+
+
+@passes
+@given(shape=pass_shapes, data=st.data())
+def test_pass_refuses_exactly_the_words_verify_cptp_refuses(shape, data):
+    # K = sqrt(1 + v / sqrt(d)) I_d violates TP by v, and a word of total n
+    # by about n v: v at 0.9 or 1.1 of the boundary CPTP_ATOL / j of total j
+    d, k, n_steps = shape
+    j = data.draw(st.integers(1, n_steps))
+    v = data.draw(st.sampled_from([0.9, 1.1])) * CPTP_ATOL / j
+    chans = [KrausChannel(d, d, [np.sqrt(1 + v / np.sqrt(d)) * np.eye(d)])] * k
+    refused = [w for w in pass_words(k, n_steps)
+               if not verify_cptp(sequential_word(chans, w)[0]).accepted]
+    if not refused:
+        register.word_unitaries(chans, n_steps)
+        return
+    label = " ".join(f"{t}^{e}" for t, e in zip("TS", refused[0]))
+    with pytest.raises(RejectedChannelError, match="channel rejected: cp=True, "
+                       rf"tp_or_unital=False, max_violation=\S+, word {re.escape(label)}$"):
+        register.word_unitaries(chans, n_steps)
+
+
+def test_refused_control_word_is_named():
+    # T and S each violate TP by 0.9e-10 and pass; the first word of total
+    # 2 in the table's order, T^0 S^2, misses by 1.8e-10
+    k = np.sqrt(1 + 0.9e-10 / np.sqrt(2)) * np.eye(2)
+    t = KrausChannel(2, 2, [k])
+    with pytest.raises(RejectedChannelError) as refusal:
+        build_control_dilation(t, t, 3)
+    assert str(refusal.value) == (
+        "channel rejected: cp=True, tp_or_unital=False, max_violation=1.800e-10, word T^0 S^2"
+    )
 
 
 MODES = ("semigroup", "cyclic", "control")
