@@ -46,6 +46,7 @@ _EXPORTS = {
         "build_cyclic_dilation",
         "detect_cycle",
         "evolve_cyclic",
+        "find_cycle",
         "reduce_power",
         "reduced_exponent",
         "verify_cyclic_dilation",

@@ -123,15 +123,7 @@ def cmd_dilate(args) -> int:
         )
     elif args.mode == "cyclic":
         limit = _guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
-        # the guard refuses a period past limit // d^3, so the search stops there
-        reach = min(m_max, max(2, limit // ch.dim_in ** 3))
-        period = cyclic.detect_cycle(ch, m_max=reach)
-        if period is None and reach < m_max:
-            raise MemoryGuardError(f"no cycle period found up to {reach}, the largest the guard "
-                                   f"{limit} admits at d={ch.dim_in}; raise the limit to search "
-                                   f"up to m_max={m_max}")
-        if period is None:
-            raise NotCyclicError(f"no cycle period found up to m_max={m_max}")
+        period = cyclic.find_cycle(ch, m_max, max_total_dim=limit)
         bundle = cyclic.build_cyclic_dilation(ch, period, max_total_dim=limit)
     else:
         if not args.second:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, require_accepted, superoperator_matrix
-from .errors import NotCyclicError
+from .errors import MemoryGuardError, NotCyclicError
 from .linalg import hermitize
 from .register import (
     DILATION_ATOL,
@@ -29,6 +29,7 @@ from .register import (
     VerificationReport,
     build_register_dilation,
     check_system_state,
+    guard_cells,
     power_words,
     reconstruct,
     require_mode,
@@ -79,6 +80,23 @@ def detect_cycle(ch: KrausChannel, m_max: int = 16) -> CyclePeriod | None:
         if np.linalg.norm(accumulated - m1) <= CYCLE_DETECTION_ATOL:
             return CyclePeriod(m)
     return None
+
+
+def find_cycle(
+    ch: KrausChannel, m_max: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+) -> CyclePeriod:
+    """``detect_cycle`` up to m_max, but no further than the largest period the
+    build's guard admits (``register.guard_cells``).  Raises NotCyclicError if
+    none is found, MemoryGuardError naming the guard if it cut the search short."""
+    reach = min(m_max, max(2, guard_cells(ch.dim_in, max_total_dim)))
+    period = detect_cycle(ch, m_max=reach)
+    if period is None and reach < m_max:
+        raise MemoryGuardError(f"no cycle period found up to {reach}, the largest the guard "
+                               f"{max_total_dim} admits at d={ch.dim_in}; raise the limit to "
+                               f"search up to m_max={m_max}")
+    if period is None:
+        raise NotCyclicError(f"no cycle period found up to m_max={m_max}")
+    return period
 
 
 def reduce_power(period: CyclePeriod, n: int) -> int:

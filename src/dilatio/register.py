@@ -234,13 +234,9 @@ class RegisterDilation:
         return self.registers[0] if self.mode == "cyclic" else None
 
 
-def guard_total_dim(total: int, limit: int) -> None:
-    """Refuse a build whose total dimension exceeds the memory guard."""
-    if total > limit:
-        raise MemoryGuardError(
-            f"total dimension {total} exceeds the guard {limit}; "
-            f"raise the limit to proceed"
-        )
+def guard_cells(d: int, limit: int) -> int:
+    """The most register cells the memory guard admits: each holds d * d^2 dimensions."""
+    return limit // d ** 3
 
 
 def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray:
@@ -260,13 +256,14 @@ def word_unitaries(channels: Sequence[KrausChannel], n_steps: int) -> np.ndarray
     words = np.column_stack([cells[:, 1:], cells[:, 0] - cells[:, 1:].sum(axis=1)])
     # superoperator powers M^0 .. M^N by doubling, M^(h + j) = M^j M^h for j <= h
     powers = np.tile(np.eye(d * d, dtype=np.complex128), (k, n_steps + 1, 1, 1))
-    powers[:, 1] = [superoperator_matrix(ch) for ch in channels]
-    h = 1
-    while h < n_steps:
-        j = min(h, n_steps - h)
-        powers[:, h + 1:h + j + 1] = powers[:, 1:j + 1] @ powers[:, h, np.newaxis]
-        h += j
-    superoperators = reduce(np.matmul, (p[e] for p, e in zip(powers, words.T)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite word is refused
+        powers[:, 1] = [superoperator_matrix(ch) for ch in channels]
+        h = 1
+        while h < n_steps:
+            j = min(h, n_steps - h)
+            powers[:, h + 1:h + j + 1] = powers[:, 1:j + 1] @ powers[:, h, np.newaxis]
+            h += j
+        superoperators = reduce(np.matmul, (p[e] for p, e in zip(powers, words.T)))
     labels = [" ".join(f"{t}^{e}" for t, e in zip("TS", word)) for word in words.tolist()]
     table = np.tile(np.eye(d ** 3, dtype=np.complex128), (n_steps + 2,) * k + (1, 1))
     table[tuple(cells.T)] = stinespring_unitaries(kraus_of_superoperators(superoperators, labels))
@@ -302,7 +299,9 @@ def build_register_dilation(
     d = channels[0].dim_in
     registers = (n_steps + 1,) * len(channels)
     cells = int(np.prod(registers))
-    guard_total_dim(d ** 3 * cells, max_total_dim)
+    if cells > guard_cells(d, max_total_dim):
+        raise MemoryGuardError(f"total dimension {d ** 3 * cells} exceeds the guard "
+                               f"{max_total_dim}; raise the limit to proceed")
 
     table = word_unitaries(channels, n_steps)
     origin = (0,) * len(registers)

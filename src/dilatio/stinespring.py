@@ -96,8 +96,8 @@ class UnitaryDilation:
 
 
 def stinespring_unitaries(kraus: np.ndarray) -> np.ndarray:
-    """The (W, d^3, d^3) Stinespring unitaries of a (W, d^2, d, d) stack of
-    certified square Kraus families, each zero padded to d^2 operators.
+    """The (W, d^3, d^3) Stinespring unitaries of a (W, r, d, d) stack of
+    certified square Kraus families, r <= d^2, each zero padded here to d^2.
 
     Each makes the isometry V : x -> sum_i (K_i x) (x) e_i, replaced by its
     polar factor V S^(-1/2), S = V^dag V (one batched eigh): orthonormal to
@@ -106,7 +106,9 @@ def stinespring_unitaries(kraus: np.ndarray) -> np.ndarray:
     to the images of x (x) e_0, index x d^2, the others fill the rest in
     order.  Each unitary depends on its own family only.
     """
-    count, ancilla_dim, d = kraus.shape[:3]
+    count, rank, d = kraus.shape[:3]
+    ancilla_dim = d * d
+    kraus = np.pad(kraus, ((0, 0), (0, ancilla_dim - rank), (0, 0), (0, 0)))
     iso = kraus.transpose(0, 2, 1, 3).reshape(count, d * ancilla_dim, d)
     s, v = np.linalg.eigh(iso.conj().swapaxes(1, 2) @ iso)
     iso = iso @ (v / np.sqrt(s)[:, np.newaxis]) @ v.conj().swapaxes(1, 2)
@@ -118,8 +120,8 @@ def stinespring_unitaries(kraus: np.ndarray) -> np.ndarray:
 def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
     """Dilate an accepted square Schroedinger channel to a unitary on H (x) K.
 
-    The family ``channels.plain_kraus`` gives, zero padded to length d^2,
-    is completed by ``stinespring_unitaries`` as a batch of one.
+    The family ``channels.plain_kraus`` gives is completed by
+    ``stinespring_unitaries`` as a batch of one.
     """
     if ch.picture != SCHROEDINGER:
         raise ValueError("stinespring_unitary dilates schroedinger channels")
@@ -127,10 +129,8 @@ def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
         raise ValueError("stinespring_unitary needs a square channel")
     require_accepted(ch)
     d = ch.dim_in
-    ops = plain_kraus(ch)
-    kraus = np.zeros((1, d * d, d, d), dtype=np.complex128)
-    kraus[0, :len(ops)] = ops
-    return UnitaryDilation(stinespring_unitaries(kraus)[0], d, d * d, basis_state(0, d * d))
+    unitary = stinespring_unitaries(plain_kraus(ch)[np.newaxis])[0]
+    return UnitaryDilation(unitary, d, d * d, basis_state(0, d * d))
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,17 @@ class TestKrausFromChoi:
         with pytest.raises(ValueError):
             kraus_from_choi(choi(transpose_channel()))
 
+    def test_hermiticity_is_measured_against_the_largest_entry(self):
+        # the all-ones Choi matrix is PSD with largest entry 1 and largest
+        # eigenvalue 4: a skew part of norm 2.8e-10 passes tol * 4, not tol * 1;
+        # the PSD check scales with the largest eigenvalue, -5e-10 < -tol * 4
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1e-10j, 1e-10j
+        with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+            kraus_from_choi(ChoiMatrix(np.ones((4, 4)) + skew, 2, 2))
+        with pytest.raises(ValueError, match="not PSD"):
+            kraus_from_choi(ChoiMatrix(np.diag([4.0, 1.0, 1.0, -5e-10]), 2, 2))
+
 
 class TestCompose:
     def test_identity_neutral(self):

@@ -15,12 +15,13 @@ from dilatio.cyclic import (
     build_cyclic_dilation,
     detect_cycle,
     evolve_cyclic,
+    find_cycle,
     reduce_power,
     reduced_exponent,
     verify_cyclic_dilation,
     wrap_count,
 )
-from dilatio.errors import NotCyclicError
+from dilatio.errors import MemoryGuardError, NotCyclicError
 from dilatio.fixtures import amplitude_damping, rotation_channel
 from dilatio.linalg import basis_state, kron, trace_distance, trace_norm
 
@@ -80,6 +81,23 @@ class TestDetectCycle:
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_rotation_family(self, m):
         assert detect_cycle(rotation_channel(m)) == CyclePeriod(m)
+
+
+class TestFindCycle:
+    def test_search_stops_where_the_guard_stops_the_build(self):
+        # a qubit register of more than 4096 // 8 = 512 cells is refused,
+        # so a longer search for a period would be in vain
+        with pytest.raises(MemoryGuardError, match="found up to 512, the largest the guard 4096"):
+            find_cycle(amplitude_damping(0.3), 10**8)
+        with pytest.raises(MemoryGuardError, match="found up to 1024,"):
+            find_cycle(amplitude_damping(0.3), 10**8, max_total_dim=8192)
+
+    def test_below_the_cap_it_is_detect_cycle(self):
+        with pytest.raises(NotCyclicError, match="up to m_max=20$"):
+            find_cycle(amplitude_damping(0.3), 20)
+        assert find_cycle(rotation_channel(4), 10**8) == CyclePeriod(4)
+        # a cap below 2 still searches period 2, which the build then refuses
+        assert find_cycle(identity_channel(2), 16, max_total_dim=1) == CyclePeriod(2)
 
 
 class TestReducePower:

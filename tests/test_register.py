@@ -15,6 +15,7 @@ and the control guard's build, verify and evolve.
 
 import re
 import tracemalloc
+import warnings
 from functools import reduce
 from itertools import product
 
@@ -42,7 +43,7 @@ from dilatio.channels import (
 from dilatio.control import build_control_dilation, verify_reachable_inclusion
 from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
-from dilatio.errors import RejectedChannelError
+from dilatio.errors import MemoryGuardError, RejectedChannelError
 from dilatio.fixtures import haar_unitary, random_commuting_pair, rotation_channel
 from dilatio.linalg import (
     is_pure_state,
@@ -699,6 +700,29 @@ def test_refused_control_word_is_named():
     assert str(refusal.value) == (
         "channel rejected: cp=True, tp_or_unital=False, max_violation=1.800e-10, word T^0 S^2"
     )
+
+
+@pytest.mark.parametrize("ch", [
+    KrausChannel(2, 2, [np.eye(2)], coefficients=(1e200,)),
+    KrausChannel(2, 2, [1e200 * np.eye(2)]),
+], ids=["coefficient", "operator"])
+def test_overflowing_channel_is_refused_without_a_warning(ch):
+    # the powers (coefficient) or the superoperator itself (operator)
+    # overflow to inf; the pass refuses T^1, and no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RejectedChannelError, match=r", word T\^1$"):
+            build_semigroup_dilation(ch, 4)
+
+
+def test_guard_refuses_before_any_word_is_certified():
+    # the words are certified in the pass, after the guard: an uncertified
+    # channel past the guard meets the guard (exit 4), not a refusal (exit 3)
+    ch = KrausChannel(2, 2, [1.1 * np.eye(2)])
+    with pytest.raises(MemoryGuardError, match="total dimension 4104 exceeds the guard 4096"):
+        build_semigroup_dilation(ch, 512)
+    with pytest.raises(RejectedChannelError, match=r", word T\^1$"):
+        build_semigroup_dilation(ch, 511)
 
 
 MODES = ("semigroup", "cyclic", "control")
