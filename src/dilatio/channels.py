@@ -21,6 +21,9 @@ acting stack A_i = K_i (Schroedinger) or K_i^dag (Heisenberg).  One
 re-extraction keeps families at most dim_in * dim_out long: the Choi
 eigenvectors above the rounding floor KEEP_RTOL * lambda_max.
 
+Every square dilation takes its certified Kraus families from one place,
+``kraus_of_superoperators``, behind one precondition, ``require_square``.
+
 Superoperators use column-stacking vectorization,
 vec(X A Y) == (Y^T (x) X) vec(A), so a Schroedinger channel has matrix
 sum_i c_i conj(K_i) (x) K_i.  Choi operators use the unnormalized
@@ -342,18 +345,6 @@ def _reextract(stack: np.ndarray, weights: np.ndarray, rtol: float = KEEP_RTOL) 
     return family[:kept]
 
 
-def plain_kraus(ch: KrausChannel) -> np.ndarray:
-    """A coefficient-free stack of at most dim_in * dim_out operators with the
-    map of a CP channel: the stack, scaled by sqrt(c_i) if no c_i is negative,
-    re-extracted if it is longer or signed."""
-    weights = ch.weights
-    if len(ch.stack) > ch.dim_in * ch.dim_out or np.any(weights < 0):
-        return _reextract(ch.stack, weights)
-    if ch.coefficients is None:
-        return ch.stack
-    return np.sqrt(weights)[:, np.newaxis, np.newaxis] * ch.stack
-
-
 def _family(stack: np.ndarray, weights: np.ndarray, picture: str) -> KrausChannel:
     """The channel of a composite or mixed stack: re-extracted when longer than
     dim_in * dim_out unless signed, without coefficients when all are one."""
@@ -445,8 +436,7 @@ def detect_unitary_conjugation(t: KrausChannel) -> np.ndarray | None:
     order made positive real) when the channel acts as A -> U A U^dag,
     i.e. when the Choi rank is one and the extracted operator is unitary,
     both within CONJUGATION_TOL; otherwise None."""
-    if t.picture != SCHROEDINGER or not t.is_square:
-        raise ValueError("unitary detection is defined for square schroedinger channels")
+    require_square("unitary detection", [t])
     stack = _reextract(t.stack, t.weights, CONJUGATION_TOL)
     if len(stack) != 1 or unitarity_residual(stack[0]) > CONJUGATION_TOL:
         return None
@@ -465,6 +455,13 @@ def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
     g = rng.standard_normal((dim * rank, dim)) + 1j * rng.standard_normal((dim * rank, dim))
     q, _ = np.linalg.qr(g)
     return KrausChannel(dim, dim, q.reshape(rank, dim, dim))
+
+
+def require_square(what: str, channels) -> None:
+    """Refuse any channel that is not square or not in the schroedinger
+    picture, with a message saying that ``what`` needs them."""
+    if any(ch.picture != SCHROEDINGER or not ch.is_square for ch in channels):
+        raise ValueError(f"{what} needs square schroedinger channels")
 
 
 def require_accepted(ch: KrausChannel) -> None:

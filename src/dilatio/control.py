@@ -23,10 +23,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import (
-    SCHROEDINGER,
     KrausChannel,
     apply_channel,
     require_accepted,
+    require_square,
     superoperator_matrix,
 )
 from .errors import HorizonError, NotCommutingError
@@ -51,19 +51,18 @@ DEDUP_ATOL = 1e-9
 
 
 def check_commuting(t: KrausChannel, s: KrausChannel) -> bool:
-    """True iff the superoperator commutator vanishes within COMMUTATION_ATOL (Frobenius)."""
-    if t.dim_in != s.dim_in or t.dim_out != s.dim_out or t.picture != s.picture:
-        raise ValueError("commutation check needs channels of equal shape and picture")
-    require_accepted(t)
-    require_accepted(s)
-    mt = superoperator_matrix(t)
-    ms = superoperator_matrix(s)
-    return float(np.linalg.norm(mt @ ms - ms @ mt)) <= COMMUTATION_ATOL
+    """True iff the superoperator commutator vanishes within COMMUTATION_ATOL
+    (Frobenius); certifies nothing (a product that overflows does not commute)."""
+    if not (t.is_square and s.is_square and (t.dim_in, t.picture) == (s.dim_in, s.picture)):
+        raise ValueError("commutation check needs square channels of equal dimension and picture")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mt = superoperator_matrix(t)
+        ms = superoperator_matrix(s)
+        return float(np.linalg.norm(mt @ ms - ms @ mt)) <= COMMUTATION_ATOL
 
 
 def _require_commuting_pair(t: KrausChannel, s: KrausChannel) -> None:
-    if t.picture != SCHROEDINGER or not t.is_square:
-        raise ValueError("control systems need square schroedinger channels")
+    require_square("a control system", [t, s])
     if not check_commuting(t, s):
         raise NotCommutingError("the control channels do not commute within tolerance")
 
@@ -76,10 +75,11 @@ def reachable_set(
 
     Every length-N word over {T, S} lands on one of these because the
     generators commute; non-commuting input is refused since the collapse
-    would be wrong.
-    """
+    would be wrong.  The pair is certified before the commutation test."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    require_accepted(t)
+    require_accepted(s)
     _require_commuting_pair(t, s)
     states: list[tuple[int, np.ndarray]] = []
     for k in range(n_steps + 1):
@@ -100,10 +100,9 @@ def build_control_dilation(
     (0, 0) stay inside the L x L window, so the cyclic truncation is
     exact up to the horizon.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _require_commuting_pair(t, s)
-    return build_register_dilation("control", [t, s], n_steps, max_total_dim)
+    bundle = build_register_dilation("control", [t, s], n_steps, max_total_dim)
+    _require_commuting_pair(t, s)  # on the channels the build's pass certified
+    return bundle
 
 
 def normalize_sequence(sequence: str | Iterable[str]) -> list[str]:

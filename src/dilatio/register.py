@@ -45,11 +45,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import (
-    SCHROEDINGER,
     KrausChannel,
     apply_channel,
     column_channel,
     kraus_of_superoperators,
+    require_square,
     superoperator_matrix,
     vec,
 )
@@ -283,19 +283,16 @@ def shift_generator(table: np.ndarray, registers: tuple[int, ...], shift: tuple[
     return BlockPermutation(src, u @ before.conj().swapaxes(1, 2))
 
 
-def require_square(mode: str, channels: Sequence[KrausChannel]) -> None:
-    """Refuse a channel that is not square or not in the schroedinger picture."""
-    if any(ch.picture != SCHROEDINGER or not ch.is_square for ch in channels):
-        raise ValueError(f"{mode} dilation needs square schroedinger channels")
-
-
 def build_register_dilation(
     mode: str, channels: Sequence[KrausChannel], n_steps: int, max_total_dim: int
 ) -> RegisterDilation:
     """The dilation of ``channels`` on registers of length n_steps + 1: one
     word-unitary table, one generator per shift vector of the mode, and
-    omega on the origin cell, (0, ..., 0) unless the register is a cycle."""
-    require_square(mode, channels)
+    omega on the origin cell, (0, ..., 0) unless the register is a cycle.
+    The guard comes before the table's pass certifies any word."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    require_square(f"{mode} dilation", channels)
     d = channels[0].dim_in
     registers = (n_steps + 1,) * len(channels)
     cells = int(np.prod(registers))
@@ -444,9 +441,8 @@ def verify_words(
     omega and the oracle.  A word's columns advance from a word one total
     degree lower by one generator product; only the words of the current
     and the previous total degree are kept."""
+    require_square("verification", channels)
     for ch in channels:
-        if ch.picture != SCHROEDINGER or not ch.is_square:
-            raise ValueError("verification needs square schroedinger channels")
         if ch.dim_in != bundle.dim:
             raise ValueError(
                 f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"

@@ -53,8 +53,6 @@ def build_semigroup_dilation(
     omega sits at shift cell 0, so V^n walks the register to cell n while
     accumulating exactly the dilation of T^n.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
     return build_register_dilation("semigroup", [ch], n_steps, max_total_dim)
 
 

@@ -8,9 +8,12 @@ state omega = |e_0><e_0| such that
 The ancilla dimension is always d^2, one universal size for every channel
 on a d-dimensional system (Kraus lists are zero padded), which is what
 lets the semigroup module stack the dilations of all powers T^n over a
-single ancilla.  One rule, ``stinespring_unitaries``, completes every
-isometry, of one channel or of a table of words: its polar factor,
-completed by a complete Householder QR.  Every read-back is the
+single ancilla.  Every square dilation takes its Kraus family from the
+one certified Choi pass, ``channels.kraus_of_superoperators``, and one
+rule, ``stinespring_unitaries``, completes every isometry, of one channel
+or of a table of words: its polar factor, completed by a complete
+Householder QR.  So ``stinespring_unitary`` of a channel is, bit for bit,
+the T^1 cell of the register's word table.  Every read-back is the
 Kraus channel of the columns U (1 (x) psi) for omega = |psi><psi|
 (``channels.column_channel``, the rule of the register dilations), and
 every ancilla state passes one purity rule, ``linalg.pure_state_vector``.
@@ -29,8 +32,9 @@ from .channels import (
     apply_channel,
     column_channel,
     dual,
-    plain_kraus,
-    require_accepted,
+    kraus_of_superoperators,
+    require_square,
+    superoperator_matrix,
 )
 from .linalg import (
     basis_state,
@@ -120,16 +124,16 @@ def stinespring_unitaries(kraus: np.ndarray) -> np.ndarray:
 def stinespring_unitary(ch: KrausChannel) -> UnitaryDilation:
     """Dilate an accepted square Schroedinger channel to a unitary on H (x) K.
 
-    The family ``channels.plain_kraus`` gives is completed by
-    ``stinespring_unitaries`` as a batch of one.
+    This is the T^1 cell of ``register.word_unitaries``, bit for bit: the
+    channel's superoperator, certified and cut by
+    ``channels.kraus_of_superoperators`` as a batch of one (a refused
+    channel is named word T^1), completed by ``stinespring_unitaries``.
     """
-    if ch.picture != SCHROEDINGER:
-        raise ValueError("stinespring_unitary dilates schroedinger channels")
-    if not ch.is_square:
-        raise ValueError("stinespring_unitary needs a square channel")
-    require_accepted(ch)
+    require_square("stinespring_unitary", [ch])
     d = ch.dim_in
-    unitary = stinespring_unitaries(plain_kraus(ch)[np.newaxis])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map is refused
+        superoperator = superoperator_matrix(ch)[np.newaxis]
+    unitary = stinespring_unitaries(kraus_of_superoperators(superoperator, ["T^1"]))[0]
     return UnitaryDilation(unitary, d, d * d, basis_state(0, d * d))
 
 
@@ -170,23 +174,21 @@ def general_stinespring(ch: KrausChannel) -> GeneralDilation:
     """Dilation of a rectangular Schroedinger channel T : B^1(H) -> B^1(G).
 
     Follows the composite X(.) := omega_H (x) T(tr_G(.)) on H (x) G, which
-    is itself a square channel and is dilated by stinespring_unitary; the
-    reconstruction then discards the H and K factors.
+    is itself a square channel, accepted iff T is, and is dilated (and
+    certified) by stinespring_unitary; the reconstruction then discards
+    the H and K factors.
     """
     if ch.picture != SCHROEDINGER:
         raise ValueError("general_stinespring dilates schroedinger channels")
-    require_accepted(ch)
-
     d_in, d_out = ch.dim_in, ch.dim_out
-    ops = plain_kraus(ch)
 
     # tr_G as Kraus family id_H (x) <g|, then T, then the embedding
-    # |e_0>_H (x) id_G: operator (i, g) maps |h, g'> to delta_gg' |e_0> (x) K_i|h>
-    r, n = len(ops), d_in * d_out
-    traced = ops[:, np.newaxis, :, :, np.newaxis] * np.eye(d_out)[:, np.newaxis, np.newaxis, :]
-    composite = np.zeros((r * d_out, n, n), dtype=np.complex128)
-    composite[:, :d_out, :] = traced.reshape(r * d_out, d_out, n)
-    square = KrausChannel(n, n, composite)
+    # |e_0>_H (x) id_G: operator (i, g), weight c_i, maps |h, g'> to
+    # delta_gg' |e_0> (x) K_i|h>
+    n = d_in * d_out
+    traced = np.einsum("iah,gk->igahk", ch.stack, np.eye(d_out)).reshape(-1, d_out, n)
+    composite = np.pad(traced, ((0, 0), (0, n - d_out), (0, 0)))
+    square = KrausChannel(n, n, composite, coefficients=np.repeat(ch.weights, d_out))
     inner = stinespring_unitary(square)
     return GeneralDilation(
         unitary=inner.unitary,
@@ -203,11 +205,10 @@ def heisenberg_dilation(ch: KrausChannel) -> UnitaryDilation:
     S(B) == tr_omega(U^dag (B (x) id_K) U).
 
     Built on the unique Schroedinger pre-dual (same Kraus family, flipped
-    picture), which stinespring_unitary certifies: its Choi matrix has the
-    eigenvalues of this one's.  apply_heisenberg evaluates the reconstruction.
+    picture), which stinespring_unitary certifies (its Choi matrix has the
+    eigenvalues of this one's) and refuses unless square.  apply_heisenberg
+    evaluates the reconstruction.
     """
     if ch.picture != HEISENBERG:
         raise ValueError("heisenberg_dilation expects a heisenberg channel")
-    if not ch.is_square:
-        raise ValueError("heisenberg_dilation needs a square channel")
     return stinespring_unitary(dual(ch))

@@ -101,6 +101,19 @@ def partial_trace(a, dims, keep):
     return out.reshape(size, size)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test: each call appends its positional
+    arguments to the returned list, then runs the original."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def bundle_document(bundle, tmp_path, inputs=None):
     """The parsed JSON document of the file save_bundle writes."""
     path = tmp_path / "saved.bundle"

@@ -15,7 +15,6 @@ from dilatio.channels import (
     dual,
     identity_channel,
     kraus_from_choi,
-    plain_kraus,
     power,
     random_channel,
     superoperator_matrix,
@@ -403,27 +402,6 @@ class TestReextraction:
         u, v = unitary_channel(haar_unitary(3, rng)), unitary_channel(haar_unitary(3, rng))
         mix = convex_combine([u] * 9 + [v], [0.1] * 10)
         assert len(mix.kraus) == 2
-
-    def test_plain_kraus_of_an_unsigned_family(self):
-        ch = random_channel(2, 3, seed=100)
-        assert plain_kraus(ch) is ch.stack
-        weighted = KrausChannel(2, 2, ch.stack, coefficients=(0.5, 2.0, 1.0))
-        np.testing.assert_array_equal(
-            plain_kraus(weighted), np.sqrt([0.5, 2.0, 1.0])[:, None, None] * ch.stack
-        )
-
-    @pytest.mark.parametrize("ch", [
-        KrausChannel(2, 3, np.array([rectangular_channel(2, 3, 1, seed=101).kraus[0]] * 2),
-                     coefficients=(1.5, -0.5)),
-        rectangular_channel(2, 3, 7, seed=102),
-        dual(random_channel(2, 4, seed=103)),
-    ], ids=["signed", "longer-than-rank-bound", "heisenberg"])
-    def test_plain_kraus_keeps_the_map(self, ch):
-        plain = KrausChannel(ch.dim_in, ch.dim_out, plain_kraus(ch), picture=ch.picture)
-        assert plain.coefficients is None and len(plain.kraus) <= ch.dim_in * ch.dim_out
-        np.testing.assert_allclose(
-            per_operator_superoperator(plain), per_operator_superoperator(ch), atol=1e-14
-        )
 
     def test_extracted_operators_lead_with_a_real_positive_entry(self):
         for k in kraus_from_choi(choi(random_channel(3, 5, seed=104))).kraus:

@@ -10,6 +10,8 @@ from dilatio.cli import main
 from dilatio.fixtures import write_fixture_corpus
 from dilatio.serialize import load_state, save_channel
 
+from helpers import count_calls
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -137,19 +139,32 @@ class TestCertificationBoundary:
         # T^1 .. T^steps in the build's one batched pass, T itself included
         from dilatio import channels
 
-        batches = []
-        certify = channels.certify_chois
-
-        def spy(chois):
-            batches.append(len(chois))
-            return certify(chois)
-
-        monkeypatch.setattr(channels, "certify_chois", spy)
+        spied = count_calls(monkeypatch, channels, "certify_chois")
         code, _, _ = run(capsys, "dilate", corpus / "channel_amplitude_damping_0.5.json",
                          "--mode", "semigroup", "--steps", steps, "--out", tmp_path / "x.bundle")
         assert code == 0
+        batches = [len(chois) for chois, in spied]
         assert batches == [1, steps]
         assert sum(batches) == calls
+
+    @pytest.mark.parametrize("mode, arguments, batches", [
+        ("cyclic", ("channel_rotation_m4.json",), [1, 3]),
+        ("control", ("channel_commuting_a.json", "--steps", "2",
+                     "--second", "channel_commuting_b.json"), [1, 1, 5]),
+    ])
+    def test_one_dilate_certifies_each_file_and_then_its_words(
+            self, corpus, tmp_path, capsys, monkeypatch, mode, arguments, batches):
+        # as in semigroup mode above, each channel file at load, then every
+        # word in the build's one pass: the period search and the
+        # commutation check certify nothing
+        from dilatio import channels
+
+        spied = count_calls(monkeypatch, channels, "certify_chois")
+        arguments = [corpus / a if a.endswith(".json") else a for a in arguments]
+        code, _, _ = run(capsys, "dilate", arguments[0], "--mode", mode, *arguments[1:],
+                         "--out", tmp_path / "x.bundle")
+        assert code == 0
+        assert [len(chois) for chois, in spied] == batches
 
     def test_outside_the_tolerance(self, tmp_path, capsys):
         path = self.channel(tmp_path, 1.1e-10)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dilatio.channels import identity_channel, power, unitary_channel
+from dilatio.channels import KrausChannel, dual, identity_channel, power, unitary_channel
 from dilatio.control import (
     apply_word,
     build_control_dilation,
@@ -47,6 +47,16 @@ class TestCheckCommuting:
         t = unitary_channel(u)
         s = unitary_channel(u @ u)
         assert check_commuting(t, s)
+
+    @pytest.mark.parametrize("make", [
+        lambda: [KrausChannel(2, 3, [np.eye(3, 2)])] * 2,
+        lambda: [dual(KrausChannel(2, 3, [np.eye(3, 2)]))] * 2,
+        lambda: [identity_channel(2), dual(identity_channel(2))],
+    ], ids=["isometry-2-3", "heisenberg-3-2", "two-pictures"])
+    def test_refuses_a_pair_that_is_not_square_and_alike(self, make):
+        # equal-shape rectangular maps have superoperators that cannot multiply
+        with pytest.raises(ValueError, match="^commutation check needs square channels"):
+            check_commuting(*make())
 
 
 class TestReachableSet:

@@ -31,6 +31,7 @@ from dilatio.channels import (
     column_channel,
     compose,
     convex_combine,
+    dual,
     identity_channel,
     power,
     random_channel,
@@ -40,8 +41,13 @@ from dilatio.channels import (
     vec,
     verify_cptp,
 )
-from dilatio.control import build_control_dilation, verify_reachable_inclusion
-from dilatio.cyclic import build_cyclic_dilation, detect_cycle, wrap_count
+from dilatio.control import (
+    build_control_dilation,
+    check_commuting,
+    reachable_set,
+    verify_reachable_inclusion,
+)
+from dilatio.cyclic import CyclePeriod, build_cyclic_dilation, detect_cycle, wrap_count
 from dilatio.cyclic import evolve_cyclic
 from dilatio.errors import MemoryGuardError, RejectedChannelError
 from dilatio.fixtures import haar_unitary, random_commuting_pair, rotation_channel
@@ -63,6 +69,7 @@ from dilatio.register import (
     verify_words,
 )
 from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
+from dilatio.stinespring import heisenberg_dilation, stinespring_unitary
 from dilatio.serialize import (
     load_bundle,
     matrix_to_blob,
@@ -71,6 +78,7 @@ from dilatio.serialize import (
 
 from helpers import (
     bundle_document,
+    count_calls,
     dense,
     load_document,
     omega,
@@ -619,16 +627,10 @@ def test_word_table_is_one_pass(monkeypatch, pair):
 
     for name in ("compose", "_reextract", "power", "verify_cptp"):
         monkeypatch.setattr(channels, name, refusing(name))
-    batches, certify = [], channels.certify_chois
-
-    def spy(chois):
-        batches.append(len(chois))
-        return certify(chois)
-
-    monkeypatch.setattr(channels, "certify_chois", spy)
+    calls = count_calls(monkeypatch, channels, "certify_chois")
     table = register.word_unitaries(chans, 5)
     # T^1 .. T^5, or T^k S^(M-k) for 1 <= M <= 5: 2 + 3 + 4 + 5 + 6 words
-    assert batches == [20 if pair else 5]
+    assert [len(chois) for chois, in calls] == [20 if pair else 5]
     assert table.shape == (7,) * len(chans) + (chans[0].dim_in ** 3,) * 2
 
 
@@ -716,13 +718,64 @@ def test_overflowing_channel_is_refused_without_a_warning(ch):
 
 
 def test_guard_refuses_before_any_word_is_certified():
-    # the words are certified in the pass, after the guard: an uncertified
-    # channel past the guard meets the guard (exit 4), not a refusal (exit 3)
+    # the words are certified in the pass, after the guard, in every mode:
+    # an uncertified channel past the guard meets the guard (exit 4), not a
+    # refusal (exit 3).  Neither the period nor the commutation check
+    # certifies, and both run after the pass.
     ch = KrausChannel(2, 2, [1.1 * np.eye(2)])
     with pytest.raises(MemoryGuardError, match="total dimension 4104 exceeds the guard 4096"):
         build_semigroup_dilation(ch, 512)
     with pytest.raises(RejectedChannelError, match=r", word T\^1$"):
         build_semigroup_dilation(ch, 511)
+    with pytest.raises(MemoryGuardError, match="total dimension 4104 exceeds the guard 4096"):
+        build_cyclic_dilation(ch, CyclePeriod(513))
+    with pytest.raises(RejectedChannelError, match=r", word T\^1$"):
+        build_cyclic_dilation(ch, CyclePeriod(512))
+    with pytest.raises(MemoryGuardError, match="total dimension 8712 exceeds the guard 8192"):
+        build_control_dilation(ch, ch, 32)
+    with pytest.raises(RejectedChannelError, match=r", word T\^0 S\^1$"):
+        build_control_dilation(ch, ch, 31)
+
+
+# a map whose Kraus sum misses the identity by 0.21, and one whose Choi
+# matrix and Kraus sum overflow their norms
+UNCERTIFIED = {
+    "not-trace-preserving": KrausChannel(2, 2, [1.1 * np.eye(2)]),
+    "overflowing": KrausChannel(2, 2, [np.eye(2)], coefficients=[1e200]),
+}
+
+
+@pytest.mark.parametrize("ch", UNCERTIFIED.values(), ids=UNCERTIFIED.keys())
+def test_predicates_answer_for_an_uncertified_map(ch):
+    # check_commuting and detect_cycle certify nothing and warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_commuting(ch, identity_channel(2))
+        assert isinstance(check_commuting(ch, ch), bool)
+        assert detect_cycle(ch) is None
+
+
+# every call that dilates or runs a channel, with the uncertified map as
+# the only channel or as one of a pair
+REFUSING = {
+    "stinespring_unitary": stinespring_unitary,
+    "heisenberg_dilation": lambda ch: heisenberg_dilation(dual(ch)),
+    "semigroup": lambda ch: build_semigroup_dilation(ch, 2),
+    "cyclic": lambda ch: build_cyclic_dilation(ch, CyclePeriod(3)),
+    "control": lambda ch: build_control_dilation(ch, ch, 2),
+    "control-second": lambda ch: build_control_dilation(identity_channel(2), ch, 2),
+    "reachable": lambda ch: reachable_set(ch, ch, np.diag([1.0, 0.0]), 2),
+    "reachable-second": lambda ch: reachable_set(identity_channel(2), ch, np.diag([1.0, 0.0]), 2),
+}
+
+
+@pytest.mark.parametrize("call", REFUSING.values(), ids=REFUSING.keys())
+@pytest.mark.parametrize("ch", UNCERTIFIED.values(), ids=UNCERTIFIED.keys())
+def test_every_dilation_refuses_an_uncertified_map(ch, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RejectedChannelError, match="^channel rejected: "):
+            call(ch)
 
 
 MODES = ("semigroup", "cyclic", "control")

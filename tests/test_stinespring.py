@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilatio import channels, linalg, stinespring
+from dilatio import channels, linalg, register, stinespring
 from dilatio.channels import (
     KrausChannel,
     dual,
@@ -20,7 +20,14 @@ from dilatio.stinespring import (
     stinespring_unitary,
 )
 
-from helpers import kraus_apply, kraus_apply_dual, partial_trace, random_density, random_matrix
+from helpers import (
+    count_calls,
+    kraus_apply,
+    kraus_apply_dual,
+    partial_trace,
+    random_density,
+    random_matrix,
+)
 
 
 def reconstruction_residual(dilation, ch):
@@ -75,6 +82,23 @@ class TestStinespringUnitary:
     def test_rejects_heisenberg_picture(self):
         with pytest.raises(ValueError):
             stinespring_unitary(dual(identity_channel(2)))
+
+    def test_certifies_the_channel_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, channels, "certify_chois")
+        stinespring_unitary(amplitude_damping(0.3))
+        assert [len(chois) for chois, in calls] == [1]
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 40])
+    def test_is_the_t1_cell_of_the_word_table(self, n_steps):
+        # one Kraus rule: the build's T^1 cell, bit for bit, in any batch
+        rng = np.random.default_rng(16)
+        mixture = KrausChannel(2, 2, [haar_unitary(2, rng), haar_unitary(2, rng)],
+                               coefficients=(0.25, 0.75))
+        for ch in [amplitude_damping(0.5), random_channel(2, rank=3, seed=1),
+                   random_channel(3, rank=9, seed=1), mixture]:
+            np.testing.assert_array_equal(
+                stinespring_unitary(ch).unitary, register.word_unitaries([ch], n_steps)[1]
+            )
 
 
 class TestDilationAxioms:
@@ -274,12 +298,9 @@ class TestHeisenbergDilation:
             heisenberg_dilation(identity_channel(2))
 
     def test_certifies_the_channel_once(self, monkeypatch):
-        calls = []
-        certify = channels.verify_cptp
-        monkeypatch.setattr(channels, "verify_cptp",
-                            lambda ch, *tol: calls.append(ch) or certify(ch, *tol))
+        calls = count_calls(monkeypatch, channels, "certify_chois")
         heisenberg_dilation(dual(amplitude_damping(0.3)))
-        assert len(calls) == 1
+        assert [len(chois) for chois, in calls] == [1]
 
     @pytest.mark.parametrize("ch", [transpose_channel(), KrausChannel(2, 2, [1.1 * np.eye(2)])],
                              ids=["not-cp", "not-unital"])
