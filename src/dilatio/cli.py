@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 input error, 2 verification failure,
 3 precondition failure, 4 resource guard.  Reports go to stdout (or
 --out where available), diagnostics to stderr.  The environment variable
-DILATIO_MAX_DIM overrides the dilation builders' memory guards.
+DILATIO_MAX_DIM overrides the memory guard's limit, which is otherwise
+the mode's default in ``register.GUARDS``.
 
 Each handler imports the dilation modules it dispatches to, so that a
 call loads only the modules its subcommand runs (``check`` loads no
@@ -66,12 +67,13 @@ def _load_checked(path: str, verify: bool = True):
     return ch
 
 
-def _guard_limit(args, default: int) -> int:
-    if getattr(args, "force", False):
-        return sys.maxsize
+def _guard_limit(mode: str) -> int:
+    """DILATIO_MAX_DIM if it is set, else the mode's default guard."""
+    from .register import GUARDS
+
     env = os.environ.get("DILATIO_MAX_DIM")
     if env is None:
-        return default
+        return GUARDS[mode]
     if not env.isdecimal() or int(env) <= 0:
         raise ChannelFormatError(f"DILATIO_MAX_DIM must be a positive integer, got {env!r}")
     return int(env)
@@ -115,14 +117,12 @@ def cmd_dilate(args) -> int:
         raise ChannelFormatError(f"--m-max applies to cyclic mode, not {args.mode}")
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
+    limit = _guard_limit(args.mode)
     ch = _load_checked(args.channel)
     inputs = {"channel": file_digest(args.channel)}
     if args.mode == "semigroup":
-        bundle = semigroup.build_semigroup_dilation(
-            ch, steps, max_total_dim=_guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
-        )
+        bundle = semigroup.build_semigroup_dilation(ch, steps, max_total_dim=limit)
     elif args.mode == "cyclic":
-        limit = _guard_limit(args, semigroup.DEFAULT_MAX_TOTAL_DIM)
         period = cyclic.find_cycle(ch, m_max, max_total_dim=limit)
         bundle = cyclic.build_cyclic_dilation(ch, period, max_total_dim=limit)
     else:
@@ -130,9 +130,7 @@ def cmd_dilate(args) -> int:
             raise ChannelFormatError("control mode requires --second CHANNEL")
         second = _load_checked(args.second)
         inputs["second"] = file_digest(args.second)
-        bundle = control.build_control_dilation(
-            ch, second, steps, max_total_dim=_guard_limit(args, control.DEFAULT_MAX_TOTAL_DIM)
-        )
+        bundle = control.build_control_dilation(ch, second, steps, max_total_dim=limit)
     save_bundle(args.out, bundle, inputs)
     print(f"wrote {args.mode} bundle to {args.out}", file=sys.stderr)
     return EXIT_PASS
@@ -257,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=None,
                    help=f"cycle search bound (cyclic mode; default {DEFAULT_M_MAX})")
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true", help="override the memory guard")
     p.set_defaults(handler=cmd_dilate)
 
     p = sub.add_parser("verify", help="verify a bundle against its channel(s)")
@@ -297,8 +294,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except HorizonError:
-        print("horizon exceeded: rebuild with larger --steps", file=sys.stderr)
+    except HorizonError as exc:
+        print(f"horizon exceeded: rebuild with larger --steps: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NotCyclicError, NotCommutingError, RejectedChannelError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .errors import HorizonError, NotCommutingError
 from .linalg import check_density_matrix, hermitize, trace_distance
 from .register import (
     DILATION_ATOL,
+    GUARDS,
     RegisterDilation,
     VerificationReport,
     build_register_dilation,
@@ -43,8 +44,6 @@ from .register import (
     verify_words,
 )
 
-# Control dilations live on L^2 shift cells; guard the total dimension.
-DEFAULT_MAX_TOTAL_DIM = 8192
 COMMUTATION_ATOL = 1e-9
 # reachable_set lists a state unless it lies within this trace distance of a listed one.
 DEDUP_ATOL = 1e-9
@@ -90,7 +89,7 @@ def reachable_set(
 
 
 def build_control_dilation(
-    t: KrausChannel, s: KrausChannel, n_steps: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    t: KrausChannel, s: KrausChannel, n_steps: int, max_total_dim: int = GUARDS["control"]
 ) -> RegisterDilation:
     """Assemble U and V over Z_L (x) Z_L, L = N + 1.
 

@@ -25,6 +25,7 @@ from .errors import MemoryGuardError, NotCyclicError
 from .linalg import hermitize
 from .register import (
     DILATION_ATOL,
+    GUARDS,
     RegisterDilation,
     VerificationReport,
     build_register_dilation,
@@ -35,7 +36,6 @@ from .register import (
     require_mode,
     verify_words,
 )
-from .semigroup import DEFAULT_MAX_TOTAL_DIM
 
 # Frobenius tolerance for detecting T^m == T on superoperators.
 CYCLE_DETECTION_ATOL = 1e-8
@@ -83,7 +83,7 @@ def detect_cycle(ch: KrausChannel, m_max: int = 16) -> CyclePeriod | None:
 
 
 def find_cycle(
-    ch: KrausChannel, m_max: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    ch: KrausChannel, m_max: int, max_total_dim: int = GUARDS["cyclic"]
 ) -> CyclePeriod:
     """``detect_cycle`` up to m_max, but no further than the largest period the
     build's guard admits (``register.guard_cells``).  Raises NotCyclicError if
@@ -105,7 +105,7 @@ def reduce_power(period: CyclePeriod, n: int) -> int:
 
 
 def build_cyclic_dilation(
-    ch: KrausChannel, period: CyclePeriod, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    ch: KrausChannel, period: CyclePeriod, max_total_dim: int = GUARDS["cyclic"]
 ) -> RegisterDilation:
     """Assemble the finite dilation of a cyclic channel.
 

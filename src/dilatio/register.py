@@ -66,6 +66,8 @@ DILATION_ATOL = 1e-9
 # Per mode, the shift vector of each generator, one generator per channel
 # and per register: G_j shifts the total register and, for j < k, register j.
 SHIFTS = {"semigroup": ((1,),), "cyclic": ((1,),), "control": ((1, 1), (1, 0))}
+# Per mode, the memory guard's default limit on the total dimension d * d^2 * cells.
+GUARDS = {"semigroup": 4096, "cyclic": 4096, "control": 8192}
 
 
 @dataclass(frozen=True)
@@ -339,10 +341,15 @@ def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
 def _apply_power(g: BlockPermutation, e: int, columns):
     """g^e on columns (cells, blocks): e steps while they cost no more than
     one product of the blocks (e * blocks.size <= g.blocks.size), else g^e
-    by squaring on the blocks first."""
+    by squaring on the blocks first, refused if it is not finite."""
     cells, blocks = columns
     if e * blocks.size > g.blocks.size:
-        g, e = g.power(e), 1
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = g.power(e)
+        except ValueError:
+            raise ValueError(f"generator power {e} is not finite") from None
+        e = 1
     for _ in range(e):
         cells = g.dst[cells]
         blocks = g.blocks[cells] @ blocks
@@ -412,22 +419,6 @@ def power_words(ch: KrausChannel, n_max: int, exponent=lambda n: n):
         m_power = m_power @ m
 
 
-def _advance(bundle: RegisterDilation, kept: dict, exponents: tuple[int, ...]):
-    """Columns of a word, from the kept columns of a word that differs only
-    by a lower exponent of the word's leftmost generator (its first nonzero
-    exponent), or from J if no such word is kept."""
-    i = next((i for i, e in enumerate(exponents) if e), 0)
-    rest = exponents[:i] + exponents[i + 1:]
-    start = max(
-        (p for p in kept if p[:i] + p[i + 1:] == rest and p[i] <= exponents[i]),
-        key=lambda p: p[i],
-        default=None,
-    )
-    if start is None:
-        return word_columns(bundle, exponents)
-    return _apply_power(bundle.forms[i], exponents[i] - start[i], kept[start])
-
-
 def verify_words(
     bundle: RegisterDilation,
     channels: Sequence[KrausChannel],
@@ -438,9 +429,13 @@ def verify_words(
     """Residual table over (label, exponents, oracle superoperator) words:
     the worst trace-norm gap, over ``operators`` (a full operator basis by
     default), between the reconstruction through the stored generators and
-    omega and the oracle.  A word's columns advance from a word one total
-    degree lower by one generator product; only the words of the current
-    and the previous total degree are kept."""
+    omega and the oracle.  A walk is a generator index j and a word's other
+    exponents, and a word lies on the walk of each generator up to its
+    leftmost nonzero one, G_i: a further power of such a G_j, applied
+    last, is a word again.  Each walk holds the exponent of G_j and the
+    columns of the latest word on it.  A word's columns advance along its
+    walk of G_i by one generator power, or start from J if that walk holds
+    nothing or a larger exponent."""
     require_square("verification", channels)
     for ch in channels:
         if ch.dim_in != bundle.dim:
@@ -451,15 +446,20 @@ def verify_words(
         operators = matrix_units(bundle.dim)
     # one column vec(e) per operator, so that one product maps them all
     stacked = np.stack([vec(e) for e in operators], axis=1)
-    degree, previous, current = None, {}, {}
+    walks = {}  # (j, the other exponents) -> (exponent of G_j, columns)
     residuals = []
     labels = []
     for label, exponents, oracle in words:
         exponents = _exponents(bundle, exponents)
-        if sum(exponents) != degree:
-            degree, previous, current = sum(exponents), current, {}
-        columns = _advance(bundle, {**previous, **current}, exponents)
-        current[exponents] = columns
+        # the leftmost nonzero generator; the empty word lies on every walk
+        i = next((i for i, e in enumerate(exponents) if e), len(exponents) - 1)
+        start = walks.get((i, exponents[:i] + exponents[i + 1:]))
+        if start is None or start[0] > exponents[i]:
+            columns = word_columns(bundle, exponents)
+        else:
+            columns = _apply_power(bundle.forms[i], exponents[i] - start[0], start[1])
+        for j in range(i + 1):
+            walks[j, exponents[:j] + exponents[j + 1:]] = exponents[j], columns
         gap = superoperator_matrix(word_channel(bundle, columns)) - oracle
         # unvec of each image (column-stacking); the transposes have the
         # same trace norms, but not to the last bit

@@ -26,6 +26,7 @@ from .linalg import hermitize
 from .linalg import kron  # noqa: F401  bench/test_smoke.py instruments semigroup.kron
 from .register import (
     DILATION_ATOL,
+    GUARDS,
     RegisterDilation,
     VerificationReport,
     build_register_dilation,
@@ -39,12 +40,9 @@ from .register import (
     word_columns,
 )
 
-# Builders refuse a total dimension d * d^2 * L beyond this unless overridden.
-DEFAULT_MAX_TOTAL_DIM = 4096
-
 
 def build_semigroup_dilation(
-    ch: KrausChannel, n_steps: int, max_total_dim: int = DEFAULT_MAX_TOTAL_DIM
+    ch: KrausChannel, n_steps: int, max_total_dim: int = GUARDS["semigroup"]
 ) -> RegisterDilation:
     """Assemble V = U W for the first n_steps powers of an accepted channel.
 

@@ -7,6 +7,7 @@ import pytest
 
 from dilatio.channels import KrausChannel, random_channel
 from dilatio.cli import main
+from dilatio.cyclic import wrap_count
 from dilatio.fixtures import write_fixture_corpus
 from dilatio.serialize import load_state, save_channel
 
@@ -277,6 +278,24 @@ class TestDilate:
         )
         assert code == 0
 
+    def test_control_guard_comes_from_the_table_and_the_env_var(self, corpus, tmp_path,
+                                                                 capsys, monkeypatch):
+        # steps=3 on two registers needs total dimension 2 * 4 * 16 = 128
+        from dilatio import register
+
+        argv = ["dilate", corpus / "channel_commuting_a.json", "--mode", "control", "--steps",
+                "3", "--second", corpus / "channel_commuting_b.json", "--out", tmp_path / "c"]
+        monkeypatch.setenv("DILATIO_MAX_DIM", "100")
+        assert run(capsys, *argv)[0] == 4
+        monkeypatch.setenv("DILATIO_MAX_DIM", "200")
+        assert run(capsys, *argv)[0] == 0
+        # without the variable, the limit is the table's
+        monkeypatch.delenv("DILATIO_MAX_DIM")
+        monkeypatch.setitem(register.GUARDS, "control", 100)
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and err == ("resource guard: total dimension 128 exceeds the guard "
+                                     "100; raise the limit to proceed\n")
+
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_non_positive_guard_is_input_error(self, corpus, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("DILATIO_MAX_DIM", value)
@@ -370,16 +389,23 @@ class TestDilate:
         assert code == 0
         assert json.loads((tmp_path / "rot.bundle").read_text())["period"] == 4
 
-    @pytest.mark.parametrize("env, force, code", [("80", False, 4), ("80", True, 3),
-                                                  ("128", False, 3)])
+    @pytest.mark.parametrize("env, code", [("80", 4), ("128", 3), ("1000000000", 3)])
     def test_guard_limit_moves_the_cycle_search(self, corpus, tmp_path, capsys, monkeypatch,
-                                                env, force, code):
+                                                env, code):
         # 80 // 8 = 10 < the default --m-max 16: the guard cut the search
-        # short; --force, or a limit of 128 (16 periods), lets it run to 16
+        # short; a limit of 128 (16 periods) or more lets it run to 16
         monkeypatch.setenv("DILATIO_MAX_DIM", env)
         argv = ["dilate", corpus / "channel_amplitude_damping_0.3.json", "--mode", "cyclic",
                 "--out", tmp_path / "c.bundle"]
-        assert run(capsys, *argv, *["--force"] * force)[0] == code
+        assert run(capsys, *argv)[0] == code
+
+    def test_force_is_no_option(self, corpus, tmp_path, capsys):
+        # DILATIO_MAX_DIM is the one override of the guard
+        code, out, err = run(capsys, "dilate", corpus / "channel_identity.json", "--mode",
+                             "semigroup", "--out", tmp_path / "x.bundle", "--force")
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "--force" in err
+        assert not (tmp_path / "x.bundle").exists()
 
 
 class TestVerify:
@@ -624,7 +650,8 @@ class TestEvolve:
             capsys, "evolve", damp_bundle6, corpus / "state_excited.json", "--steps", "7"
         )
         assert code == 3
-        assert "horizon exceeded: rebuild with larger --steps" in err
+        assert err == ("horizon exceeded: rebuild with larger --steps: "
+                       "step 7 outside the horizon 0..6; the register wraps\n")
 
     @pytest.mark.parametrize("mode", ["semigroup", "cyclic"])
     def test_negative_steps_is_input_error(self, corpus, tmp_path, capsys, mode):
@@ -668,6 +695,18 @@ class TestEvolve:
                              "--sequence", "STT")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_power_that_overflows_is_one_input_error(self, corpus, tmp_path, capsys):
+        # the README's rotation bundle at n = 10^23: its block power drifts
+        # until it overflows, and no numpy warning reaches stderr
+        bundle = tmp_path / "rot.bundle"
+        run(capsys, "dilate", corpus / "channel_rotation_m4.json", "--mode", "cyclic",
+            "--out", bundle)
+        n = 10**23
+        code, out, err = run(capsys, "evolve", bundle, corpus / "state_plus.json",
+                             "--steps", n)
+        assert code == 1 and out == ""
+        assert err == f"input error: generator power {n + wrap_count(4, n)} is not finite\n"
 
     def test_sequence_on_semigroup_bundle_is_input_error(self, corpus, damp_bundle6, capsys):
         code, _, _ = run(

@@ -221,6 +221,15 @@ class TestEvolveCyclic:
         with pytest.raises(ValueError):
             evolve_cyclic(bundle, np.diag([1.0, 0.0]), -1)
 
+    def test_power_that_overflows_is_refused_by_its_exponent(self):
+        # squaring drifts off unitarity until the blocks overflow: refused,
+        # naming the generator exponent n + wraps, with no numpy warning
+        bundle = build_cyclic_dilation(rotation_channel(4), CyclePeriod(4))
+        n = 10**40
+        exponent = n + wrap_count(4, n)
+        with pytest.raises(ValueError, match=f"^generator power {exponent} is not finite$"):
+            evolve_cyclic(bundle, np.diag([1.0, 0.0]), n)
+
 
 class TestBijectiveCyclicInverse:
     @pytest.mark.parametrize("m", [3, 4, 6])

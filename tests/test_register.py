@@ -885,8 +885,8 @@ def test_control_guard_stays_far_below_one_dense_generator():
 
 
 def test_cyclic_sweep_keeps_no_columns_per_word():
-    # only the words of two total degrees are kept, so from n_max = 200 to
-    # 2000 the peak grows by the report (a label and a residual per word),
+    # the one walk keeps only its latest word, so from n_max = 200 to 2000
+    # the peak grows by the report (a label and a residual per word),
     # less than one word's columns per word
     ch = rotation_channel(5)
     bundle = build_cyclic_dilation(ch, detect_cycle(ch))
@@ -903,3 +903,20 @@ def test_cyclic_sweep_keeps_no_columns_per_word():
     small, large = peak(200), peak(2000)
     assert large - small < 1800 * column_bytes
     assert large < 10 * small
+
+
+@pytest.mark.parametrize("mode, horizon, words", [("semigroup", 16, 17), ("control", 6, 28)])
+def test_sweep_takes_one_generator_step_per_word(monkeypatch, mode, horizon, words):
+    # W words cost W - 1 generator steps: the empty word is J, and every
+    # other word advances a kept word's columns by one generator
+    chans, build, verify = {
+        "semigroup": ([random_channel(3, 9, seed=1)], build_semigroup_dilation,
+                      semigroup.verify_dilation),
+        "control": (random_commuting_pair(2, seed=7), build_control_dilation,
+                    control.verify_control_dilation),
+    }[mode]
+    bundle = build(*chans, horizon)
+    calls = count_calls(monkeypatch, register, "_apply_power")
+    report = verify(bundle, *chans)
+    assert report.passed and len(report.residuals) == words
+    assert sum(e for _, e, _ in calls) == words - 1
