@@ -174,8 +174,10 @@ def verify_reachable_inclusion(
     """
     check_horizon(bundle, n_steps)
     rho = check_system_state(bundle, rho0)
-    words = _word_oracles(t, s, [n_steps])
-    return verify_words(bundle, (t, s), words, DILATION_ATOL, operators=[rho])
+    # k from N down, so that each V^(N-k) J is one V step past the last
+    words = reversed(list(_word_oracles(t, s, [n_steps])))
+    report = verify_words(bundle, (t, s), words, DILATION_ATOL, operators=[rho])
+    return VerificationReport(DILATION_ATOL, report.residuals[::-1], report.labels[::-1])
 
 
 def apply_word(t: KrausChannel, s: KrausChannel, rho0, sequence: Sequence[str]) -> np.ndarray:

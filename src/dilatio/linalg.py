@@ -69,13 +69,7 @@ def kron(a, b) -> np.ndarray:
 
 def matrix_units(dim: int) -> list[np.ndarray]:
     """The operator basis E_ij, row-major order: E_00, E_01, ..."""
-    units = []
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
+    return list(np.eye(dim * dim, dtype=np.complex128).reshape(-1, dim, dim))
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:

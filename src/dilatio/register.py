@@ -26,14 +26,17 @@ no path builds a D x D matrix.
 
 omega = |psi><psi| is pure, and a bundle holds psi, not the anc x anc
 matrix (anc = d^2 L^k): a build passes the basis vector e_0 (x) e_origin.
-The reconstruction depends only on the d columns C = w J of the
-word applied to the embedding J : x -> x (x) psi:
-tr_K(w (A (x) omega) w^dag) = sum_a C_a A C_a^dag, the Kraus channel of
-the d x d pieces C_a of C (``channels.column_channel``).  C lives on the
-cells of psi's support, one for a built bundle, held as one b x d block
-per cell (``word_columns``).  A word one generator longer than a kept one
-costs O(b^2 d) per occupied cell, against (2 d^2 + 1) O(D^3) for a dense
-D x D power, the lifts A (x) omega and two D x D sandwiches per basis element.
+The reconstruction depends only on the d columns C = w J of the word applied
+to the embedding J : x -> x (x) psi: tr_K(w (A (x) omega) w^dag) =
+sum_a C_a A C_a^dag, the Kraus channel of the d x d pieces C_a of C
+(``channels.column_channel``).  C lives on the cells of psi's support, one for
+a built bundle, held as one b x d block per cell.  One rule (``_columns``)
+gives every word's columns: a word whose leftmost nonzero generator is G_i
+advances along its walk of G_i (i and the other exponents) from the latest
+word kept there, or else applies G_i^e_i to the columns, found by this rule,
+of the word without G_i (J for the empty word).  A generator step costs
+O(b^2 d) per occupied cell, against (2 d^2 + 1) O(D^3) for a dense D x D
+power, the lifts A (x) omega and two D x D sandwiches per basis element.
 """
 
 from __future__ import annotations
@@ -341,24 +344,36 @@ def check_system_state(bundle: RegisterDilation, rho0) -> np.ndarray:
 def _apply_power(g: BlockPermutation, e: int, columns):
     """g^e on columns (cells, blocks): e steps while they cost no more than
     one product of the blocks (e * blocks.size <= g.blocks.size), else g^e
-    by squaring on the blocks first, refused if it is not finite."""
+    by squaring on the blocks first.  Refused if that power is not finite,
+    or if the columns' squared norm (d, exactly), which bounds every
+    reconstruction from them, overflows."""
     cells, blocks = columns
-    if e * blocks.size > g.blocks.size:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = g.power(e)
-        except ValueError:
-            raise ValueError(f"generator power {e} is not finite") from None
-        e = 1
-    for _ in range(e):
-        cells = g.dst[cells]
-        blocks = g.blocks[cells] @ blocks
+    steps = e
+    with np.errstate(over="ignore", invalid="ignore"):
+        if e * blocks.size > g.blocks.size:
+            try:
+                g, steps = g.power(e), 1
+            except ValueError:
+                raise ValueError(f"generator power {e} is not finite") from None
+        for _ in range(steps):
+            cells = g.dst[cells]
+            blocks = g.blocks[cells] @ blocks
+        if not np.isfinite(np.vdot(blocks, blocks)):
+            raise ValueError(f"generator power {e} overflows the reconstruction")
     return cells, blocks
 
 
-def _exponents(bundle: RegisterDilation, exponents: Sequence[int]) -> tuple[int, ...]:
-    """A word's exponents, refused unless there is one per generator and
-    none is negative."""
+def _columns(bundle: RegisterDilation, walks: dict, exponents: Sequence[int]):
+    """The one rule for the columns C = w J of the word w = G_1^e_1 G_2^e_2 ...
+    (generators applied right to left; one exponent per generator, none
+    negative): a word whose leftmost nonzero generator is G_i advances along
+    its walk of G_i (i and the word's other exponents) from the latest word
+    in ``walks``, or else applies G_i^e_i to the columns of the word without
+    G_i, found by the same rule (J for the empty word).  ``walks`` maps each
+    walk of a G_j to the exponent of G_j and the columns of its latest word,
+    which this word becomes for each j <= i.  C is (cells, blocks): the cells
+    where J = id (x) psi is nonzero and one (b, d) block per cell, column x
+    of which is e_x (x) psi there."""
     exponents = tuple(exponents)
     if len(exponents) != len(bundle.forms):
         raise ValueError(
@@ -366,21 +381,25 @@ def _exponents(bundle: RegisterDilation, exponents: Sequence[int]) -> tuple[int,
         )
     if min(exponents) < 0:
         raise ValueError(f"word {exponents}: exponents must be nonnegative")
-    return exponents
+    if not any(exponents):
+        amplitudes = bundle.psi.reshape(bundle.ancilla_dim, -1)
+        cells = np.flatnonzero(amplitudes.any(axis=0))
+        blocks = np.einsum("xy,ac->cxay", np.eye(bundle.dim), amplitudes[:, cells])
+        return cells, blocks.reshape(cells.size, -1, bundle.dim)
+    i = next(i for i, e in enumerate(exponents) if e)
+    start = walks.get((i, exponents[:i] + exponents[i + 1:]))
+    if start is None or start[0] > exponents[i]:
+        start = 0, _columns(bundle, walks, exponents[:i] + (0,) + exponents[i + 1:])
+    columns = _apply_power(bundle.forms[i], exponents[i] - start[0], start[1])
+    for j in range(i + 1):
+        walks[j, exponents[:j] + exponents[j + 1:]] = exponents[j], columns
+    return columns
 
 
 def word_columns(bundle: RegisterDilation, exponents: Sequence[int]):
-    """w J for the word w = G_1^e_1 G_2^e_2 ..., generators applied right
-    to left, as (cells, blocks): the cells where J = id (x) psi is nonzero
-    and one (b, d) block per cell, column x of which is e_x (x) psi there."""
-    exponents = _exponents(bundle, exponents)
-    amplitudes = bundle.psi.reshape(bundle.ancilla_dim, -1)
-    cells = np.flatnonzero(amplitudes.any(axis=0))
-    blocks = np.einsum("xy,ac->cxay", np.eye(bundle.dim), amplitudes[:, cells])
-    columns = (cells, blocks.reshape(cells.size, -1, bundle.dim))
-    for g, e in reversed(list(zip(bundle.forms, exponents))):
-        columns = _apply_power(g, e, columns)
-    return columns
+    """The columns w J of a word, by ``_columns`` on a fresh walk table:
+    J, then each generator power from the right."""
+    return _columns(bundle, {}, exponents)
 
 
 def word_channel(bundle: RegisterDilation, columns) -> KrausChannel:
@@ -429,13 +448,8 @@ def verify_words(
     """Residual table over (label, exponents, oracle superoperator) words:
     the worst trace-norm gap, over ``operators`` (a full operator basis by
     default), between the reconstruction through the stored generators and
-    omega and the oracle.  A walk is a generator index j and a word's other
-    exponents, and a word lies on the walk of each generator up to its
-    leftmost nonzero one, G_i: a further power of such a G_j, applied
-    last, is a word again.  Each walk holds the exponent of G_j and the
-    columns of the latest word on it.  A word's columns advance along its
-    walk of G_i by one generator power, or start from J if that walk holds
-    nothing or a larger exponent."""
+    omega and the oracle.  Every word's columns come from ``_columns`` on
+    one walk table for the whole sweep."""
     require_square("verification", channels)
     for ch in channels:
         if ch.dim_in != bundle.dim:
@@ -446,20 +460,10 @@ def verify_words(
         operators = matrix_units(bundle.dim)
     # one column vec(e) per operator, so that one product maps them all
     stacked = np.stack([vec(e) for e in operators], axis=1)
-    walks = {}  # (j, the other exponents) -> (exponent of G_j, columns)
-    residuals = []
-    labels = []
+    walks = {}
+    residuals, labels = [], []
     for label, exponents, oracle in words:
-        exponents = _exponents(bundle, exponents)
-        # the leftmost nonzero generator; the empty word lies on every walk
-        i = next((i for i, e in enumerate(exponents) if e), len(exponents) - 1)
-        start = walks.get((i, exponents[:i] + exponents[i + 1:]))
-        if start is None or start[0] > exponents[i]:
-            columns = word_columns(bundle, exponents)
-        else:
-            columns = _apply_power(bundle.forms[i], exponents[i] - start[0], start[1])
-        for j in range(i + 1):
-            walks[j, exponents[:j] + exponents[j + 1:]] = exponents[j], columns
+        columns = _columns(bundle, walks, exponents)
         gap = superoperator_matrix(word_channel(bundle, columns)) - oracle
         # unvec of each image (column-stacking); the transposes have the
         # same trace norms, but not to the last bit

@@ -707,6 +707,14 @@ class TestEvolve:
                              "--steps", n)
         assert code == 1 and out == ""
         assert err == f"input error: generator power {n + wrap_count(4, n)} is not finite\n"
+        # at n = 2.5 10^18 the power is still finite, but the squared norm of
+        # its columns overflows, and so would the reconstruction
+        n = 2_500_000_000_000_000_000
+        code, out, err = run(capsys, "evolve", bundle, corpus / "state_plus.json",
+                             "--steps", n)
+        assert code == 1 and out == ""
+        assert err == (f"input error: generator power {n + wrap_count(4, n)} "
+                       "overflows the reconstruction\n")
 
     def test_sequence_on_semigroup_bundle_is_input_error(self, corpus, damp_bundle6, capsys):
         code, _, _ = run(

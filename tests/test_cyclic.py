@@ -230,6 +230,18 @@ class TestEvolveCyclic:
         with pytest.raises(ValueError, match=f"^generator power {exponent} is not finite$"):
             evolve_cyclic(bundle, np.diag([1.0, 0.0]), n)
 
+    def test_power_whose_columns_overflow_is_refused_by_its_exponent(self):
+        # at n = 2.5 10^18 the drifted power is finite, but the squared norm
+        # of its columns is not: refused before the reconstruction overflows,
+        # with no numpy warning
+        bundle = build_cyclic_dilation(rotation_channel(4), CyclePeriod(4))
+        n = 2_500_000_000_000_000_000
+        exponent = n + wrap_count(4, n)
+        with pytest.raises(
+            ValueError, match=f"^generator power {exponent} overflows the reconstruction$"
+        ):
+            evolve_cyclic(bundle, np.diag([0.5, 0.5]), n)
+
 
 class TestBijectiveCyclicInverse:
     @pytest.mark.parametrize("m", [3, 4, 6])

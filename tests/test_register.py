@@ -61,12 +61,14 @@ from dilatio.linalg import (
     unitarity_residual,
 )
 from dilatio.register import (
+    DILATION_ATOL,
     BlockPermutation,
     _apply_power,
     RegisterDilation,
     power_words,
     reconstruct,
     verify_words,
+    word_columns,
 )
 from dilatio.semigroup import build_semigroup_dilation, heisenberg_evolve
 from dilatio.stinespring import heisenberg_dilation, stinespring_unitary
@@ -905,18 +907,53 @@ def test_cyclic_sweep_keeps_no_columns_per_word():
     assert large < 10 * small
 
 
-@pytest.mark.parametrize("mode, horizon, words", [("semigroup", 16, 17), ("control", 6, 28)])
+@pytest.mark.parametrize(
+    "mode, horizon, words", [("semigroup", 16, 17), ("control", 6, 28), ("reachable", 6, 7)]
+)
 def test_sweep_takes_one_generator_step_per_word(monkeypatch, mode, horizon, words):
     # W words cost W - 1 generator steps: the empty word is J, and every
-    # other word advances a kept word's columns by one generator
+    # other word advances a kept word's columns by one generator.  The
+    # reachable words U^k V^(N-k) of one N share no walk: swept from k = N
+    # down, each is U^k past V^(N-k) J, one V step past the last, so the
+    # sweep takes N(N+3)/2 steps and reports k ascending
+    rho = random_density(2, np.random.default_rng(3))
     chans, build, verify = {
         "semigroup": ([random_channel(3, 9, seed=1)], build_semigroup_dilation,
                       semigroup.verify_dilation),
         "control": (random_commuting_pair(2, seed=7), build_control_dilation,
                     control.verify_control_dilation),
+        "reachable": (random_commuting_pair(2, seed=7), build_control_dilation,
+                      lambda bundle, t, s: control.verify_reachable_inclusion(
+                          bundle, t, s, rho, horizon)),
     }[mode]
     bundle = build(*chans, horizon)
     calls = count_calls(monkeypatch, register, "_apply_power")
     report = verify(bundle, *chans)
+    steps = sum(e for _, e, _ in calls)
     assert report.passed and len(report.residuals) == words
-    assert sum(e for _, e, _ in calls) == words - 1
+    if mode != "reachable":
+        assert steps == words - 1
+        return
+    assert steps == horizon * (horizon + 3) // 2
+    assert report.labels == tuple(f"N={horizon},k={k}" for k in range(horizon + 1))
+    # the residuals of a sweep that starts every word from J
+    alone = [
+        verify_words(bundle, chans, [word], DILATION_ATOL, operators=[rho]).residuals[0]
+        for word in control_words(*chans, horizon)[-words:]
+    ]
+    assert report.residuals == tuple(alone)
+
+
+@small
+@given(st.integers(1, 4), st.integers(0, 2**16), st.data())
+def test_one_walk_table_gives_every_word_its_fresh_columns(horizon, seed, data):
+    # every word of a control bundle through one walk table, in a random
+    # order: each word's columns are those of a fresh walk table
+    bundle = build_control_dilation(*random_commuting_pair(2, seed=seed), horizon)
+    words = [(k, n - k) for n in range(horizon + 1) for k in range(n + 1)]
+    walks = {}
+    for word in data.draw(st.permutations(words)):
+        cells, blocks = register._columns(bundle, walks, word)
+        fresh_cells, fresh_blocks = word_columns(bundle, word)
+        assert np.array_equal(cells, fresh_cells)
+        np.testing.assert_allclose(blocks, fresh_blocks, rtol=0, atol=1e-12)
