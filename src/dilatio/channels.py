@@ -18,8 +18,11 @@ container while keeping the Choi positivity test meaningful.
 
 Both pictures act by one rule, X -> sum_i c_i A_i X A_i^dag over the
 acting stack A_i = K_i (Schroedinger) or K_i^dag (Heisenberg).  One
-re-extraction keeps families at most dim_in * dim_out long: the Choi
-eigenvectors above the rounding floor KEEP_RTOL * lambda_max.
+channel algebra serves composition, powers and mixtures: products, matrix
+powers and weighted sums of superoperators, read back by one Choi cut
+that keeps sqrt|lambda| v, with coefficient sign lambda, of every Choi
+eigenpair above the rounding floor KEEP_RTOL * max|lambda|, so each
+result holds at most dim_in * dim_out operators.
 
 Every square dilation takes its certified Kraus families from one place,
 ``kraus_of_superoperators``, behind one precondition, ``require_square``.
@@ -282,14 +285,21 @@ def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport
     return _report(cp[0], tp[0], tol)
 
 
+def _chois(superoperators: np.ndarray) -> np.ndarray:
+    """The Choi matrices (W, out, in, out, in) of a stack (W, d_out^2, d_in^2)
+    of superoperators: the reshuffle M[(b, a), (j, i)] == C[(a, i), (b, j)]
+    (Watrous 2018, ch. 2)."""
+    d_out, d_in = (math.isqrt(n) for n in superoperators.shape[1:])
+    return superoperators.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 2, 4, 1, 3)
+
+
 def kraus_of_superoperators(superoperators: np.ndarray, labels) -> np.ndarray:
     """The zero-padded Kraus families (W, d^2, d, d) of W square maps from
     their superoperators, certified and cut at KEEP_RTOL by ``certify_chois``
-    of the reshuffle M[(b, a), (j, i)] == C[(a, i), (b, j)] (Watrous 2018,
-    ch. 2).  A refused map raises RejectedChannelError naming its label."""
+    of their Choi matrices.  A refused map raises RejectedChannelError
+    naming its label."""
     d = math.isqrt(superoperators.shape[1])
-    chois = superoperators.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
-    cp, tp, eigenvalues, vectors = certify_chois(chois)
+    cp, tp, eigenvalues, vectors = certify_chois(_chois(superoperators))
     for w in np.flatnonzero((cp > CPTP_ATOL) | (tp > CPTP_ATOL))[:1]:
         _require(_report(cp[w], tp[w], CPTP_ATOL), f", word {labels[w]}")
     return _top_kraus(eigenvalues, vectors, KEEP_RTOL, (d, d))[0]
@@ -337,77 +347,56 @@ def _top_kraus(eigenvalues, vectors, rtol: float, shape):
     return (rows * phase).reshape(*rows.shape[:-1], *shape), kept.sum(axis=-1)
 
 
-def _reextract(stack: np.ndarray, weights: np.ndarray, rtol: float = KEEP_RTOL) -> np.ndarray:
-    """At most dim_in * dim_out operators with the map of a CP family (in
-    either picture: stored families agree in one iff in the other), cut at rtol."""
-    eigenvalues, vectors = np.linalg.eigh(hermitize(_choi_of(stack, weights)))
-    family, kept = _top_kraus(eigenvalues, vectors, rtol, stack.shape[1:])
-    return family[:kept]
-
-
-def _family(stack: np.ndarray, weights: np.ndarray, picture: str) -> KrausChannel:
-    """The channel of a composite or mixed stack: re-extracted when longer than
-    dim_in * dim_out unless signed, without coefficients when all are one."""
-    dim_out, dim_in = stack.shape[1:]
-    if len(stack) > dim_in * dim_out and np.all(weights >= 0):
-        stack, weights = _reextract(stack, weights), None
-    elif np.all(weights == 1.0):
-        weights = None
-    return KrausChannel(dim_in, dim_out, stack, picture=picture, coefficients=weights)
+def _from_superoperator(m: np.ndarray, picture: str = SCHROEDINGER,
+                        rtol: float = KEEP_RTOL) -> KrausChannel:
+    """The channel of a Hermiticity-preserving map from its superoperator M
+    in ``picture``, (d_out^2, d_in^2) in the Schroedinger orientation: the
+    stored family's Schroedinger superoperator is M, or in the Heisenberg
+    picture its adjoint M^dag, so a product there is the reversed product
+    of the stored ones.  One eigh of its Choi matrix gives sqrt|lambda| v,
+    with coefficient sign lambda (none when all are +1), of every eigenpair
+    above rtol * max|lambda|, largest |lambda| first, phases by
+    ``_top_kraus``; the zero map keeps one zero operator."""
+    choi = _chois((m if picture == SCHROEDINGER else m.conj().T)[np.newaxis])[0]
+    dim_out, dim_in = choi.shape[:2]
+    eigenvalues, vectors = np.linalg.eigh(hermitize(choi.reshape(dim_out * dim_in, -1)))
+    order = np.argsort(np.abs(eigenvalues), kind="stable")
+    stack, kept = _top_kraus(np.abs(eigenvalues[order]), vectors[:, order], rtol, (dim_out, dim_in))
+    signs = np.sign(eigenvalues[order[::-1]][:max(kept, 1)])
+    coefficients = None if np.all(signs > 0) else signs
+    return KrausChannel(dim_in, dim_out, stack[:len(signs)], picture, coefficients)
 
 
 def compose(t1: KrausChannel, t2: KrausChannel) -> KrausChannel:
-    """The composite map t1 after t2, with Kraus-rank re-extraction.
-
-    Every product of a left and a right operator in one broadcast matmul,
-    left index slow, so the stack equals the pairwise products bit for bit;
-    the coefficients multiply as an outer product in the same order."""
+    """The composite map t1 after t2: the product of the two superoperators,
+    read back by ``_from_superoperator``."""
     if t1.picture != t2.picture:
         raise ValueError("cannot compose channels in different pictures")
-    if t1.picture == SCHROEDINGER:
-        if t1.dim_in != t2.dim_out:
-            raise ValueError(
-                f"dimension mismatch: t1 consumes {t1.dim_in}, t2 produces {t2.dim_out}"
-            )
-        left, right = t1, t2
-    else:
-        # B -> t1(t2(B)) = sum (K2 K1)^dag B (K2 K1) in the stored orientation
-        if t1.dim_out != t2.dim_in:
-            raise ValueError(
-                f"dimension mismatch: t1 consumes {t1.dim_out}, t2 produces {t2.dim_in}"
-            )
-        left, right = t2, t1
-    products = left.stack[:, np.newaxis] @ right.stack[np.newaxis]
-    stack = products.reshape(-1, *products.shape[2:])
-    return _family(stack, np.outer(left.weights, right.weights).ravel(), t1.picture)
+    consumes, produces = _acting(t1).shape[2], _acting(t2).shape[1]
+    if consumes != produces:
+        raise ValueError(f"dimension mismatch: t1 consumes {consumes}, t2 produces {produces}")
+    return _from_superoperator(superoperator_matrix(t1) @ superoperator_matrix(t2), t1.picture)
 
 
 def power(t: KrausChannel, n: int) -> KrausChannel:
-    """The n-th iterate of a square channel; n == 0 is the identity channel.
-
-    Repeated squaring, T^2h = T^h T^h, with the squares of the set bits of
-    n composed lowest first: floor(log2 n) + popcount(n) - 1 compositions.
-    All factors are powers of t and commute, so only rounding depends on
-    the order.
-    """
+    """The n-th iterate of a square channel: the n-th matrix power of its
+    superoperator, by repeated squaring, read back by
+    ``_from_superoperator``; n == 0 is the identity channel and n == 1 the
+    channel itself."""
     if not t.is_square:
         raise ValueError("powers need a square channel")
     if n < 0:
         raise ValueError("negative powers are not defined for channels")
     if n == 0:
         return identity_channel(t.dim_in, picture=t.picture)
-    result, base = None, t
-    while True:
-        if n & 1:
-            result = base if result is None else compose(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = compose(base, base)
+    if n == 1:
+        return t
+    return _from_superoperator(np.linalg.matrix_power(superoperator_matrix(t), n), t.picture)
 
 
 def convex_combine(channels, weights) -> KrausChannel:
-    """Mixture sum_k w_k T_k of channels with equal shape and picture."""
+    """Mixture sum_k w_k T_k of channels with equal shape and picture: the
+    weighted sum of their superoperators, read back by ``_from_superoperator``."""
     channels = list(channels)
     weights = [float(w) for w in weights]
     if not channels or len(channels) != len(weights):
@@ -418,9 +407,8 @@ def convex_combine(channels, weights) -> KrausChannel:
         raise ValueError(f"weights sum to {sum(weights)!r}, not 1")
     if len({(ch.dim_in, ch.dim_out, ch.picture) for ch in channels}) > 1:
         raise ValueError("mixture members must share dimensions and picture")
-    stack = np.concatenate([math.sqrt(w) * ch.stack for w, ch in zip(weights, channels)])
-    coeffs = np.concatenate([ch.weights for ch in channels])
-    return _family(stack, coeffs, channels[0].picture)
+    mixed = sum(w * superoperator_matrix(ch) for w, ch in zip(weights, channels))
+    return _from_superoperator(mixed, channels[0].picture)
 
 
 def dual(t: KrausChannel) -> KrausChannel:
@@ -434,13 +422,14 @@ def dual(t: KrausChannel) -> KrausChannel:
 def detect_unitary_conjugation(t: KrausChannel) -> np.ndarray | None:
     """Return U (phase normalized: first significant entry in row-major
     order made positive real) when the channel acts as A -> U A U^dag,
-    i.e. when the Choi rank is one and the extracted operator is unitary,
-    both within CONJUGATION_TOL; otherwise None."""
+    i.e. when ``_from_superoperator`` cut at CONJUGATION_TOL leaves one
+    operator, of coefficient +1 and unitary within CONJUGATION_TOL;
+    otherwise None."""
     require_square("unitary detection", [t])
-    stack = _reextract(t.stack, t.weights, CONJUGATION_TOL)
-    if len(stack) != 1 or unitarity_residual(stack[0]) > CONJUGATION_TOL:
+    cut = _from_superoperator(superoperator_matrix(t), rtol=CONJUGATION_TOL)
+    if cut.coefficients is not None or len(cut.kraus) != 1:
         return None
-    return stack[0]
+    return cut.kraus[0] if unitarity_residual(cut.kraus[0]) <= CONJUGATION_TOL else None
 
 
 def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:

@@ -55,8 +55,7 @@ def check_commuting(t: KrausChannel, s: KrausChannel) -> bool:
     if not (t.is_square and s.is_square and (t.dim_in, t.picture) == (s.dim_in, s.picture)):
         raise ValueError("commutation check needs square channels of equal dimension and picture")
     with np.errstate(over="ignore", invalid="ignore"):
-        mt = superoperator_matrix(t)
-        ms = superoperator_matrix(s)
+        mt, ms = superoperator_matrix(t), superoperator_matrix(s)
         return float(np.linalg.norm(mt @ ms - ms @ mt)) <= COMMUTATION_ATOL
 
 
@@ -70,7 +69,8 @@ def reachable_set(
     t: KrausChannel, s: KrausChannel, rho0, n_steps: int
 ) -> list[tuple[int, np.ndarray]]:
     """States T^k S^(N-k)(rho0), k = 0..N, deduplicated by trace distance
-    (DEDUP_ATOL).
+    (DEDUP_ATOL): T^k after S^(N-k)(rho0), one S step past the last, as
+    ``apply_word`` runs S^(N-k) T^k, so N(N+3)/2 channel steps in all.
 
     Every length-N word over {T, S} lands on one of these because the
     generators commute; non-commuting input is refused since the collapse
@@ -80,9 +80,14 @@ def reachable_set(
     require_accepted(t)
     require_accepted(s)
     _require_commuting_pair(t, s)
+    walk = [check_density_matrix(rho0)]
+    for _ in range(n_steps):
+        walk.append(apply_channel(s, walk[-1]))
     states: list[tuple[int, np.ndarray]] = []
-    for k in range(n_steps + 1):
-        out = apply_word(t, s, rho0, "S" * (n_steps - k) + "T" * k)
+    for k, out in enumerate(reversed(walk)):
+        for _ in range(k):
+            out = apply_channel(t, out)
+        out = hermitize(out)
         if all(trace_distance(out, seen) > DEDUP_ATOL for _, seen in states):
             states.append((k, out))
     return states
@@ -129,8 +134,7 @@ def evolve_control(bundle: RegisterDilation, rho0, sequence: str | Iterable[str]
 def _word_oracles(t: KrausChannel, s: KrausChannel, totals: Iterable[int]):
     """(label, exponents, oracle) triples for T^k S^(N-k), k = 0..N, for
     each N in ``totals``; the word U^k V^(N-k) reproduces the oracle."""
-    mt = superoperator_matrix(t)
-    ms = superoperator_matrix(s)
+    mt, ms = superoperator_matrix(t), superoperator_matrix(s)
     for n_total in totals:
         for k in range(n_total + 1):
             oracle = np.linalg.matrix_power(mt, k) @ np.linalg.matrix_power(ms, n_total - k)

@@ -82,10 +82,12 @@ def basis_state(index: int, dim: int) -> np.ndarray:
 
 
 def is_hermitian(a, tol: float = HERMITIAN_ATOL) -> bool:
+    """||a - a^dag||_F <= tol; a norm that overflows is too large."""
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.linalg.norm(m - m.conj().T)) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(m - m.conj().T)) <= tol
 
 
 def is_psd(a) -> bool:
@@ -105,7 +107,11 @@ def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"a state must be square, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("state is not Hermitian within tolerance")
-    eigenvalues = np.linalg.eigvalsh(hermitize(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = hermitize(m)
+    if not np.all(np.isfinite(hermitian)):
+        raise ValueError("state entries overflow its eigenvalue check")
+    eigenvalues = np.linalg.eigvalsh(hermitian)
     if eigenvalues.min() < -HERMITIAN_ATOL:
         raise ValueError(f"state has negative eigenvalue {eigenvalues.min():.3e}")
     if abs(np.trace(m) - 1.0) > HERMITIAN_ATOL:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatio.channels import (
     HEISENBERG,
@@ -252,9 +254,8 @@ def per_operator_superoperator(ch):
     return np.sum(blocks, axis=0)
 
 
-# (t1, t2) pairs whose composites stay within the rank bound or are signed,
-# so the stacked composite is never re-extracted
-UNCAPPED_PAIRS = {
+# (t1, t2) pairs in both pictures, signed and rectangular
+COMPOSE_PAIRS = {
     "schroedinger": (random_channel(2, 2, seed=80), random_channel(2, 2, seed=81)),
     "heisenberg": (dual(random_channel(2, 2, seed=82)), dual(random_channel(2, 2, seed=83))),
     "signed-transpose": (transpose_channel(), amplitude_damping(0.3)),
@@ -276,15 +277,15 @@ CHANNELS = {
 class TestStackedKraus:
     """The stacked-array paths against per-operator references kept here."""
 
-    @pytest.mark.parametrize("name", UNCAPPED_PAIRS)
+    @pytest.mark.parametrize("name", COMPOSE_PAIRS)
     def test_compose_equals_pairwise_products(self, name):
-        t1, t2 = UNCAPPED_PAIRS[name]
+        # the map of the pairwise products, cut to at most d_in * d_out operators
+        t1, t2 = COMPOSE_PAIRS[name]
         kraus, coeffs = per_operator_compose(t1, t2)
         out = compose(t1, t2)
-        assert out.picture == t1.picture and out.stack.shape == (len(kraus),) + kraus[0].shape
-        np.testing.assert_array_equal(out.stack, np.array(kraus))
-        assert out.coeffs() == tuple(coeffs)
-        assert (out.coefficients is None) is all(c == 1.0 for c in coeffs)
+        pairwise = KrausChannel(out.dim_in, out.dim_out, kraus, t1.picture, coeffs)
+        assert out.picture == t1.picture and len(out.kraus) <= out.dim_in * out.dim_out
+        assert superop_distance(out, pairwise) <= 1e-12
 
     @pytest.mark.parametrize("picture", [SCHROEDINGER, HEISENBERG])
     def test_capped_compose_keeps_the_map(self, picture):
@@ -317,8 +318,8 @@ class TestStackedKraus:
         out = convex_combine(members, [0.25, 0.75])
         expected = [np.sqrt(0.25) * k for k in members[0].kraus]
         expected += [np.sqrt(0.75) * k for k in members[1].kraus]
-        assert out.picture == picture and out.coefficients is None
-        np.testing.assert_array_equal(out.stack, np.array(expected))
+        assert out.picture == picture and out.coefficients is None and len(out.kraus) <= 6
+        assert superop_distance(out, KrausChannel(2, 3, expected, picture)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["schroedinger", "signed-transpose", "rectangular-2-3"])
     def test_choi_equals_outer_product_sum(self, name):
@@ -372,8 +373,8 @@ class TestStackedKraus:
 
 
 class TestReextraction:
-    """Families longer than dim_in * dim_out are re-extracted above a
-    rounding floor, so no composition or mixture sheds trace."""
+    """Every composite, power and mixture is cut from its Choi matrix above
+    a rounding floor, so none sheds trace."""
 
     def test_tiny_mixture_weight_is_kept(self):
         # the random member's Choi eigenvalues sit near 1e-11 of the largest
@@ -455,7 +456,7 @@ class TestPower:
             # a signed rank-one map keeps one Kraus operator at every power
             (KrausChannel(2, 2, (haar_unitary(2, np.random.default_rng(43)),),
                           coefficients=(-0.9,)), 40),
-            # signed lists are never re-extracted, so they grow as 4^n
+            # the transpose map: an involution, signed at every odd power
             (transpose_channel(), 6),
         ],
         ids=["schroedinger", "heisenberg", "signed-rank-one", "transpose"],
@@ -473,10 +474,9 @@ class TestPower:
     def test_composition_count_is_logarithmic(self, compose_calls):
         t = random_channel(2, rank=2, seed=45)
         for n in range(1, 130):
-            compose_calls.clear()
             power(t, n)
-            # floor(log2 n) squarings and popcount(n) - 1 products
-            assert len(compose_calls) <= n.bit_length() - 1 + bin(n).count("1") - 1, n
+        # one matrix power of the superoperator, by squaring: no composition
+        assert compose_calls == []
 
     def test_semigroup_build_makes_no_composition(self, compose_calls):
         from dilatio.semigroup import build_semigroup_dilation
@@ -486,6 +486,11 @@ class TestPower:
         # Kraus family: a shared table of powers made 94 compositions here,
         # a fresh power per step 659
         assert compose_calls == []
+
+    def test_signed_maps_keep_signed_coefficients(self):
+        t = transpose_channel()
+        assert min(compose(t, amplitude_damping(0.3)).coeffs()) < 0
+        assert min(power(t, 3).coeffs()) < 0 and power(t, 2).coefficients is None
 
 
 class TestConvexCombine:
@@ -703,3 +708,45 @@ def test_operator_basis_reconstruction_uses_full_basis():
         np.testing.assert_allclose(
             apply_superoperator(m, e), kraus_apply(t.kraus, e), atol=1e-13
         )
+
+
+def random_map(d_in, d_out, signed, rng):
+    """A d_in -> d_out family from a random isometry, of up to d_in * d_out + 1
+    operators, with random signs when ``signed``."""
+    rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 2))
+    q = random_isometry(d_out * rank, d_in, rng).reshape(rank, d_out, d_in)
+    signs = rng.choice([-1.0, 1.0], rank) if signed else None
+    return KrausChannel(d_in, d_out, q, coefficients=signs)
+
+
+def assert_close(ch, expected):
+    assert len(ch.kraus) <= ch.dim_in * ch.dim_out
+    gap = fro(superoperator_matrix(ch) - expected)
+    assert gap <= 1e-12 * max(1.0, fro(expected))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(dims=st.tuples(*[st.integers(1, 3)] * 3), signs=st.tuples(*[st.booleans()] * 4),
+       heisenberg=st.booleans(), n=st.integers(0, 16), p=st.floats(0, 1),
+       seed=st.integers(0, 2**16))
+def test_algebra_is_the_superoperator_algebra(dims, signs, heisenberg, n, p, seed):
+    # compose, power and convex_combine against the products, matrix powers
+    # and weighted sums of superoperators, within 1e-12 of their size
+    rng = np.random.default_rng(seed)
+
+    def acting(d_from, d_to, signed):
+        """A map from operators on C^d_from to C^d_to, in the drawn picture."""
+        if heisenberg:
+            return dual(random_map(d_to, d_from, signed, rng))
+        return random_map(d_from, d_to, signed, rng)
+
+    a, b, c = dims
+    t1, t2, t3 = acting(b, c, signs[0]), acting(a, b, signs[1]), acting(a, b, signs[2])
+    square = acting(a, a, signs[3])
+    m1, m2, m3, m = (superoperator_matrix(ch) for ch in (t1, t2, t3, square))
+    assert_close(compose(t1, t2), m1 @ m2)
+    assert_close(convex_combine([t2, t3], [p, 1 - p]), p * m2 + (1 - p) * m3)
+    if n == 1:
+        assert power(square, 1) is square
+    else:
+        assert_close(power(square, n), np.linalg.matrix_power(m, n))

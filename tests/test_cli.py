@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -728,6 +729,31 @@ class TestEvolve:
             "--steps", "1", "--sequence", "T",
         )
         assert code == 1
+
+
+@pytest.mark.parametrize("entries", [(0,), (1, 2), (2,)],
+                         ids=["diagonal", "off-diagonal-pair", "off-diagonal"])
+@pytest.mark.parametrize("command", ["evolve", "reachable"])
+def test_huge_state_entry_is_one_input_error(command, entries, corpus, damp_bundle6,
+                                             tmp_path, capsys):
+    # finite entries of 1e+308 overflow the state checks' norms and sums:
+    # one input error line, and no numpy warning on the way
+    doc = json.loads((corpus / "state_plus.json").read_text())
+    for i in entries:
+        doc["matrix"][i][0] = 1e308
+    state = tmp_path / "huge.json"
+    state.write_text(json.dumps(doc))
+    argv = {
+        "evolve": ("evolve", damp_bundle6, state, "--steps", "1"),
+        "reachable": ("reachable", corpus / "channel_commuting_a.json",
+                      corpus / "channel_commuting_b.json", state, "--steps", "2"),
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
 class TestReachable:

@@ -15,10 +15,16 @@ from dilatio.control import (
     word_shift_marginal,
 )
 from dilatio.errors import HorizonError, MemoryGuardError, NotCommutingError
-from dilatio.fixtures import PAULI_X, PAULI_Z, haar_unitary, random_commuting_pair
+from dilatio.fixtures import (
+    COMMUTING_FIXTURE_SEED,
+    PAULI_X,
+    PAULI_Z,
+    haar_unitary,
+    random_commuting_pair,
+)
 from dilatio.linalg import basis_state, kron, trace_distance, trace_norm
 
-from helpers import dense, random_density
+from helpers import count_calls, dense, random_density
 
 
 class TestCheckCommuting:
@@ -104,6 +110,23 @@ class TestReachableSet:
         assert len(states) == len(again)
         for (_, a), (_, b) in zip(states, again):
             assert trace_distance(a, b) <= 1e-12
+
+
+    def test_words_share_one_walk_of_s(self, monkeypatch):
+        # N = 6 on the fixture pair: S^(N-k)(rho0) once per k along one
+        # walk, then T^k, so 6 + 21 = 27 channel steps (each word rebuilt
+        # from rho0 took 42), and each state is its word's bit for bit
+        from dilatio import control
+
+        t, s = random_commuting_pair(2, COMMUTING_FIXTURE_SEED)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        words = [apply_word(t, s, rho, "S" * (6 - k) + "T" * k) for k in range(7)]
+        calls = count_calls(monkeypatch, control, "apply_channel")
+        states = reachable_set(t, s, rho, 6)
+        assert len(calls) == 27
+        assert [k for k, _ in states] == sorted(k for k, _ in states)
+        for k, state in states:
+            np.testing.assert_array_equal(state, words[k])
 
 
 class TestBuildControlDilation:

@@ -617,7 +617,7 @@ def test_guard_build_makes_no_composition_and_decomposes_no_wide_matrix(monkeypa
 @pytest.mark.parametrize("pair", [False, True], ids=["one-channel", "control-pair"])
 def test_word_table_is_one_pass(monkeypatch, pair):
     # every word is certified and cut in one batch: no composition, no
-    # re-extraction, no channel power and no per-word verify_cptp
+    # cut of a composite map, no channel power and no per-word verify_cptp
     from dilatio import channels
 
     chans = list(random_commuting_pair(2, seed=4)) if pair else [random_channel(3, 5, seed=4)]
@@ -627,7 +627,7 @@ def test_word_table_is_one_pass(monkeypatch, pair):
             raise AssertionError(f"word_unitaries called {name}")
         return refused
 
-    for name in ("compose", "_reextract", "power", "verify_cptp"):
+    for name in ("compose", "_from_superoperator", "power", "verify_cptp"):
         monkeypatch.setattr(channels, name, refusing(name))
     calls = count_calls(monkeypatch, channels, "certify_chois")
     table = register.word_unitaries(chans, 5)
