@@ -238,17 +238,9 @@ _PIECE = 3 << 15
 # of a blob, to its own group of 64 characters, and 48 zero bytes to 64 A's.
 _RAW_GROUP, _GROUP = 48, 64
 _ZERO_GROUP = 0x4141414141414141  # eight A's, as a little-endian uint64
-# The JSON text of the placeholder NUL "blob:NAME" NUL that stands in the
-# bundle header for the blob of field NAME.
-_PLACEHOLDER = re.compile(r"\\u0000blob:(\w+)\\u0000")
-# The same placeholder after json.loads; the reader names blobs by number.
-_READ_PLACEHOLDER = re.compile("\0blob:([0-9]+)\0")
 # Bytes per read of a bundle file.
 _CHUNK = 1 << 20
 
-# A JSON string can hold a NUL only as the escape \u0000 (one not itself
-# escaped), so the reader counts them: two per placeholder, none of the file's.
-_NUL_ESCAPE = re.compile(rb"(?<!\\)(?:\\\\)*\\u0000")
 # The alphabet and padding checks of b64decode(validate=True), which
 # a2b_base64 does not make: it skips bytes outside the alphabet.
 _BASE64 = re.compile(rb"[A-Za-z0-9+/]*={0,2}")
@@ -368,8 +360,9 @@ def _stored(first: np.ndarray, count: int, raw: bytes):
 
 
 def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
-    """The bundle document with a placeholder in place of each blob (see
-    _PLACEHOLDER), and the base64 pieces of each blob by field name."""
+    """The bundle document, in which the value of each "blob" key is None,
+    and the base64 pieces of each blob, in the sorted order of their fields,
+    which is the order of the "blob" keys in the dumped document."""
     scalar, names = BUNDLE_FIELDS[bundle.mode]
     doc = {
         "format": FORMAT_BUNDLE,
@@ -384,14 +377,14 @@ def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
         sides[name] = form.dim
         blobs[name] = _blob_pieces(*form.entries(), form.dim ** 2)
     for name, side in sides.items():
-        doc[name] = {"rows": side, "cols": side, "blob": f"\0blob:{name}\0"}
-    return doc, blobs
+        doc[name] = {"rows": side, "cols": side, "blob": None}
+    return doc, [blobs[name] for name in sorted(blobs)]
 
 
 def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> RegisterDilation:
-    """The bundle of the parsed header of the file at path, in which each
-    entry's blob is the placeholder of its number in blobs; each of blobs
-    must be claimed by one entry."""
+    """The bundle of the parsed header of the file at path, in which the
+    value of each "blob" key is one of blobs (see _split_bundle); each of
+    blobs must be claimed by one entry."""
     # imported here, the one place that builds a bundle, so that the calls
     # that never read one (check, reachable) do not load the dilation core
     from .register import BlockPermutation, RegisterDilation
@@ -412,18 +405,13 @@ def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> Regist
     cells = int(np.prod(shape[2:]))
     anc = shape[1] * cells
     total = shape[0] * anc
-    claimed = set()
 
     def entries(field: str, side: int):
         entry = _require(doc, field, dict, where)
         rows = _require(entry, "rows", int, f"{where} '{field}'")
         cols = _require(entry, "cols", int, f"{where} '{field}'")
-        match = _READ_PLACEHOLDER.fullmatch(_require(entry, "blob", str, f"{where} '{field}'"))
-        number = int(match[1]) if match else len(blobs)
-        if number >= len(blobs) or number in claimed:
-            raise ChannelFormatError(f"bundle file {path}: a blob is not a plain base64 string")
-        claimed.add(number)
-        index, values = blobs[number].entries(rows, cols, field)
+        blob = _require(entry, "blob", _BlobEntries, f"{where} '{field}'")
+        index, values = blob.entries(rows, cols, field)
         if (rows, cols) != (side, side):
             kind = "unitary" if field != "omega" else "ancilla state"
             raise ChannelFormatError(
@@ -449,7 +437,9 @@ def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> Regist
         raise ChannelFormatError(f"{where}: {exc}") from exc
     if getattr(bundle, scalar) != value:
         raise ChannelFormatError(f"{where} field 'shape' {shape} does not match {scalar} {value}")
-    if len(claimed) != len(blobs):
+    # each blob sits at one "blob" key, so the entries hold distinct blobs and
+    # any further blob went unclaimed
+    if len(blobs) != len(names) + 1:
         raise ChannelFormatError(f"bundle file {path}: a \"blob\" key outside a bundle entry")
     return bundle
 
@@ -457,35 +447,31 @@ def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> Regist
 def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None = None) -> None:
     """Write the v1 bundle file of bundle to path: the JSON document with
     sorted keys and fixed separators (see dump_document) whose blob fields
-    hold omega and the dense generators, each blob streamed from psi or the
-    blocks into the file between the pieces of the dumped header."""
+    hold omega and the dense generators.  The header is dumped with null
+    blobs, and each blob is streamed from psi or the blocks into the file
+    in place of the null at its "blob" key."""
     doc, blobs = _bundle_document(bundle, inputs)
     header = dump_document(doc)
-    parts = _PLACEHOLDER.split(header)
-    if sorted(parts[1::2]) != sorted(blobs):
-        raise ValueError(
-            f"bundle header holds blob placeholders {parts[1::2]}, expected one each of {sorted(blobs)}"
-        )
     if header.count('"blob":') != len(blobs):  # only a key can dump to this text
         raise ValueError('bundle inputs hold a "blob" key, which load_bundle refuses')
-    if len(_NUL_ESCAPE.findall(header.encode("ascii"))) != 2 * len(blobs):
-        raise ValueError("bundle inputs hold a NUL character, which load_bundle refuses")
+    parts = header.split('"blob":null')
 
     def write(handle):
         handle.write(parts[0].encode("ascii"))
-        for name, text in zip(parts[1::2], parts[2::2]):
-            for piece in blobs[name]:
+        for pieces, text in zip(blobs, parts[1:]):
+            handle.write(b'"blob":"')
+            for piece in pieces:
                 handle.write(piece)
-            handle.write(text.encode("ascii"))
+            handle.write(b'"' + text.encode("ascii"))
 
     _write_atomic(path, write)
 
 
 def _split_bundle(handle, digest):
-    """One pass over a bundle file: the JSON header, in which the string
-    value of every "blob" key is the placeholder of its number, and the
-    _BlobEntries of each blob.  Only the header is scanned a byte at a time;
-    a blob runs to the next quote, which a valid blob cannot hold."""
+    """One pass over a bundle file: the JSON header, in which null stands
+    for the string value of every "blob" key, and the _BlobEntries of each
+    blob, in file order.  Only the header is scanned a byte at a time; a
+    blob runs to the next quote, which a valid blob cannot hold."""
     header = bytearray()
     blobs = []
     blob = None  # the blob being read
@@ -523,7 +509,7 @@ def _split_bundle(handle, digest):
                 header.append(char)
                 expect = '"'
             elif expect == '"' and char == ord('"'):
-                header += b'"\\u0000blob:%d\\u0000"' % len(blobs)
+                header += b"null"
                 blob, expect = _BlobEntries(), None
                 blobs.append(blob)
             else:
@@ -544,9 +530,22 @@ def load_bundle(path: str | Path, digest=None) -> RegisterDilation:
             header, blobs = _split_bundle(handle, digest)
     except OSError as exc:
         raise ChannelFormatError(f"cannot read {path}: {exc}") from exc
-    if len(_NUL_ESCAPE.findall(header)) != 2 * len(blobs):
-        raise ChannelFormatError(f"bundle file {path}: a string holds a NUL character")
-    return _bundle_from_doc(_parse_json(header, path), blobs, path)
+    left = iter(blobs)
+
+    def claim(pairs):
+        # objects complete inner-first: a "blob" key outside an entry can
+        # shift the order, but then leaves a blob unclaimed
+        for at, (key, value) in enumerate(pairs):
+            if key == "blob":
+                blob = next(left, None) if value is None else None
+                if blob is None:
+                    raise ChannelFormatError(
+                        f"bundle file {path}: a blob is not a plain base64 string"
+                    )
+                pairs[at] = key, blob
+        return dict(pairs)
+
+    return _bundle_from_doc(_parse_json(header, path, claim), blobs, path)
 
 
 def _load_json(path: str | Path) -> dict:
@@ -557,8 +556,8 @@ def _load_json(path: str | Path) -> dict:
     return _parse_json(text, path)
 
 
-def _parse_json(text: bytes, path: str | Path):
+def _parse_json(text: bytes, path: str | Path, object_pairs_hook=None):
     try:
-        return json.loads(text.decode("utf-8"))
+        return json.loads(text.decode("utf-8"), object_pairs_hook=object_pairs_hook)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
