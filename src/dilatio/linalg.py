@@ -91,11 +91,16 @@ def is_hermitian(a, tol: float = HERMITIAN_ATOL) -> bool:
 
 
 def is_psd(a) -> bool:
-    """True iff a is Hermitian within PSD_ATOL and its minimum eigenvalue >= -PSD_ATOL."""
+    """True iff a is Hermitian within PSD_ATOL, its Hermitian part is finite
+    and its minimum eigenvalue >= -PSD_ATOL."""
     m = as_complex_matrix(a)
     if not is_hermitian(m, PSD_ATOL):
         return False
-    eigenvalues = np.linalg.eigvalsh(hermitize(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = hermitize(m)
+    if not np.all(np.isfinite(hermitian)):
+        return False
+    eigenvalues = np.linalg.eigvalsh(hermitian)
     return bool(eigenvalues.min() >= -PSD_ATOL)
 
 

@@ -153,6 +153,14 @@ def _require(doc: dict, field: str, kind, where: str):
     return value
 
 
+def _size(doc: dict, field: str, where: str) -> int:
+    """A positive integer field, refused by name before any array is shaped."""
+    value = _require(doc, field, int, where)
+    if value <= 0:
+        raise ChannelFormatError(f"{where} field '{field}' must be positive, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------- channels
 
 def channel_to_dict(ch: KrausChannel) -> dict:
@@ -172,8 +180,8 @@ def channel_from_dict(doc: dict) -> KrausChannel:
     where = "channel document"
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{where} must be a JSON object")
-    dim_in = _require(doc, "dim_in", int, where)
-    dim_out = _require(doc, "dim_out", int, where)
+    dim_in = _size(doc, "dim_in", where)
+    dim_out = _size(doc, "dim_out", where)
     picture = _require(doc, "picture", str, where)
     if picture not in (SCHROEDINGER, HEISENBERG):
         raise ChannelFormatError(f"{where} field 'picture' must be schroedinger|heisenberg")
@@ -213,7 +221,7 @@ def state_from_dict(doc: dict) -> np.ndarray:
     where = "state document"
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{where} must be a JSON object")
-    dim = _require(doc, "dim", int, where)
+    dim = _size(doc, "dim", where)
     matrix = pairs_to_matrix(_require(doc, "matrix", list, where), dim, dim, "matrix")
     try:
         return check_density_matrix(matrix)
@@ -394,7 +402,7 @@ def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> Regist
         raise ChannelFormatError(f"{where} must be a JSON object")
     mode = _require(doc, "mode", str, where)
     shape = _require(doc, "shape", list, where)
-    if not all(isinstance(d, int) and d > 0 for d in shape):
+    if not all(type(d) is int and d > 0 for d in shape):  # a bool is no size
         raise ChannelFormatError(f"{where} field 'shape' must list positive integers")
     if mode not in BUNDLE_FIELDS:
         raise ChannelFormatError(f"{where} field 'mode' must be semigroup|cyclic|control")

@@ -756,6 +756,36 @@ def test_huge_state_entry_is_one_input_error(command, entries, corpus, damp_bund
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command, kind, sizes, field", [
+    ("evolve", "state", {"dim": 0}, "dim"),
+    ("reachable", "state", {"dim": 0}, "dim"),
+    ("evolve", "state", {"dim": -1}, "dim"),
+    ("check", "channel", {"dim_in": -1, "dim_out": -1}, "dim_in"),
+    ("check", "channel", {"dim_in": 2, "dim_out": -1}, "dim_out"),
+], ids=["evolve-dim-0", "reachable-dim-0", "evolve-dim-neg", "check-both-neg", "check-out-neg"])
+def test_nonpositive_size_is_one_input_error(command, kind, sizes, field, corpus, damp_bundle6,
+                                             tmp_path, capsys):
+    # each document holds as many entries as its sizes ask for, so only the
+    # sign of a size is wrong
+    path = tmp_path / f"{kind}.json"
+    if kind == "state":
+        doc = {"format": "dilatio/state-v1", **sizes, "matrix": [[1.0, 0.0]] * sizes["dim"] ** 2}
+    else:
+        doc = {"format": "dilatio/channel-v1", "picture": "schroedinger", **sizes,
+               "kraus": [[[1.0, 0.0]] * abs(sizes["dim_in"] * sizes["dim_out"])]}
+    path.write_text(json.dumps(doc))
+    argv = {
+        "evolve": ("evolve", damp_bundle6, path, "--steps", "1"),
+        "reachable": ("reachable", corpus / "channel_commuting_a.json",
+                      corpus / "channel_commuting_b.json", path, "--steps", "2"),
+        "check": ("check", path),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"input error: {kind} document field '{field}' must be positive, "
+                                f"got {sizes[field]}"]
+
+
 class TestReachable:
     def test_equal_channels_single_state(self, corpus, capsys):
         code, out, _ = run(

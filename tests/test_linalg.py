@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,12 @@ class TestPsd:
 
     def test_non_hermitian_is_false(self):
         assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_overflowing_hermitian_part_is_false_without_a_warning(self):
+        # 1e308 + 1e308 overflows: the check reports False, not numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_psd(np.diag([1e308, 1e308]))
 
 
 class TestStates:

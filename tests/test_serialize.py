@@ -8,8 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilatio.channels import dual, random_channel, superoperator_matrix, verify_cptp
+from dilatio.channels import (
+    KrausChannel,
+    dual,
+    random_channel,
+    superoperator_matrix,
+    verify_cptp,
+)
 from dilatio.cli import main
 from dilatio.control import build_control_dilation, verify_control_dilation
 from dilatio.cyclic import CyclePeriod, build_cyclic_dilation, verify_cyclic_dilation
@@ -120,6 +128,16 @@ class TestChannelFiles:
         with pytest.raises(ChannelFormatError, match=r"kraus\[0\]"):
             channel_from_dict(doc)
 
+    @pytest.mark.parametrize("dim_in, dim_out, field", [
+        (-1, -1, "dim_in"), (2, -1, "dim_out"), (0, 2, "dim_in"), (2, 0, "dim_out"),
+    ])
+    def test_nonpositive_dimensions_are_named(self, dim_in, dim_out, field):
+        doc = channel_to_dict(amplitude_damping(0.1))
+        doc["dim_in"], doc["dim_out"] = dim_in, dim_out
+        doc["kraus"] = [[[1.0, 0.0]] * abs(dim_in * dim_out)]
+        with pytest.raises(ChannelFormatError, match=f"field '{field}' must be positive"):
+            channel_from_dict(doc)
+
     def test_bad_picture(self):
         doc = channel_to_dict(amplitude_damping(0.1))
         doc["picture"] = "interaction"
@@ -189,6 +207,12 @@ class TestStateFiles:
         with pytest.raises(ChannelFormatError):
             state_from_dict(doc)
 
+
+    @pytest.mark.parametrize("dim, matrix", [(0, []), (-1, [[1.0, 0.0]])])
+    def test_nonpositive_dim_is_named(self, dim, matrix):
+        doc = {"format": "dilatio/state-v1", "dim": dim, "matrix": matrix}
+        with pytest.raises(ChannelFormatError, match="field 'dim' must be positive"):
+            state_from_dict(doc)
 
     @pytest.mark.parametrize("pair", [[None, 0], ["1", "0"], [True, 0]])
     def test_state_entries_must_be_numbers(self, pair):
@@ -263,6 +287,17 @@ class TestBundleFiles:
         assert doc["shape"] == [2, 4, 3, 3]
         doc["shape"] = [2, 4, 3, 77]
         with pytest.raises(ChannelFormatError):
+            load_document(doc, tmp_path)
+
+    @pytest.mark.parametrize("shape", [[True, True, 3], [1, True, 3]])
+    def test_shape_sizes_are_positive_integers(self, tmp_path, shape):
+        # the one-dimensional channel's bundle has shape [1, 1, 3]: a bool
+        # equals 1 and would otherwise give a bundle whose dim is True
+        bundle = build_semigroup_dilation(KrausChannel(1, 1, (np.eye(1),)), 2)
+        doc = bundle_document(bundle, tmp_path)
+        assert doc["shape"] == [1, 1, 3]
+        doc["shape"] = shape
+        with pytest.raises(ChannelFormatError, match="field 'shape' must list positive integers"):
             load_document(doc, tmp_path)
 
     def test_non_unitary_payload_rejected(self, tmp_path):
@@ -520,8 +555,8 @@ def test_failed_stream_keeps_the_old_file_and_names_the_output(tmp_path, monkeyp
 
 
 def test_placeholder_text_in_the_inputs_round_trips(tmp_path):
-    # a blob is the null at its "blob" key, so no string of the header can
-    # stand for one: the text of an earlier placeholder is plain text
+    # a blob is the null at its "blob" key, so no string of the header
+    # stands for one: this text is plain text
     bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
     path = tmp_path / "b.bundle"
     save_bundle(path, bundle, {"channel": "\0blob:V\0"})
@@ -672,6 +707,82 @@ def test_nul_characters_in_inputs_round_trip(tmp_path):
         save_bundle(path, bundle, {"note": note})
         assert json.loads(path.read_text())["inputs"] == {"note": note}
         assert load_bundle(path).forms[0].blocks.tobytes() == bundle.forms[0].blocks.tobytes()
+
+
+@pytest.fixture(scope="module")
+def clean_bundles(tmp_path_factory):
+    """A small saved semigroup bundle and a small saved control bundle: the
+    text of each file and the bytes of the forms and psi it loads to."""
+    out = tmp_path_factory.mktemp("clean")
+    t, s = random_commuting_pair(2, seed=4)
+    bundles = {
+        "semigroup": build_semigroup_dilation(amplitude_damping(0.3), 2),
+        "control": build_control_dilation(t, s, 1),
+    }
+    clean = {}
+    for mode, bundle in bundles.items():
+        path = out / f"{mode}.bundle"
+        save_bundle(path, bundle, {"channel": "x"})
+        clean[mode] = path.read_text(encoding="ascii"), _loaded_bytes(load_bundle(path))
+    return out, clean
+
+
+def _loaded_bytes(bundle):
+    return [f.src.tobytes() + f.blocks.tobytes() for f in bundle.forms], bundle.psi.tobytes()
+
+
+_STRAY_VALUES = ["null", "0", "true", '"AAAA"']
+
+
+@st.composite
+def _header_mutations(draw, text):
+    """One mutation of a bundle file's header, and whether load_bundle must
+    still read the file as it was."""
+    keys = [at for at in range(len(text)) if text.startswith('"blob":"', at)]
+    key = draw(st.sampled_from(keys))
+    end = text.index('"', key + len('"blob":"'))  # the blob's closing quote
+    fields = [at + len(name) + 4 for at, name in
+              ((text.find(f'"{name}":{{'), name) for name in ("U", "V", "omega")) if at >= 0]
+    into = text.index('"inputs":{') + len('"inputs":{')
+    kind = draw(st.sampled_from(["escape", "stray", "duplicate", "null", "space", "nul"]))
+    if kind == "escape":
+        at = key + 1 + draw(st.integers(0, 3))
+        return text[:at] + "\\u%04x" % ord(text[at]) + text[at + 1:], False
+    if kind == "stray":
+        pair = '"blob":' + draw(st.sampled_from(_STRAY_VALUES))
+        at = draw(st.sampled_from([into, *fields]))
+        if draw(st.booleans()):
+            pair = '"x":{' + pair + "}"
+        return text[:at] + pair + "," + text[at:], False
+    if kind == "duplicate":
+        pair = text[key:end + 1]
+        return text[:key] + pair + "," + text[key:], False
+    if kind == "null":
+        return text[:key] + '"blob":null' + text[end + 1:], False
+    if kind == "space":
+        colons = [at for at in range(len(text)) if text[at] == ":"]
+        at = draw(st.sampled_from(colons))
+        return text[:at] + " : " + text[at + 1:], True
+    note = draw(st.sampled_from(["\\u0000", "\\u0000blob:0\\u0000"]))
+    return text.replace('"channel":"x"', f'"channel":"x{note}"'), True
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(["semigroup", "control"]))
+def test_a_mutated_header_reads_as_before_or_is_refused(clean_bundles, data, mode):
+    # the one rule: a blob is the null at its "blob" key, in document order
+    out, clean = clean_bundles
+    text, expected = clean[mode]
+    mutated, same = data.draw(_header_mutations(text))
+    json.loads(mutated)  # still a JSON document: only the blob rule can refuse it
+    path = out / "mutated.bundle"
+    path.write_text(mutated, encoding="ascii")
+    try:
+        loaded = _loaded_bytes(load_bundle(path))
+    except ChannelFormatError:
+        assert not same
+    else:
+        assert same and loaded == expected
 
 
 def test_blob_keys_may_be_spaced(tmp_path):
