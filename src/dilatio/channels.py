@@ -448,9 +448,14 @@ def random_channel(dim: int, rank: int, seed: int) -> KrausChannel:
 
 def require_square(what: str, channels) -> None:
     """Refuse any channel that is not square or not in the schroedinger
-    picture, with a message saying that ``what`` needs them."""
+    picture, and channels of unequal dimension, with a message saying
+    that ``what`` needs them."""
     if any(ch.picture != SCHROEDINGER or not ch.is_square for ch in channels):
         raise ValueError(f"{what} needs square schroedinger channels")
+    dims = [ch.dim_in for ch in channels]
+    if len(set(dims)) > 1:
+        raise ValueError(f"{what} needs channels of equal dimension, got "
+                         f"{' and '.join(map(str, dims))}")
 
 
 def require_accepted(ch: KrausChannel) -> None:

@@ -118,7 +118,8 @@ def cmd_dilate(args) -> int:
     steps = DEFAULT_STEPS if args.steps is None else args.steps
     m_max = DEFAULT_M_MAX if args.m_max is None else args.m_max
     limit = _guard_limit(args.mode)
-    ch = _load_checked(args.channel)
+    # the build certifies each channel, as its word of total 1, after its guard
+    ch = load_channel(args.channel)
     inputs = {"channel": file_digest(args.channel)}
     if args.mode == "semigroup":
         bundle = semigroup.build_semigroup_dilation(ch, steps, max_total_dim=limit)
@@ -128,7 +129,7 @@ def cmd_dilate(args) -> int:
     else:
         if not args.second:
             raise ChannelFormatError("control mode requires --second CHANNEL")
-        second = _load_checked(args.second)
+        second = load_channel(args.second)
         inputs["second"] = file_digest(args.second)
         bundle = control.build_control_dilation(ch, second, steps, max_total_dim=limit)
     save_bundle(args.out, bundle, inputs)

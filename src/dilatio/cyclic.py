@@ -87,8 +87,12 @@ def find_cycle(
 ) -> CyclePeriod:
     """``detect_cycle`` up to m_max, but no further than the largest period the
     build's guard admits (``register.guard_cells``).  Raises NotCyclicError if
-    none is found, MemoryGuardError naming the guard if it cut the search short."""
-    reach = min(m_max, max(2, guard_cells(ch.dim_in, max_total_dim)))
+    none is found, MemoryGuardError naming the guard if it cut the search short
+    or admits no period, before any superoperator is formed."""
+    reach = min(m_max, guard_cells(ch.dim_in, max_total_dim))
+    if reach < 2 <= m_max:
+        raise MemoryGuardError(f"no cycle period fits the guard {max_total_dim} at "
+                               f"d={ch.dim_in}; raise the limit to search up to m_max={m_max}")
     period = detect_cycle(ch, m_max=reach)
     if period is None and reach < m_max:
         raise MemoryGuardError(f"no cycle period found up to {reach}, the largest the guard "

@@ -294,7 +294,9 @@ def build_register_dilation(
     """The dilation of ``channels`` on registers of length n_steps + 1: one
     word-unitary table, one generator per shift vector of the mode, and
     omega on the origin cell, (0, ..., 0) unless the register is a cycle.
-    The guard comes before the table's pass certifies any word."""
+    Channels of unequal dimension are refused before the guard, and the
+    guard comes before the table's pass certifies any word, the channels
+    themselves among them as the words of total 1."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     require_square(f"{mode} dilation", channels)

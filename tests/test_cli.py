@@ -134,11 +134,11 @@ class TestCertificationBoundary:
                        "max_violation=1.800e-10, word T^2\n")
         assert not (tmp_path / "x.bundle").exists()
 
-    @pytest.mark.parametrize("steps, calls", [(1, 2), (2, 3)])
+    @pytest.mark.parametrize("steps, calls", [(1, 1), (2, 2)])
     def test_each_channel_is_certified_once_per_build(self, corpus, tmp_path, capsys,
                                                       monkeypatch, steps, calls):
-        # one certification of the channel file at load, and one per word
-        # T^1 .. T^steps in the build's one batched pass, T itself included
+        # one certification per word T^1 .. T^steps in the build's one
+        # batched pass, T itself included: the file is not certified at load
         from dilatio import channels
 
         spied = count_calls(monkeypatch, channels, "certify_chois")
@@ -146,19 +146,20 @@ class TestCertificationBoundary:
                          "--mode", "semigroup", "--steps", steps, "--out", tmp_path / "x.bundle")
         assert code == 0
         batches = [len(chois) for chois, in spied]
-        assert batches == [1, steps]
+        assert batches == [steps]
         assert sum(batches) == calls
 
     @pytest.mark.parametrize("mode, arguments, batches", [
-        ("cyclic", ("channel_rotation_m4.json",), [1, 3]),
+        ("cyclic", ("channel_rotation_m4.json",), [3]),
         ("control", ("channel_commuting_a.json", "--steps", "2",
-                     "--second", "channel_commuting_b.json"), [1, 1, 5]),
+                     "--second", "channel_commuting_b.json"), [5]),
     ])
     def test_one_dilate_certifies_each_file_and_then_its_words(
             self, corpus, tmp_path, capsys, monkeypatch, mode, arguments, batches):
-        # as in semigroup mode above, each channel file at load, then every
-        # word in the build's one pass: the period search and the
-        # commutation check certify nothing
+        # as in semigroup mode above, every word in the build's one pass,
+        # each channel file as its word of total 1 (T^1; T^0 S^1 and T^1 S^0
+        # for a pair): the loader, the period search and the commutation
+        # check certify nothing
         from dilatio import channels
 
         spied = count_calls(monkeypatch, channels, "certify_chois")
@@ -179,7 +180,8 @@ class TestCertificationBoundary:
     @pytest.mark.parametrize("coefficient", [1e200, 1e308])
     def test_overflowing_channel_fails_certification(self, tmp_path, capsys, coefficient):
         # the Kraus sum of c I_2 overflows its norm at 1e200, the Choi
-        # matrix its hermitization at 1e308; a numpy warning is an error here
+        # matrix its hermitization at 1e308; a numpy warning is an error here.
+        # dilate refuses the channel as its word T^1, with check's verdict
         path = tmp_path / "huge.json"
         save_channel(path, KrausChannel(2, 2, [np.eye(2)], coefficients=[coefficient]))
         code, out, err = run(capsys, "check", path)
@@ -188,8 +190,8 @@ class TestCertificationBoundary:
         assert report["residuals"] == [math.inf] and report["tp_or_unital"] is False
         code, _, err = run(capsys, "dilate", path, "--mode", "semigroup",
                            "--out", tmp_path / "x.bundle")
-        assert (code, err) == (3, f"precondition failed: channel file {path} failed CPTP "
-                                  "certification\n")
+        assert (code, err) == (3, f"precondition failed: channel rejected: cp={report['cp']}, "
+                                  "tp_or_unital=False, max_violation=inf, word T^1\n")
 
 
 class TestDilate:

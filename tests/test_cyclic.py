@@ -91,13 +91,15 @@ class TestFindCycle:
             find_cycle(amplitude_damping(0.3), 10**8)
         with pytest.raises(MemoryGuardError, match="found up to 1024,"):
             find_cycle(amplitude_damping(0.3), 10**8, max_total_dim=8192)
+        # a cap below 2 admits no period, so nothing is searched, not even
+        # period 2, whose register the build would refuse
+        with pytest.raises(MemoryGuardError, match="no cycle period fits the guard 1 at d=2; raise"):
+            find_cycle(identity_channel(2), 16, max_total_dim=1)
 
     def test_below_the_cap_it_is_detect_cycle(self):
         with pytest.raises(NotCyclicError, match="up to m_max=20$"):
             find_cycle(amplitude_damping(0.3), 20)
         assert find_cycle(rotation_channel(4), 10**8) == CyclePeriod(4)
-        # a cap below 2 still searches period 2, which the build then refuses
-        assert find_cycle(identity_channel(2), 16, max_total_dim=1) == CyclePeriod(2)
 
 
 class TestReducePower:
