@@ -60,11 +60,20 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(dump_document(report))
 
 
-def _load_checked(path: str, verify: bool = True):
-    ch = load_channel(path)
-    if verify and not verify_cptp(ch).accepted:
-        raise RejectedChannelError(f"channel file {path} failed CPTP certification")
-    return ch
+def _load_certified(paths, dim: int | None = None, verify: bool = True) -> list:
+    """The channels in the files at paths, each of dimension dim if one is
+    given, then each certified CPTP unless verify is False: every dimension
+    first, so that no channel is certified that the call cannot use."""
+    channels = [load_channel(path) for path in paths]
+    for ch in channels:
+        if dim is not None and ch.dim_in != dim:
+            raise ChannelFormatError(
+                f"channel dimension {ch.dim_in} does not match bundle dimension {dim}"
+            )
+    for path, ch in zip(paths, channels):
+        if verify and not verify_cptp(ch).accepted:
+            raise RejectedChannelError(f"channel file {path} failed CPTP certification")
+    return channels
 
 
 def _guard_limit(mode: str) -> int:
@@ -150,8 +159,13 @@ def cmd_verify(args) -> int:
         raise ChannelFormatError(f"a {bundle.mode} bundle is verified against one channel file")
     if args.n_max is not None and bundle.mode != "cyclic":
         raise ChannelFormatError(f"--n-max applies to cyclic bundles, not {bundle.mode}")
-    inputs = {"bundle": digest.hexdigest(), "channel": file_digest(args.channel)}
-    ch = _load_checked(args.channel, not args.no_verify)
+    if bundle.mode == "control" and not args.second:
+        raise ChannelFormatError("a control bundle requires a second channel file")
+    paths = {"channel": args.channel}
+    if args.second:
+        paths["second"] = args.second
+    inputs = {"bundle": digest.hexdigest(), **{k: file_digest(p) for k, p in paths.items()}}
+    channels = _load_certified(list(paths.values()), bundle.dim, not args.no_verify)
     report_doc = {
         "command": "verify",
         "inputs": inputs,
@@ -159,17 +173,13 @@ def cmd_verify(args) -> int:
     }
     if bundle.mode == "cyclic":
         n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
-        report = cyclic.verify_cyclic_dilation(bundle, ch, n_max=n_max, tol=tol)
+        report = cyclic.verify_cyclic_dilation(bundle, channels[0], n_max=n_max, tol=tol)
         report_doc["period"] = bundle.period
     elif bundle.mode == "control":
-        if not args.second:
-            raise ChannelFormatError("a control bundle requires a second channel file")
-        second = _load_checked(args.second, not args.no_verify)
-        inputs["second"] = file_digest(args.second)
-        report = control.verify_control_dilation(bundle, ch, second, tol)
+        report = control.verify_control_dilation(bundle, *channels, tol)
         report_doc["horizon"] = bundle.horizon
     else:
-        report = semigroup.verify_dilation(bundle, ch, tol)
+        report = semigroup.verify_dilation(bundle, channels[0], tol)
         report_doc["horizon"] = bundle.horizon
     report_doc["pass"] = report.passed
     report_doc["residuals"] = list(report.residuals)
@@ -205,8 +215,7 @@ def cmd_evolve(args) -> int:
 def cmd_reachable(args) -> int:
     from . import control
 
-    t = _load_checked(args.channel_a)
-    s = _load_checked(args.channel_b)
+    t, s = _load_certified([args.channel_a, args.channel_b])
     rho = load_state(args.state)
     states = control.reachable_set(t, s, rho, args.steps)
     doc = [

@@ -60,7 +60,6 @@ def check_commuting(t: KrausChannel, s: KrausChannel) -> bool:
 
 
 def _require_commuting_pair(t: KrausChannel, s: KrausChannel) -> None:
-    require_square("a control system", [t, s])
     if not check_commuting(t, s):
         raise NotCommutingError("the control channels do not commute within tolerance")
 
@@ -74,9 +73,11 @@ def reachable_set(
 
     Every length-N word over {T, S} lands on one of these because the
     generators commute; non-commuting input is refused since the collapse
-    would be wrong.  The pair is certified before the commutation test."""
+    would be wrong.  The pair's shapes and dimensions are checked first,
+    then it is certified, and then tested for commutation."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    require_square("a control system", [t, s])
     require_accepted(t)
     require_accepted(s)
     _require_commuting_pair(t, s)

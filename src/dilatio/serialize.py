@@ -460,14 +460,17 @@ def save_bundle(path: str | Path, bundle: RegisterDilation, inputs: dict | None 
     in place of the null at its "blob" key."""
     doc, blobs = _bundle_document(bundle, inputs)
     header = dump_document(doc)
-    if header.count('"blob":') != len(blobs):  # only a key can dump to this text
+    # a quote after "{" or "," opens a key: inside a string it is escaped, and
+    # '"blob":' follows no closing quote; so these count the "blob" keys at any
+    # depth, and each entry's, its first key, is at '{"blob":null'
+    if header.count('{"blob":') + header.count(',"blob":') != len(blobs):
         raise ValueError('bundle inputs hold a "blob" key, which load_bundle refuses')
-    parts = header.split('"blob":null')
+    parts = header.split('{"blob":null')
 
     def write(handle):
         handle.write(parts[0].encode("ascii"))
         for pieces, text in zip(blobs, parts[1:]):
-            handle.write(b'"blob":"')
+            handle.write(b'{"blob":"')
             for piece in pieces:
                 handle.write(piece)
             handle.write(b'"' + text.encode("ascii"))

@@ -134,9 +134,9 @@ class TestCertificationBoundary:
                        "max_violation=1.800e-10, word T^2\n")
         assert not (tmp_path / "x.bundle").exists()
 
-    @pytest.mark.parametrize("steps, calls", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("steps", [1, 2])
     def test_each_channel_is_certified_once_per_build(self, corpus, tmp_path, capsys,
-                                                      monkeypatch, steps, calls):
+                                                      monkeypatch, steps):
         # one certification per word T^1 .. T^steps in the build's one
         # batched pass, T itself included: the file is not certified at load
         from dilatio import channels
@@ -147,7 +147,6 @@ class TestCertificationBoundary:
         assert code == 0
         batches = [len(chois) for chois, in spied]
         assert batches == [steps]
-        assert sum(batches) == calls
 
     @pytest.mark.parametrize("mode, arguments, batches", [
         ("cyclic", ("channel_rotation_m4.json",), [3]),
@@ -410,6 +409,49 @@ class TestDilate:
         assert err.startswith("input error:") and "--force" in err
         assert not (tmp_path / "x.bundle").exists()
 
+    @pytest.mark.parametrize("mode", ["semigroup", "cyclic", "control"])
+    def test_guard_comes_before_any_certification(self, tmp_path, capsys, monkeypatch, mode):
+        # at d = 16 one register cell holds 16^3 = 4096 dimensions, so no
+        # register of 2 cells (4096), nor a pair's 4 cells (8192), fits the
+        # default guard: no Choi eigh and no superoperator is spent first
+        import sys
+
+        # every module that binds superoperator_matrix is loaded, so every binding is spied
+        from dilatio import channels, control, cyclic, register, stinespring  # noqa: F401
+        from dilatio.channels import identity_channel
+
+        path = tmp_path / "identity16.json"
+        save_channel(path, identity_channel(16))
+        certified = count_calls(monkeypatch, channels, "certify_chois")
+        bindings = [module for name, module in sorted(sys.modules.items())
+                    if name.startswith("dilatio") and hasattr(module, "superoperator_matrix")]
+        assert len(bindings) >= 5
+        formed = [count_calls(monkeypatch, module, "superoperator_matrix") for module in bindings]
+        second = ("--second", path) if mode == "control" else ()
+        code, out, err = run(capsys, "dilate", path, "--mode", mode, *second,
+                             "--out", tmp_path / "x.bundle")
+        assert (code, out) == (4, "")
+        assert err.startswith("resource guard: ") and err.count("\n") == 1
+        assert certified == [] and all(calls == [] for calls in formed)
+        assert not (tmp_path / "x.bundle").exists()
+
+    def test_control_pair_of_unequal_dimension_is_one_input_error(self, corpus, tmp_path,
+                                                                   capsys, monkeypatch):
+        # a qutrit --second against a qubit channel is refused by name before
+        # the guard, which reads the first channel's dimension
+        from dilatio import channels
+
+        qutrit = tmp_path / "qutrit.json"
+        save_channel(qutrit, random_channel(3, 2, seed=1))
+        certified = count_calls(monkeypatch, channels, "certify_chois")
+        code, out, err = run(capsys, "dilate", corpus / "channel_commuting_a.json", "--mode",
+                             "control", "--second", qutrit, "--out", tmp_path / "x.bundle")
+        assert (code, out) == (1, "")
+        assert err == ("input error: control dilation needs channels of equal dimension, "
+                       "got 2 and 3\n")
+        assert certified == []
+        assert not (tmp_path / "x.bundle").exists()
+
 
 class TestVerify:
     def test_fresh_bundle_passes(self, corpus, damp_bundle5, capsys):
@@ -546,6 +588,26 @@ class TestVerify:
         code, out, err = run(capsys, "verify", bundle, *channels, "--n-max", "10")
         assert code == 1 and out == ""
         assert err.splitlines() == [f"input error: --n-max applies to cyclic bundles, not {kind}"]
+
+    @pytest.mark.parametrize("kind", ["semigroup", "control"])
+    def test_dimensions_come_before_any_certification(self, kind, corpus, damp_bundle5,
+                                                       tmp_path, capsys, monkeypatch):
+        # a qutrit file against a qubit bundle is refused without a Choi
+        # eigh, the control bundle's before its first file is certified
+        from dilatio import channels
+
+        qutrit = tmp_path / "qutrit.json"
+        save_channel(qutrit, random_channel(3, 2, seed=1))
+        files, bundle = [qutrit], damp_bundle5
+        if kind == "control":
+            files, bundle = [corpus / "channel_commuting_a.json", qutrit], tmp_path / "ctl.bundle"
+            assert run(capsys, "dilate", files[0], "--mode", "control", "--second",
+                       corpus / "channel_commuting_b.json", "--out", bundle)[0] == 0
+        certified = count_calls(monkeypatch, channels, "certify_chois")
+        code, out, err = run(capsys, "verify", bundle, *files)
+        assert (code, out) == (1, "")
+        assert err == "input error: channel dimension 3 does not match bundle dimension 2\n"
+        assert certified == []
 
     def test_second_channel_of_semigroup_bundle_is_input_error(self, corpus, damp_bundle5,
                                                                 tmp_path, capsys):

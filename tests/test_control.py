@@ -100,6 +100,16 @@ class TestReachableSet:
         with pytest.raises(NotCommutingError):
             reachable_set(hadamard, unitary_channel(PAULI_Z), np.diag([1.0, 0.0]), 2)
 
+    def test_unequal_dimensions_are_refused_before_certifying(self, monkeypatch):
+        # a qubit against a qutrit is refused by name, no Choi eigh spent
+        from dilatio import channels
+
+        certified = count_calls(monkeypatch, channels, "certify_chois")
+        with pytest.raises(ValueError, match="a control system needs channels of equal "
+                                             "dimension, got 2 and 3$"):
+            reachable_set(identity_channel(2), identity_channel(3), np.diag([1.0, 0.0]), 1)
+        assert certified == []
+
     def test_dedup_is_order_independent(self):
         t, s = random_commuting_pair(2, seed=8)
         rng = np.random.default_rng(9)

@@ -676,6 +676,28 @@ def test_blob_key_outside_a_bundle_entry_is_refused(tmp_path):
     assert not (tmp_path / "c.bundle").exists()
 
 
+@pytest.mark.parametrize("inputs, refused", [
+    ({'a"blob': 1}, False),  # dumps as "a\\"blob":1, no "blob" key
+    ({'a"blob': None}, False),
+    ({"x": ['{"blob":null', ',"blob":1']}, False),
+    ({"blob": 1}, True),
+    ({"x": {"blob": 1}}, True),
+    ({"x": [{"a": 1, "blob": None}]}, True),
+])
+def test_the_writer_refuses_exactly_the_blob_keys_the_reader_refuses(tmp_path, inputs, refused):
+    bundle = build_semigroup_dilation(amplitude_damping(0.3), 2)
+    path = tmp_path / "b.bundle"
+    if refused:
+        with pytest.raises(ValueError, match='^bundle inputs hold a "blob" key, which '
+                                             'load_bundle refuses$'):
+            save_bundle(path, bundle, inputs)
+        assert not path.exists()
+        return
+    save_bundle(path, bundle, inputs)
+    assert json.loads(path.read_text())["inputs"] == inputs
+    assert load_bundle(path).forms[0].blocks.tobytes() == bundle.forms[0].blocks.tobytes()
+
+
 def test_escaped_blob_key_is_refused(tmp_path):
     path, text, start, end = _bundle_text(tmp_path)
     escaped = _replace(text, start - len('"blob":"'), '"blob"', '"\\u0062lob"')
