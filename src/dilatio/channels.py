@@ -26,6 +26,8 @@ result holds at most dim_in * dim_out operators.
 
 Every square dilation takes its certified Kraus families from one place,
 ``kraus_of_superoperators``, behind one precondition, ``require_square``.
+Every CPTP verdict is one computation: ``certify_chois`` of the Choi
+matrices reshuffled from Schroedinger superoperators (``_chois``).
 
 Superoperators use column-stacking vectorization,
 vec(X A Y) == (Y^T (x) X) vec(A), so a Schroedinger channel has matrix
@@ -231,18 +233,22 @@ def apply_superoperator(m, a) -> np.ndarray:
     return unvec(image, (d_out, d_out))
 
 
-def _choi_of(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i c_i r_i r_i^dag over the row-major vecs r_i of a Kraus stack
-    (the out (x) in layout), as one product R^T diag(c) conj(R)."""
-    rows = stack.reshape(len(stack), -1)
-    return (rows.T * weights) @ rows.conj()
+def _chois(superoperators: np.ndarray) -> np.ndarray:
+    """The Choi matrices (W, out, in, out, in) of a stack (W, d_out^2, d_in^2)
+    of superoperators: the reshuffle M[(b, a), (j, i)] == C[(a, i), (b, j)]
+    (Watrous 2018, ch. 2)."""
+    d_out, d_in = (math.isqrt(n) for n in superoperators.shape[1:])
+    return superoperators.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 2, 4, 1, 3)
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi operator (T (x) id)(|Omega><Omega|) of a Schroedinger channel."""
+    """Choi operator (T (x) id)(|Omega><Omega|) of a Schroedinger channel,
+    reshuffled from its superoperator by ``_chois``."""
     if ch.picture != SCHROEDINGER:
         raise ValueError("choi is defined on the schroedinger picture")
-    return ChoiMatrix(_choi_of(ch.stack, ch.weights), ch.dim_in, ch.dim_out)
+    n = ch.dim_in * ch.dim_out
+    return ChoiMatrix(_chois(superoperator_matrix(ch)[np.newaxis]).reshape(n, n),
+                      ch.dim_in, ch.dim_out)
 
 
 def certify_chois(chois: np.ndarray):
@@ -266,31 +272,17 @@ def _report(cp: float, tp: float, tol: float) -> CertificationReport:
     return CertificationReport(bool(cp <= tol), bool(tp <= tol), float(max(cp, tp)))
 
 
-def _require(report: CertificationReport, word: str = "") -> None:
-    if not report.accepted:
-        raise RejectedChannelError(
-            f"channel rejected: cp={report.cp}, tp_or_unital={report.tp_or_unital}, "
-            f"max_violation={report.max_violation:.3e}{word}"
-        )
-
-
 def verify_cptp(ch: KrausChannel, tol: float = CPTP_ATOL) -> CertificationReport:
     """Certify complete positivity (Choi PSD) and trace preservation or
     unitality (the shared Kraus-sum identity sum_i c_i K_i^dag K_i == id) by
-    ``certify_chois`` of the stored family, whose Choi matrix has the
-    spectrum of the K_i^dag's."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _choi_of(ch.stack, ch.weights)
-    cp, tp, _, _ = certify_chois(matrix.reshape(1, *ch.stack.shape[1:] * 2))
+    ``certify_chois`` of the Choi matrix reshuffled from the Schroedinger
+    superoperator of the stored family (that of ``dual(ch)`` for a
+    Heisenberg channel): the computation of the build's pass, bit for bit."""
+    stored = ch if ch.picture == SCHROEDINGER else dual(ch)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map is refused
+        superoperator = superoperator_matrix(stored)
+    cp, tp, _, _ = certify_chois(_chois(superoperator[np.newaxis]))
     return _report(cp[0], tp[0], tol)
-
-
-def _chois(superoperators: np.ndarray) -> np.ndarray:
-    """The Choi matrices (W, out, in, out, in) of a stack (W, d_out^2, d_in^2)
-    of superoperators: the reshuffle M[(b, a), (j, i)] == C[(a, i), (b, j)]
-    (Watrous 2018, ch. 2)."""
-    d_out, d_in = (math.isqrt(n) for n in superoperators.shape[1:])
-    return superoperators.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 2, 4, 1, 3)
 
 
 def kraus_of_superoperators(superoperators: np.ndarray, labels) -> np.ndarray:
@@ -301,7 +293,11 @@ def kraus_of_superoperators(superoperators: np.ndarray, labels) -> np.ndarray:
     d = math.isqrt(superoperators.shape[1])
     cp, tp, eigenvalues, vectors = certify_chois(_chois(superoperators))
     for w in np.flatnonzero((cp > CPTP_ATOL) | (tp > CPTP_ATOL))[:1]:
-        _require(_report(cp[w], tp[w], CPTP_ATOL), f", word {labels[w]}")
+        report = _report(cp[w], tp[w], CPTP_ATOL)
+        raise RejectedChannelError(
+            f"channel rejected: cp={report.cp}, tp_or_unital={report.tp_or_unital}, "
+            f"max_violation={report.max_violation:.3e}, word {labels[w]}"
+        )
     return _top_kraus(eigenvalues, vectors, KEEP_RTOL, (d, d))[0]
 
 
@@ -458,8 +454,12 @@ def require_square(what: str, channels) -> None:
                          f"{' and '.join(map(str, dims))}")
 
 
-def require_accepted(ch: KrausChannel) -> None:
-    """Raise RejectedChannelError unless verify_cptp accepts the channel
-    at CPTP_ATOL."""
-    _require(verify_cptp(ch))
+def require_certified(channels) -> None:
+    """Refuse the first of one square Schroedinger channel (word T^1) or a
+    pair (words T^1 S^0 and T^0 S^1) that ``kraus_of_superoperators`` does
+    not certify: one batch of their superoperators, as in the build's pass."""
+    labels = ["T^1"] if len(channels) == 1 else ["T^1 S^0", "T^0 S^1"]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map is refused
+        superoperators = np.stack([superoperator_matrix(ch) for ch in channels])
+    kraus_of_superoperators(superoperators, labels)
 

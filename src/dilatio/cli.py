@@ -60,22 +60,6 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(dump_document(report))
 
 
-def _load_certified(paths, dim: int | None = None, verify: bool = True) -> list:
-    """The channels in the files at paths, each of dimension dim if one is
-    given, then each certified CPTP unless verify is False: every dimension
-    first, so that no channel is certified that the call cannot use."""
-    channels = [load_channel(path) for path in paths]
-    for ch in channels:
-        if dim is not None and ch.dim_in != dim:
-            raise ChannelFormatError(
-                f"channel dimension {ch.dim_in} does not match bundle dimension {dim}"
-            )
-    for path, ch in zip(paths, channels):
-        if verify and not verify_cptp(ch).accepted:
-            raise RejectedChannelError(f"channel file {path} failed CPTP certification")
-    return channels
-
-
 def _guard_limit(mode: str) -> int:
     """DILATIO_MAX_DIM if it is set, else the mode's default guard."""
     from .register import GUARDS
@@ -165,7 +149,8 @@ def cmd_verify(args) -> int:
     if args.second:
         paths["second"] = args.second
     inputs = {"bundle": digest.hexdigest(), **{k: file_digest(p) for k, p in paths.items()}}
-    channels = _load_certified(list(paths.values()), bundle.dim, not args.no_verify)
+    # the verifier checks each channel's dimension and shape, then certifies them
+    channels = [load_channel(path) for path in paths.values()]
     report_doc = {
         "command": "verify",
         "inputs": inputs,
@@ -215,7 +200,8 @@ def cmd_evolve(args) -> int:
 def cmd_reachable(args) -> int:
     from . import control
 
-    t, s = _load_certified([args.channel_a, args.channel_b])
+    # reachable_set checks the pair's shapes, then certifies it
+    t, s = load_channel(args.channel_a), load_channel(args.channel_b)
     rho = load_state(args.state)
     states = control.reachable_set(t, s, rho, args.steps)
     doc = [
@@ -275,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None,
                    help=f"powers to check (cyclic bundles; default {DEFAULT_N_MAX})")
     p.add_argument("--out", default=None)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip certifying the channel file(s) as CPTP when they are read")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("evolve", help="evolve a state through a bundle")

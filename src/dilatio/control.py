@@ -25,7 +25,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     apply_channel,
-    require_accepted,
+    require_certified,
     require_square,
     superoperator_matrix,
 )
@@ -74,12 +74,11 @@ def reachable_set(
     Every length-N word over {T, S} lands on one of these because the
     generators commute; non-commuting input is refused since the collapse
     would be wrong.  The pair's shapes and dimensions are checked first,
-    then it is certified, and then tested for commutation."""
+    then it is certified in one batch, and then tested for commutation."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     require_square("a control system", [t, s])
-    require_accepted(t)
-    require_accepted(s)
+    require_certified([t, s])
     _require_commuting_pair(t, s)
     walk = [check_density_matrix(rho0)]
     for _ in range(n_steps):

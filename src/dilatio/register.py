@@ -52,6 +52,7 @@ from .channels import (
     apply_channel,
     column_channel,
     kraus_of_superoperators,
+    require_certified,
     require_square,
     superoperator_matrix,
     vec,
@@ -451,13 +452,16 @@ def verify_words(
     the worst trace-norm gap, over ``operators`` (a full operator basis by
     default), between the reconstruction through the stored generators and
     omega and the oracle.  Every word's columns come from ``_columns`` on
-    one walk table for the whole sweep."""
-    require_square("verification", channels)
+    one walk table for the whole sweep.  The channels' dimensions are
+    checked against the bundle's first, then their shapes, and then they
+    are certified in one batch."""
     for ch in channels:
         if ch.dim_in != bundle.dim:
             raise ValueError(
                 f"channel dimension {ch.dim_in} does not match bundle dimension {bundle.dim}"
             )
+    require_square("verification", channels)
+    require_certified(channels)
     if operators is None:
         operators = matrix_units(bundle.dim)
     # one column vec(e) per operator, so that one product maps them all

@@ -694,10 +694,10 @@ class TestKrausChannelValidation:
             KrausChannel(2, 2, (np.eye(2),), coefficients=(1.0, 2.0))
 
     def test_rejected_channel_error_type(self):
-        from dilatio.channels import require_accepted
+        from dilatio.channels import require_certified
 
         with pytest.raises(RejectedChannelError):
-            require_accepted(transpose_channel())
+            require_certified([transpose_channel()])
 
 
 def test_operator_basis_reconstruction_uses_full_basis():

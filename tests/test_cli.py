@@ -346,13 +346,14 @@ class TestDilate:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("command", ["dilate", "reachable"])
-    def test_no_verify_is_a_usage_error(self, command, corpus, tmp_path, capsys):
-        # the builders and reachable_set certify every channel themselves,
-        # so only verify offers to skip the certification at load
+    @pytest.mark.parametrize("command", ["dilate", "reachable", "verify"])
+    def test_no_verify_is_a_usage_error(self, command, corpus, damp_bundle5, tmp_path, capsys):
+        # the builders, reachable_set and the verifiers certify every channel
+        # themselves, so no command offers to skip a certification
         argv = {
             "dilate": ("dilate", corpus / "channel_amplitude_damping_0.5.json",
                        "--mode", "semigroup", "--out", tmp_path / "x.bundle"),
+            "verify": ("verify", damp_bundle5, corpus / "channel_amplitude_damping_0.5.json"),
             "reachable": ("reachable", corpus / "channel_commuting_a.json",
                           corpus / "channel_commuting_b.json", corpus / "state_ground.json",
                           "--steps", "2"),
@@ -548,18 +549,18 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("input error:") and "n_max" in err
 
-    def test_no_verify_skips_the_ingestion_gate(self, corpus, damp_bundle5, tmp_path, capsys):
-        # a mildly non-CPTP channel is refused at load, but --no-verify lets
-        # the verification itself report the mismatch
+    def test_uncertified_channel_is_refused_by_its_word(self, corpus, damp_bundle5, tmp_path,
+                                                         capsys):
+        # a mildly non-CPTP channel is refused by the verifier's one
+        # certification, named as the build's pass names it
         doc = json.loads((corpus / "channel_amplitude_damping_0.5.json").read_text())
         doc["kraus"][0][0][0] += 1e-6
         perturbed = tmp_path / "perturbed.json"
         perturbed.write_text(json.dumps(doc))
-        code, _, _ = run(capsys, "verify", damp_bundle5, perturbed)
-        assert code == 3
-        code, out, _ = run(capsys, "verify", damp_bundle5, perturbed, "--no-verify")
-        assert code == 2
-        assert json.loads(out)["pass"] is False
+        code, out, err = run(capsys, "verify", damp_bundle5, perturbed)
+        assert (code, out) == (3, "")
+        assert err.startswith("precondition failed: channel rejected: ")
+        assert err.endswith(", word T^1\n") and err.count("\n") == 1
 
     def test_control_verify_needs_second(self, corpus, tmp_path, capsys):
         bundle = tmp_path / "ctl.bundle"
