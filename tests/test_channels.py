@@ -69,6 +69,30 @@ class TestVerifyCptp:
         assert report.accepted
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), data=st.data(), seed=st.integers(0, 2**16),
+       delta=st.floats(-1e-6, 1e-6))
+def test_one_verdict_at_the_tolerance(d, data, seed, delta):
+    # a channel scaled to miss trace preservation by CPTP_ATOL (1 + delta),
+    # within rounding of the tolerance: verify_cptp, the dilation and
+    # reachable_set give one verdict, since one computation decides it
+    from dilatio.channels import CPTP_ATOL
+    from dilatio.control import reachable_set
+    from dilatio.stinespring import stinespring_unitary
+
+    base = random_channel(d, data.draw(st.integers(1, d * d), label="rank"), seed)
+    ch = KrausChannel(d, d, base.stack * np.sqrt(1 + CPTP_ATOL * (1 + delta) / np.sqrt(d)))
+    verdicts = [verify_cptp(ch).accepted]
+    for call in (lambda: stinespring_unitary(ch),
+                 lambda: reachable_set(ch, ch, np.eye(d) / d, 1)):
+        try:
+            call()
+            verdicts.append(True)
+        except RejectedChannelError:
+            verdicts.append(False)
+    assert verdicts in ([True] * 3, [False] * 3)
+
+
 class TestChoi:
     def test_identity_channel_is_entangled_projector(self):
         c = choi(identity_channel(2))

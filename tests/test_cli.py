@@ -2,17 +2,20 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dilatio.channels import KrausChannel, random_channel
+from dilatio.channels import CPTP_ATOL, KrausChannel, random_channel
 from dilatio.cli import main
 from dilatio.cyclic import wrap_count
 from dilatio.fixtures import write_fixture_corpus
 from dilatio.serialize import load_state, save_channel
 
 from helpers import count_calls
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,59 @@ class TestCertificationBoundary:
                          "--out", tmp_path / "x.bundle")
         assert code == 0
         assert [len(chois) for chois, in spied] == batches
+
+    @pytest.mark.parametrize("seed", [43, 55, 58, 103, 104, 139])
+    def test_one_verdict_at_the_tolerance(self, corpus, tmp_path, capsys, seed):
+        # a random qubit channel scaled to miss trace preservation by about
+        # CPTP_ATOL: check, both builds and reachable certify it by one
+        # computation, so they agree, and a bundle verifies against its file
+        path = tmp_path / "scaled.json"
+        ch = random_channel(2, 4, seed)
+        save_channel(path, KrausChannel(2, 2, ch.stack * np.sqrt(1 + CPTP_ATOL / np.sqrt(2))))
+        bundles = {"semigroup": tmp_path / "s.bundle", "control": tmp_path / "c.bundle"}
+        codes = [
+            run(capsys, "check", path)[0],
+            run(capsys, "dilate", path, "--mode", "semigroup", "--steps", "1",
+                "--out", bundles["semigroup"])[0],
+            run(capsys, "dilate", path, "--mode", "control", "--steps", "1", "--second", path,
+                "--out", bundles["control"])[0],
+            run(capsys, "reachable", path, path, corpus / "state_plus.json", "--steps", "1")[0],
+        ]
+        assert codes in ([0, 0, 0, 0], [2, 3, 3, 3])
+        for mode, bundle in bundles.items():
+            assert bundle.exists() == (codes[0] == 0)
+            if bundle.exists():
+                second = (path,) if mode == "control" else ()
+                assert run(capsys, "verify", bundle, path, *second)[0] == 0
+
+    @pytest.mark.parametrize("call, batches", [
+        (("check", "channel_commuting_a.json"), [1]),
+        (("verify", "damp.bundle", "channel_amplitude_damping_0.5.json"), [1]),
+        (("verify", "rot.bundle", "channel_rotation_m4.json"), [1]),
+        (("verify", "ctl1.bundle", "channel_commuting_a.json", "channel_commuting_b.json"), [2]),
+        (("reachable", "channel_commuting_a.json", "channel_commuting_b.json",
+          "state_plus.json", "--steps", "2"), [2]),
+    ], ids=["check", "verify-semigroup", "verify-cyclic", "verify-control", "reachable"])
+    def test_each_call_certifies_its_channels_once(self, capsys, monkeypatch, call, batches):
+        # one batch per call, after its shape checks: no file is certified as it is read
+        from dilatio import channels
+
+        argv = [DATA / a if a.endswith((".json", ".bundle")) else a for a in call]
+        spied = count_calls(monkeypatch, channels, "certify_chois")
+        assert run(capsys, *argv)[0] == 0
+        assert [len(chois) for chois, in spied] == batches
+
+    def test_heisenberg_file_is_refused_before_certifying(self, tmp_path, capsys, monkeypatch):
+        from dilatio import channels
+        from dilatio.fixtures import amplitude_damping
+
+        path = tmp_path / "dual.json"
+        save_channel(path, channels.dual(amplitude_damping(0.5)))
+        spied = count_calls(monkeypatch, channels, "certify_chois")
+        code, out, err = run(capsys, "verify", DATA / "damp.bundle", path)
+        assert (code, out) == (1, "")
+        assert err == "input error: verification needs square schroedinger channels\n"
+        assert spied == []
 
     def test_outside_the_tolerance(self, tmp_path, capsys):
         path = self.channel(tmp_path, 1.1e-10)
