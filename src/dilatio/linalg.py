@@ -144,21 +144,32 @@ def pure_state_vector(state, dim: int) -> np.ndarray:
     its largest diagonal entry, divided by the square root of that entry
     (psi up to a global phase), and accepted when ||omega - omega^dag||_F,
     |tr omega - 1| and ||omega - psi psi^dag||_F are each at most
-    HERMITIAN_ATOL.  By Weyl's inequality the last bounds every eigenvalue
-    of the Hermitian part of omega but the largest by HERMITIAN_ATOL, so
-    this O(dim^2) check is no weaker than is_pure_state's eigendecomposition.
+    HERMITIAN_ATOL, checked in that order; a norm that overflows fails its
+    check.  By Weyl's inequality the last bounds every eigenvalue of the
+    Hermitian part of omega but the largest by HERMITIAN_ATOL, so this
+    O(dim^2) check is no weaker than is_pure_state's eigendecomposition.
     """
     a = np.asarray(state, dtype=np.complex128)
     if not np.all(np.isfinite(a)):
         raise ValueError("state contains NaN or Inf entries")
     if a.shape == (dim, dim):
-        return pure_state_from_entries(*stored_entries(a), dim)
-    if a.shape != (dim,):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.linalg.norm(a - a.conj().T) <= HERMITIAN_ATOL:
+                raise ValueError("state is not Hermitian within tolerance")
+            trace = np.trace(a)
+            if not abs(trace - 1.0) <= HERMITIAN_ATOL:
+                raise ValueError(f"state trace {trace:.12g} differs from 1")
+            j = int(np.argmax(a.diagonal().real))
+            psi = a[:, j] / np.sqrt(a[j, j].real)
+            if not np.linalg.norm(a - np.outer(psi, psi.conj())) <= HERMITIAN_ATOL:
+                raise ValueError("state is not pure within tolerance")
+    elif a.shape == (dim,):
+        psi = a.copy()
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > HERMITIAN_ATOL:
+            raise ValueError(f"state vector has norm {norm:.12g}, not 1")
+    else:
         raise ValueError(f"state of shape {a.shape}, expected ({dim},) or ({dim}, {dim})")
-    psi = a.copy()
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > HERMITIAN_ATOL:
-        raise ValueError(f"state vector has norm {norm:.12g}, not 1")
     psi.flags.writeable = False
     return psi
 
@@ -170,47 +181,6 @@ def stored_entries(a) -> tuple[np.ndarray, np.ndarray]:
     flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
     index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
     return index, flat[index]
-
-
-def pure_state_from_entries(index, values, dim: int) -> np.ndarray:
-    """pure_state_vector of the dim x dim omega whose row-major entries are
-    ``values`` at the sorted, distinct flat ``index`` and 0 elsewhere, with
-    its three norms taken over the entries: O(entries + s^2) for a psi with
-    s nonzero components, and psi bit for bit the dense one."""
-    values = np.asarray(values, dtype=np.complex128)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("state contains NaN or Inf entries")
-    row, col = np.divmod(index, dim)
-    # omega - omega^dag: each entry against its transposed twin; an entry
-    # without one is also the only entry at its transposed place
-    twin = col * dim + row
-    at = np.searchsorted(index, twin)
-    paired = at < index.size
-    paired[paired] = index[at[paired]] == twin[paired]
-    skew = values.copy()
-    skew[paired] -= values[at[paired]].conj()
-    if _norm_sq(skew) + _norm_sq(values[~paired]) > HERMITIAN_ATOL ** 2:
-        raise ValueError("state is not Hermitian within tolerance")
-    trace = values[row == col].sum()
-    if abs(trace - 1.0) > HERMITIAN_ATOL:
-        raise ValueError(f"state trace {trace:.12g} differs from 1")
-    diagonal = np.zeros(dim)
-    diagonal[row[row == col]] = values[row == col].real
-    j = int(np.argmax(diagonal))
-    psi = np.zeros(dim, dtype=np.complex128)
-    psi[row[col == j]] = values[col == j]
-    psi /= np.sqrt(diagonal[j])
-    # omega - psi psi^dag: the entries off psi's support, and the support block
-    support = np.flatnonzero(psi)
-    place = np.full(dim, -1)
-    place[support] = np.arange(support.size)
-    inside = (place[row] >= 0) & (place[col] >= 0)
-    block = -np.outer(psi[support], psi[support].conj())
-    block[place[row[inside]], place[col[inside]]] += values[inside]
-    if _norm_sq(values[~inside]) + _norm_sq(block) > HERMITIAN_ATOL ** 2:
-        raise ValueError("state is not pure within tolerance")
-    psi.flags.writeable = False
-    return psi
 
 
 def _norm_sq(a: np.ndarray) -> float:

@@ -37,7 +37,7 @@ from .errors import ChannelFormatError
 from .linalg import (
     as_complex_matrix,
     check_density_matrix,
-    pure_state_from_entries,
+    pure_state_vector,
     stored_entries,
 )
 from .channels import HEISENBERG, SCHROEDINGER, KrausChannel
@@ -367,6 +367,18 @@ def _stored(first: np.ndarray, count: int, raw: bytes):
     return first[local // count] + local % count, values
 
 
+def _pure_state_of_entries(index, values, dim: int) -> np.ndarray:
+    """pure_state_vector of the dim x dim omega holding ``values`` at the flat
+    ``index``, run on the dense block of the rows and columns holding one."""
+    row, col = np.divmod(index, dim)
+    support = np.union1d(row, col)
+    block = np.zeros((support.size, support.size), dtype=np.complex128)
+    block[np.searchsorted(support, row), np.searchsorted(support, col)] = values
+    psi = np.zeros(dim, dtype=np.complex128)
+    psi[support] = pure_state_vector(block, support.size)
+    return psi
+
+
 def _bundle_document(bundle: RegisterDilation, inputs: dict | None):
     """The bundle document, in which the value of each "blob" key is None,
     and the base64 pieces of each blob, in the sorted order of their fields,
@@ -437,7 +449,7 @@ def _bundle_from_doc(doc, blobs: list[_BlobEntries], path: str | Path) -> Regist
             ancilla_dim=shape[1],
             registers=tuple(shape[2:]),
             forms=forms,
-            psi=pure_state_from_entries(*entries("omega", anc), anc),
+            psi=_pure_state_of_entries(*entries("omega", anc), anc),
         )
     except ChannelFormatError:
         raise
