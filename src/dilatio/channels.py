@@ -216,12 +216,15 @@ def superoperator_matrix(ch: KrausChannel) -> np.ndarray:
     This is the brute-force oracle the dilation modules verify against:
     powers of the channel are plain matrix powers of M.
     """
-    acting = _acting(ch)
-    r, rows, cols = acting.shape
-    # conj(A_i) (x) A_i for every i in one broadcast product
-    blocks = acting.conj()[:, :, None, :, None] * acting[:, None, :, None, :]
-    blocks = blocks.reshape(r, rows * rows, cols * cols)
-    return np.sum(ch.weights[:, np.newaxis, np.newaxis] * blocks, axis=0)
+    # sum_i c_i conj(A_i) (x) A_i one term at a time, in the order in which
+    # np.sum reduces a stack of them and from the start np.sum takes (numpy
+    # 2.4 adds the first term to +0, so a -0.0 sums to +0.0): the bits are
+    # the stacked sum's, in O(d^4) memory, not O(r d^4)
+    terms = (c * np.kron(a.conj(), a) for c, a in zip(ch.weights, _acting(ch)))
+    total = np.sum([next(terms)], axis=0)
+    for term in terms:
+        total += term
+    return total
 
 
 def apply_superoperator(m, a) -> np.ndarray:

@@ -190,17 +190,19 @@ def _norm_sq(a: np.ndarray) -> float:
 
 
 def unitarity_residual(a) -> float:
-    """||A^dag A - I||_F, or inf for a matrix that is not square.  A stack
-    of square blocks (L, b, b) gets the same norm over the whole stack,
-    which is that of G^dag G - I for the block permutation G the blocks
-    form: O(L b^3) instead of O((L b)^3)."""
+    """||A^dag A - I||_F, or inf for a matrix that is not square or whose
+    residual overflows.  A stack of square blocks (L, b, b) gets the same
+    norm over the whole stack, which is that of G^dag G - I for the block
+    permutation G the blocks form: O(L b^3) instead of O((L b)^3)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 3:
         m = as_complex_matrix(m)[np.newaxis]
     if m.shape[1] != m.shape[2]:
         return np.inf
-    gram = m.conj().transpose(0, 2, 1) @ m
-    return float(np.sqrt(_norm_sq(gram - np.eye(m.shape[1]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.conj().transpose(0, 2, 1) @ m
+        residual = float(np.sqrt(_norm_sq(gram - np.eye(m.shape[1]))))
+    return residual if np.isfinite(residual) else np.inf
 
 
 def is_unitary(a) -> bool:

@@ -774,3 +774,44 @@ def test_algebra_is_the_superoperator_algebra(dims, signs, heisenberg, n, p, see
         assert power(square, 1) is square
     else:
         assert_close(power(square, n), np.linalg.matrix_power(m, n))
+
+
+def stacked_superoperator(ch):
+    """sum_i c_i conj(A_i) (x) A_i with every term formed in one broadcast,
+    then summed by np.sum: the reference for superoperator_matrix's bits."""
+    acting = ch.stack if ch.picture == SCHROEDINGER else ch.stack.conj().transpose(0, 2, 1)
+    r, rows, cols = acting.shape
+    blocks = acting.conj()[:, :, None, :, None] * acting[:, None, :, None, :]
+    blocks = blocks.reshape(r, rows * rows, cols * cols)
+    return np.sum(ch.weights[:, np.newaxis, np.newaxis] * blocks, axis=0)
+
+
+def test_superoperator_is_the_stacked_sum_bit_for_bit():
+    # random channels of every rank, signed, Heisenberg and rectangular maps,
+    # and the fixtures, whose Pauli operators make -0.0 terms
+    from dilatio.fixtures import fixture_channels
+
+    rng = np.random.default_rng(53)
+    maps = list(fixture_channels().values())
+    for d in range(1, 5):
+        for rank in range(1, d * d + 1):
+            ch = random_channel(d, rank, int(rng.integers(2**16)))
+            signs = tuple(rng.choice([-1.0, 0.5, 1.0], rank))
+            maps += [ch, dual(ch), KrausChannel(d, d, ch.stack, coefficients=signs)]
+    maps += [random_map(2, 3, True, rng), random_map(3, 2, False, rng)]
+    for ch in maps:
+        assert superoperator_matrix(ch).tobytes() == stacked_superoperator(ch).tobytes()
+
+
+def test_superoperator_of_a_high_rank_channel_takes_no_stack_of_terms():
+    # rank 256 at d = 16: the 256 terms of 1 MB each would take 256 MB at once
+    import tracemalloc
+
+    ch = random_channel(16, 256, 1)
+    tracemalloc.start()
+    try:
+        m = superoperator_matrix(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (256, 256) and peak < 16 * 2**20

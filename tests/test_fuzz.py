@@ -1,13 +1,16 @@
-"""The command line's exit-code contract under mutated channel files.
+"""The command line's exit-code contract under mutated channel, bundle and
+state files.
 
 Every call returns 0-4 and raises nothing, records no warning, leaves one
 stderr line with a known prefix when it exits 1, 3 or 4, and writes
 nothing or one JSON document to stdout (README, "Command line").  Each
-example mutates one channel file of tests/data and hands it to one of
-nine calls: check, dilate in every mode, verify of every bundle kind and
-reachable.
+example mutates one file of tests/data and hands it to one call: a
+channel file to check, dilate in every mode, verify of every bundle kind
+and reachable; a bundle file to evolve and verify; a state file to evolve
+and reachable.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -15,6 +18,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,3 +97,92 @@ def test_mutated_channel_file_keeps_the_exit_contract(name, kind, value, op, ent
         assert len(stderr.splitlines()) == 1 and stderr.startswith(PREFIXES)
     if stdout:
         json.loads(stdout)
+
+
+def main_keeps_the_contract(argv):
+    """Run cli.main on argv and assert the contract of this module."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in range(5)
+    if code in (1, 3, 4):
+        assert len(stderr.splitlines()) == 1 and stderr.startswith(PREFIXES)
+    if stdout:
+        json.loads(stdout)
+
+
+# each bundle of tests/data: its evolve and verify argv after the bundle
+BUNDLE_CALLS = {
+    "damp.bundle": (("state_plus.json", "--steps", "2"), (DAMP,)),
+    "rot.bundle": (("state_plus.json", "--steps", "3"), (ROT, "--n-max", "8")),
+    "ctl1.bundle": (("state_plus.json", "--sequence", "TS"), (A, B)),
+}
+MODES = ["semigroup", "cyclic", "control"]
+# one decoded blob entry: these and NaN, set on the block pattern or off it
+BLOB_VALUES = [1e308, -1e308, 1e200, 1e154, 1e-320, math.nan, math.inf, -math.inf]
+
+
+def mutate_bundle(doc, kind, field, value, on_pattern, at, part, shift):
+    """Mutate a bundle document in place by one change of this kind."""
+    fields = sorted(k for k, v in doc.items() if isinstance(v, dict) and "blob" in v)
+    entry = doc[fields[field % len(fields)]]
+    scalar = "period" if doc["mode"] == "cyclic" else "horizon"
+    if kind == "entry":
+        m = np.frombuffer(base64.b64decode(entry["blob"]), dtype="<c16").copy()
+        places = np.flatnonzero((m != 0) == on_pattern)
+        m.view("<f8")[2 * places[at % places.size] + part] = value
+        entry["blob"] = base64.b64encode(m).decode("ascii")
+    elif kind == "cut":
+        entry["blob"] = entry["blob"][:-4]
+    elif kind == "rows":
+        entry["rows"] += 1
+    elif kind == "scalar":
+        doc[scalar] = {-1: doc[scalar] - 1, 1: doc[scalar] + 1, 0: 0, 2: 10**6}[shift]
+    elif kind == "shape":
+        doc["shape"][at % len(doc["shape"])] += 1 if shift > 0 else -1
+    elif kind == "mode":
+        doc["mode"] = MODES[(MODES.index(doc["mode"]) + 1 + shift % 2) % 3]
+    else:
+        doc["format"] = "dilatio/bundle-v2"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(bundle=st.sampled_from(sorted(BUNDLE_CALLS)), command=st.sampled_from(["evolve", "verify"]),
+       kind=st.sampled_from(["entry", "entry", "entry", "cut", "rows", "scalar", "shape", "mode",
+                             "format"]),
+       field=st.integers(0, 2), value=st.sampled_from(BLOB_VALUES), on_pattern=st.booleans(),
+       at=st.integers(0, 2**16), part=st.integers(0, 1), shift=st.sampled_from([-1, 0, 1, 2]))
+def test_mutated_bundle_file_keeps_the_exit_contract(bundle, command, kind, field, value,
+                                                     on_pattern, at, part, shift, scratch):
+    doc = json.loads((DATA / bundle).read_text())
+    mutate_bundle(doc, kind, field, value, on_pattern, at, part, shift)
+    mutated = scratch / "mutated.bundle"
+    mutated.write_text(json.dumps(doc))
+    evolve, verify = BUNDLE_CALLS[bundle]
+    rest = evolve if command == "evolve" else verify
+    files = (DATA / a if a.endswith(".json") else a for a in rest)
+    main_keeps_the_contract([command, mutated, *files])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(["evolve", "reachable"]),
+       kind=st.sampled_from(["entry", "entry", "dim"]), value=st.sampled_from(VALUES),
+       entry=st.integers(0, 3), part=st.integers(0, 1), shift=st.sampled_from([-1, 1]))
+def test_mutated_state_file_keeps_the_exit_contract(command, kind, value, entry, part, shift,
+                                                    scratch):
+    doc = json.loads((DATA / "state_plus.json").read_text())
+    if kind == "entry":
+        doc["matrix"][entry][part] = value
+    else:
+        doc["dim"] += shift
+    mutated = scratch / "mutated.json"
+    mutated.write_text(json.dumps(doc))
+    if command == "evolve":
+        argv = ["evolve", DATA / "damp.bundle", mutated, "--steps", "2"]
+    else:
+        argv = ["reachable", DATA / A, DATA / B, mutated, "--steps", "2"]
+    main_keeps_the_contract(argv)

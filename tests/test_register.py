@@ -586,6 +586,64 @@ def test_dense_state_check_is_no_weaker_than_the_spectrum(weight):
         assert is_pure_state(rho)
 
 
+# each case: whether the dense rule accepts the omega it writes
+OMEGA_CASES = {
+    "basis": True,
+    "three cells": True,
+    "plus 0.9e-10": True,
+    "plus 1.1e-10": False,
+    "mixed 0.9e-10": True,
+    "mixed 1.1e-10": False,
+    "skew 1.1e-10": False,
+    "trace 1.1e-10": False,
+    "negative zero": True,
+}
+
+
+@pytest.mark.parametrize("case", sorted(OMEGA_CASES))
+def test_reader_checks_omega_by_the_dense_rule(case, tmp_path):
+    # the reader runs pure_state_vector on the block of the rows and columns
+    # holding omega's entries; its verdict is the rule's on the whole omega:
+    # the same psi bit for bit, or the same message
+    from dilatio.errors import ChannelFormatError
+
+    rng = np.random.default_rng(50)
+    bundle = built_bundle("semigroup")
+    anc = bundle.psi.size
+    cells = rng.choice(anc, 4, replace=False)  # psi's three cells, then b
+    psi = np.zeros(anc, dtype=complex)
+    psi[cells[:3]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi /= np.linalg.norm(psi)
+    i, j, b = cells[0], cells[1], cells[3]
+    state = np.outer(psi, psi.conj())
+    kind, _, size = case.partition(" ")
+    if kind in ("basis", "negative"):
+        state = np.zeros((anc, anc), dtype=complex)
+        state[b, b] = 1.0
+        state[b, i] = state[i, b] = complex(-0.0, -0.0) if kind == "negative" else 0.0
+    elif kind == "plus":
+        state[b, b] += float(size)
+    elif kind == "mixed":
+        state *= 1 - float(size)
+        state[b, b] += float(size)
+    elif kind == "skew":
+        state[i, j] += float(size)
+    elif kind == "trace":
+        state[i, i] += float(size)
+    doc = bundle_document(bundle, tmp_path)
+    doc["omega"]["blob"] = matrix_to_blob(state)
+    try:
+        expected = pure_state_vector(state, anc)
+    except ValueError as exc:
+        assert not OMEGA_CASES[case]
+        with pytest.raises(ChannelFormatError) as refused:
+            load_document(doc, tmp_path)
+        assert str(refused.value) == f"bundle document: {exc}"
+    else:
+        assert OMEGA_CASES[case]
+        assert load_document(doc, tmp_path).psi.tobytes() == expected.tobytes()
+
+
 def test_guard_build_makes_no_composition_and_decomposes_no_wide_matrix(monkeypatch):
     # the d = 3 N = 150 guard build (D = 4077): no composition, and two
     # batched eigendecompositions, of the 150 Choi matrices (9 x 9) and of
