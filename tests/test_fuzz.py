@@ -122,7 +122,7 @@ BUNDLE_CALLS = {
     "ctl1.bundle": (("state_plus.json", "--sequence", "TS"), (A, B)),
 }
 MODES = ["semigroup", "cyclic", "control"]
-# one decoded blob entry: these and NaN, set on the block pattern or off it
+# the values one decoded blob entry is set to, on the block pattern or off it
 BLOB_VALUES = [1e308, -1e308, 1e200, 1e154, 1e-320, math.nan, math.inf, -math.inf]
 
 
